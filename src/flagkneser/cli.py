@@ -4,7 +4,9 @@ Every run writes a manifest (<output>.manifest.json, or
 <command>.manifest.json when the run has no file output) recording command,
 parameters, seed and tool version; reports are byte-stable for fixed
 (command, parameters, seed, version).  Exit code is 0 iff every check in
-the run passed, 2 on usage or configuration errors.
+the run passed, 1 when a check failed, and 2 on usage, configuration or
+precondition errors: main() turns every ValueError into one line on stderr
+and exit code 2.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def _parse_subspace(text: str, n: int, q: int, what: str) -> Subspace:
     try:
         return subspace_from_text(text, n, q)
     except ValueError as exc:
-        raise SystemExit("bad %s: %s" % (what, exc))
+        raise ValueError("bad %s: %s" % (what, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +116,6 @@ def cmd_count(args) -> int:
         print("unknown formula %s" % exc, file=sys.stderr)
         print("available formulas: %s" % ", ".join(sorted(REGISTRY)),
               file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
         return 2
     run = _Run("count", args.q, {"names": names}, None, args.manifest)
     for name in names:
@@ -151,9 +150,9 @@ def _spec_from_args(args, q: int) -> LambdaSpec:
     solid_family = None
     if args.kind == "H_E":
         if args.ekr is None:
-            raise SystemExit("--kind H_E needs --ekr {point_pencil,subspace_full}")
+            raise ValueError("--kind H_E needs --ekr {point_pencil,subspace_full}")
         if hyperplane is None:
-            raise SystemExit("--kind H_E needs --hyperplane or --canonical")
+            raise ValueError("--kind H_E needs --hyperplane or --canonical")
         if args.ekr == "point_pencil":
             plane_family = build_ekr_plane_family(
                 "point_pencil", within=hyperplane, point=point)
@@ -162,10 +161,10 @@ def _spec_from_args(args, q: int) -> LambdaSpec:
                 "subspace_full", within=hyperplane, four_space=four_space)
     if args.kind == "P_S":
         if args.solid_family is None:
-            raise SystemExit("--kind P_S needs --solid-family "
+            raise ValueError("--kind P_S needs --solid-family "
                              "{hyperplane_full,line_star}")
         if point is None:
-            raise SystemExit("--kind P_S needs --point or --canonical")
+            raise ValueError("--kind P_S needs --point or --canonical")
         if args.solid_family == "hyperplane_full":
             solid_family = build_intersecting_solid_family(
                 "hyperplane_full", point=point, hyperplane=hyperplane)
@@ -180,11 +179,7 @@ def _spec_from_args(args, q: int) -> LambdaSpec:
 def cmd_construct(args) -> int:
     q = args.q
     spec = _spec_from_args(args, q)
-    try:
-        spec.validate(q)
-    except ValueError as exc:
-        print("invalid anchors: %s" % exc, file=sys.stderr)
-        return 2
+    spec.validate(q)
     universe = build_universe(q)
     fset = build_lambda(spec, universe)
     expected = spec.expected_size(q)
@@ -216,7 +211,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     try:
         fset = load_flagset(args.flagset)
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         print("cannot load %s: %s" % (args.flagset, exc), file=sys.stderr)
         return 2
     q = fset.universe.q
@@ -231,29 +226,25 @@ def cmd_verify(args) -> int:
                             args.trace_point, args.xi_bound]):
         wanted = {k: True for k in wanted}
 
-    try:
-        if wanted["independent"]:
-            checks.extend(verify_mod.check_independent(fset, subject).checks)
-        if wanted["maximal"]:
-            checks.extend(verify_mod.check_maximal(fset, subject).checks)
-        if wanted["saturation"]:
-            checks.extend(verify_mod.check_saturation(fset, subject).checks)
-        if args.trace_hyperplane:
-            h = _parse_subspace(args.trace_hyperplane, 6, q, "trace hyperplane")
-            checks.extend(
-                verify_mod.check_hyperplane_trace_ekr(fset, h, subject).checks)
-        if args.trace_point:
-            p = _parse_subspace(args.trace_point, 6, q, "trace point")
-            checks.extend(
-                verify_mod.check_point_trace_ekr(fset, p, subject).checks)
-        if args.xi_bound:
-            ordinal = args.flag if args.flag is not None \
-                else int(fset.ordinals()[0])
-            checks.extend(verify_mod.check_disjoint_plane_meeting_solid(
-                fset, ordinal, xi=args.xi, subject=subject).checks)
-    except verify_mod.PreconditionError as exc:
-        print("precondition failed: %s" % exc, file=sys.stderr)
-        return 2
+    if wanted["independent"]:
+        checks.extend(verify_mod.check_independent(fset, subject).checks)
+    if wanted["maximal"]:
+        checks.extend(verify_mod.check_maximal(fset, subject).checks)
+    if wanted["saturation"]:
+        checks.extend(verify_mod.check_saturation(fset, subject).checks)
+    if args.trace_hyperplane:
+        h = _parse_subspace(args.trace_hyperplane, 6, q, "trace hyperplane")
+        checks.extend(
+            verify_mod.check_hyperplane_trace_ekr(fset, h, subject).checks)
+    if args.trace_point:
+        p = _parse_subspace(args.trace_point, 6, q, "trace point")
+        checks.extend(
+            verify_mod.check_point_trace_ekr(fset, p, subject).checks)
+    if args.xi_bound:
+        ordinal = args.flag if args.flag is not None \
+            else int(fset.ordinals()[0])
+        checks.extend(verify_mod.check_disjoint_plane_meeting_solid(
+            fset, ordinal, xi=args.xi, subject=subject).checks)
 
     report = verify_mod.VerificationReport(
         subject=subject, q=q, cardinality=fset.cardinality, checks=checks)
@@ -339,47 +330,43 @@ def cmd_oracle(args) -> int:
     q = args.q
     rng = np.random.default_rng(args.seed)
     results: list[oracle_mod.OracleResult] = []
-    try:
-        if args.oracle == "skew-count":
-            if args.n is not None and args.d is not None:
-                k_sub, l_sub = oracle_mod.sample_skew_pair(
-                    args.n, q, args.k, args.l, rng)
-                results.append(oracle_mod.count_skew_constrained(
-                    args.n, q, args.d, contains=k_sub, skew_to=l_sub))
-            else:
-                n_max = 3 if args.grid == "small" else 5
-                results.extend(oracle_mod.skew_count_grid(
-                    q, n_max=n_max, samples=args.sweeps, seed=args.seed))
-        elif args.oracle == "solids-three-planes":
-            configs = [oracle_mod.canonical_three_planes_config(q)]
-            configs += [oracle_mod.sample_three_planes_config(q, rng)
+    if args.oracle == "skew-count":
+        if args.n is not None and args.d is not None:
+            k_sub, l_sub = oracle_mod.sample_skew_pair(
+                args.n, q, args.k, args.l, rng)
+            results.append(oracle_mod.count_skew_constrained(
+                args.n, q, args.d, contains=k_sub, skew_to=l_sub))
+        else:
+            n_max = 3 if args.grid == "small" else 5
+            results.extend(oracle_mod.skew_count_grid(
+                q, n_max=n_max, samples=args.sweeps, seed=args.seed))
+    elif args.oracle == "solids-three-planes":
+        configs = [oracle_mod.canonical_three_planes_config(q)]
+        configs += [oracle_mod.sample_three_planes_config(q, rng)
+                    for _ in range(args.sweeps)]
+        results.extend(_sweep(
+            lambda c: oracle_mod.count_solids_meeting_three_planes(q, c),
+            configs, _threads(args)))
+    elif args.oracle == "planes-two-solids":
+        us = (args.u,) if args.u else (1, 2)
+        configs = [oracle_mod.canonical_two_solids_config(q, u) for u in us]
+        for u in us:
+            configs += [oracle_mod.sample_two_solids_config(q, u, rng)
                         for _ in range(args.sweeps)]
-            results.extend(_sweep(
-                lambda c: oracle_mod.count_solids_meeting_three_planes(q, c),
-                configs, _threads(args)))
-        elif args.oracle == "planes-two-solids":
-            us = (args.u,) if args.u else (1, 2)
-            configs = [oracle_mod.canonical_two_solids_config(q, u) for u in us]
-            for u in us:
-                configs += [oracle_mod.sample_two_solids_config(q, u, rng)
-                            for _ in range(args.sweeps)]
-            results.extend(_sweep(
-                lambda c: oracle_mod.count_planes_meeting_two_solids(q, c),
-                configs, _threads(args)))
-        elif args.oracle == "line-meeting-family":
-            kinds = (args.family,) if args.family else ("line_star", "solid_full")
-            for kind in kinds:
-                results.append(oracle_mod.line_meeting_family_check(q, kind=kind))
-        elif args.oracle == "complement-count":
-            n = args.n if args.n is not None else 6
-            d = args.d if args.d is not None else 3
-            results.append(oracle_mod.complement_count_check(n, q, d))
-            for _ in range(args.sweeps):
-                results.append(oracle_mod.complement_count_check(
-                    n, q, d, subspace=oracle_mod.random_subspace(n, q, d, rng)))
-    except ValueError as exc:
-        print("invalid oracle configuration: %s" % exc, file=sys.stderr)
-        return 2
+        results.extend(_sweep(
+            lambda c: oracle_mod.count_planes_meeting_two_solids(q, c),
+            configs, _threads(args)))
+    elif args.oracle == "line-meeting-family":
+        kinds = (args.family,) if args.family else ("line_star", "solid_full")
+        for kind in kinds:
+            results.append(oracle_mod.line_meeting_family_check(q, kind=kind))
+    elif args.oracle == "complement-count":
+        n = args.n if args.n is not None else 6
+        d = args.d if args.d is not None else 3
+        results.append(oracle_mod.complement_count_check(n, q, d))
+        for _ in range(args.sweeps):
+            results.append(oracle_mod.complement_count_check(
+                n, q, d, subspace=oracle_mod.random_subspace(n, q, d, rng)))
 
     all_passed = all(r.passed for r in results)
     payload = {
@@ -542,7 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        label = ("precondition failed"
+                 if isinstance(exc, verify_mod.PreconditionError) else "error")
+        print("%s: %s" % (label, exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

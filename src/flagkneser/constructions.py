@@ -20,11 +20,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import linalg
 from .counting import lambda_family_size, s_count
 from .flags import FlagSet, FlagUniverse
-from .projective import (Subspace, enumerate_subspaces, point_bitset,
-                         point_indexer, span)
+from .linalg import subset, superset
+from .projective import (Subspace, bit_indices, enumerate_subspaces,
+                         point_bitset, point_bitsets, point_indexer,
+                         point_words, span)
 
 LAMBDA_KINDS = ("H_empty", "P_empty", "H_E", "P_S", "P_H", "H_P", "P_l", "H_U")
 
@@ -160,28 +161,14 @@ class LambdaSpec:
 # Vectorized construction over the q=2 universe
 
 
-def _subset_mask(lo: np.ndarray, hi: np.ndarray, bits: int) -> np.ndarray:
-    m64 = (1 << 64) - 1
-    blo = np.uint64(bits & m64)
-    bhi = np.uint64(bits >> 64)
-    zero = np.uint64(0)
-    return ((lo & ~blo) == zero) & ((hi & ~bhi) == zero)
-
-
-def _superset_mask(lo: np.ndarray, hi: np.ndarray, bits: int) -> np.ndarray:
-    m64 = (1 << 64) - 1
-    blo = np.uint64(bits & m64)
-    bhi = np.uint64(bits >> 64)
-    return ((lo & blo) == blo) & ((hi & bhi) == bhi)
-
-
 def _plane_family_mask(universe: FlagUniverse, family: Sequence[Subspace]) -> np.ndarray:
-    gids = []
-    for e in family:
-        key = tuple(linalg.pack_bits(r, universe.n) for r in e.rows)
-        gid = universe._plane_key_gid.get(key)
-        if gid is not None:
-            gids.append(gid)
+    """Flags whose plane is in the family, matched by point set (a plane's
+    point set determines the plane)."""
+    _, first = np.unique(universe.plane_gid, return_index=True)
+    planes = universe.plane_bits.take(first, axis=1)  # column g: plane id g
+    fam = point_bitsets(family, universe.n, universe.q)
+    gids = [g for i in range(fam.shape[1])
+            for g in np.flatnonzero((planes == fam[:, i:i + 1]).all(axis=0))]
     return np.isin(universe.plane_gid, np.asarray(sorted(gids), dtype=np.int32))
 
 
@@ -190,20 +177,19 @@ def build_lambda(spec: LambdaSpec, universe: FlagUniverse) -> FlagSet:
     spec.validate(universe.q)
     universe._need_masks()
     k = spec.kind
-    plo, phi = universe.plane_lo, universe.plane_hi
-    slo, shi = universe.solid_lo, universe.solid_hi
+    planes, solids = universe.plane_bits, universe.solid_bits
 
     def solid_in(sub: Subspace) -> np.ndarray:
-        return _subset_mask(slo, shi, point_bitset(sub))
+        return subset(solids, point_words(sub))
 
     def plane_in(sub: Subspace) -> np.ndarray:
-        return _subset_mask(plo, phi, point_bitset(sub))
+        return subset(planes, point_words(sub))
 
     def plane_on(pt: Subspace) -> np.ndarray:
-        return _superset_mask(plo, phi, point_bitset(pt))
+        return superset(planes, point_words(pt))
 
     def solid_on(sub: Subspace) -> np.ndarray:
-        return _superset_mask(slo, shi, point_bitset(sub))
+        return superset(solids, point_words(sub))
 
     if k == "H_empty":
         mask = solid_in(spec.hyperplane)
@@ -388,16 +374,7 @@ class ColoringScheme:
 
 
 def _points_of(sub: Subspace) -> list[int]:
-    return sorted(bit_indices_list(point_bitset(sub)))
-
-
-def bit_indices_list(bits: int) -> list[int]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
+    return sorted(bit_indices(point_bitset(sub)))
 
 
 def build_coloring_scheme(point: Subspace, line: Subspace, plane: Subspace,
@@ -438,7 +415,7 @@ def build_coloring_scheme(point: Subspace, line: Subspace, plane: Subspace,
     m_sets = []
     for li, ei, si in zip(lines_i, planes_i, solids_i):
         bits = point_bitset(li) | (point_bitset(ei) & ~l_bits) | (point_bitset(si) & ~e_bits)
-        m_sets.append(tuple(sorted(bit_indices_list(bits))))
+        m_sets.append(tuple(sorted(bit_indices(bits))))
 
     q_points = [Subspace.from_vectors(n, q, [v]) for v in
                 (idx.vectors[k] for k in _points_of(pq_line))

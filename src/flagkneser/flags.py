@@ -7,20 +7,22 @@ equivalent to the two disjointness conditions
 
     plane(f) `meets` solid(g) == empty  and  plane(g) `meets` solid(f) == empty,
 
-which is what the vectorized scans use; general_position() itself follows
-the four-pair definition.
+which adjacent_bits() states once for point bitsets and every vectorized
+scan uses; general_position() itself follows the four-pair definition.
 
 Flag ordinals run through solids in canonical order and, inside each solid,
 through its planes in canonical local order.  At q = 2 the universe carries
-per-flag point bitsets as numpy arrays (points 0..63 in the low word,
-64..126 in the high word), which is what makes whole-graph scans cheap.
-Full materialization is limited to q in {2, 3}; at q = 3 per-flag data is
+the plane and the solid of every flag as word-major point bitsets (see
+linalg: a (2, 177165) uint64 array each, row k holding points
+64k..64k+63), which is what makes whole-graph scans cheap.  Full
+materialization is limited to q in {2, 3}; at q = 3 per-flag data is
 produced on demand instead of being held in memory.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -29,11 +31,15 @@ import numpy as np
 from . import linalg
 from .counting import universe_size_formula
 from .galois import build_field
+from .linalg import disjoint
 from .projective import (PatternCodec, Subspace, dualize, point_bitset,
-                         point_indexer, subspace_from_text, subspace_to_text)
+                         point_indexer, rref_patterns, subspace_from_text,
+                         subspace_to_text)
 
 N_AMBIENT = 6
 MATERIALIZABLE_Q = (2, 3)
+# solids per batch_point_bitsets call in the q=2 build (bounds its scratch)
+_SOLID_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,13 @@ def adjacent(f: Flag, g: Flag) -> bool:
     """The two-disjointness shortcut; agrees with general_position."""
     return (point_bitset(f.plane) & point_bitset(g.solid) == 0
             and point_bitset(g.plane) & point_bitset(f.solid) == 0)
+
+
+def adjacent_bits(plane1: np.ndarray, solid1: np.ndarray,
+                  plane2: np.ndarray, solid2: np.ndarray) -> np.ndarray:
+    """Flag adjacency on word-major point bitsets (broadcasting): each
+    plane misses the other flag's solid."""
+    return disjoint(plane1, solid2) & disjoint(plane2, solid1)
 
 
 class FlagUniverse:
@@ -135,91 +148,35 @@ class FlagUniverse:
                 return s_ord * self.planes_per_solid + loc
         raise ValueError("flag not found under its solid")  # unreachable for valid flags
 
-    def iter_flags(self) -> Iterator[Flag]:
-        for ordinal in range(self.flag_count):
-            yield self.flag(ordinal)
-
     def dual_ordinal(self, ordinal: int) -> int:
         return self.ordinal_of(dualize_flag(self.flag(ordinal)))
 
     # -- q = 2 materialized arrays -----------------------------------------
 
     def _build_q2_arrays(self) -> None:
-        n = self.n
-        idx = point_indexer(n, 2)
-        pt_of_packed = [0] * (1 << (n + 1))
-        for k, v in enumerate(idx.vectors):
-            pt_of_packed[linalg.pack_bits(v, n)] = k
-        self.n_points = idx.count
-
-        local_bits = []
-        for pat in self._local_patterns:
-            local_bits.append(tuple(sum(1 << j for j, c in enumerate(prow) if c)
-                                    for prow in pat))
-
-        pps = self.planes_per_solid
-        count = self.flag_count
-        plane_gid = np.empty(count, dtype=np.int32)
-        solids_plane_gid = np.empty((self.n_solids, pps), dtype=np.int32)
-        plane_key_gid: dict[tuple[int, ...], int] = {}
-        plane_bits_list: list[int] = []
-        plane_rows_list: list[tuple[int, ...]] = []
-        solid_bits_list: list[int] = []
-
-        def points_int(rows_bits: tuple[int, ...]) -> int:
-            vs = [0]
-            for rb in rows_bits:
-                vs += [v ^ rb for v in vs]
-            out = 0
-            for v in vs[1:]:
-                out |= 1 << pt_of_packed[v]
-            return out
-
-        ordinal = 0
-        for s_ord in range(self.n_solids):
-            srows = self.solid_codec.unrank(s_ord)
-            sbits = tuple(linalg.pack_bits(r, n) for r in srows)
-            solid_bits_list.append(points_int(sbits))
-            for loc in range(pps):
-                amb = []
-                for mask in local_bits[loc]:
-                    v = 0
-                    for j in range(4):
-                        if (mask >> j) & 1:
-                            v ^= sbits[j]
-                    amb.append(v)
-                key = linalg.rref_bits(amb)
-                gid = plane_key_gid.get(key)
-                if gid is None:
-                    gid = len(plane_bits_list)
-                    plane_key_gid[key] = gid
-                    plane_bits_list.append(points_int(key))
-                    plane_rows_list.append(key)
-                plane_gid[ordinal] = gid
-                solids_plane_gid[s_ord, loc] = gid
-                ordinal += 1
-
-        self.plane_points_by_gid = plane_bits_list
-        self.solid_points_by_solid = solid_bits_list
-        self._plane_key_gid = plane_key_gid
-        self._plane_rows_by_gid = plane_rows_list
-        self.plane_gid = plane_gid
-        self.solids_plane_gid = solids_plane_gid
-        self.n_planes = len(plane_bits_list)
-
-        mask64 = (1 << 64) - 1
-        self.plane_lo = np.fromiter(
-            ((plane_bits_list[g] & mask64) for g in plane_gid),
-            dtype=np.uint64, count=count)
-        self.plane_hi = np.fromiter(
-            ((plane_bits_list[g] >> 64) for g in plane_gid),
-            dtype=np.uint64, count=count)
-        solid_lo = np.fromiter(((b & mask64) for b in solid_bits_list),
-                               dtype=np.uint64, count=self.n_solids)
-        solid_hi = np.fromiter(((b >> 64) for b in solid_bits_list),
-                               dtype=np.uint64, count=self.n_solids)
-        self.solid_lo = np.repeat(solid_lo, pps)
-        self.solid_hi = np.repeat(solid_hi, pps)
+        """Per-flag word-major point bitsets of planes and solids, and plane
+        ids numbered in order of first occurrence."""
+        n, q, pps = self.n, self.q, self.planes_per_solid
+        idx = point_indexer(n, q)
+        codes = idx.point_codes()
+        solids = rref_patterns(n + 1, 4, q)
+        patterns = np.array(self._local_patterns, dtype=np.int64)
+        nwords = (idx.count + 63) // 64
+        plane_bits = np.empty((nwords, self.n_solids, pps), dtype=np.uint64)
+        solid_bits = np.empty((nwords, self.n_solids), dtype=np.uint64)
+        for a in range(0, self.n_solids, _SOLID_CHUNK):
+            chunk = np.array(list(itertools.islice(solids, _SOLID_CHUNK)),
+                             dtype=np.int64)
+            solid_bits[:, a:a + len(chunk)] = linalg.batch_point_bitsets(
+                chunk, q, codes, idx.count)
+            for loc, pat in enumerate(patterns):
+                # the plane with local pattern `pat` in every solid of the chunk
+                planes = np.einsum("ij,sjm->sim", pat, chunk) % q
+                plane_bits[:, a:a + len(chunk), loc] = linalg.batch_point_bitsets(
+                    planes, q, codes, idx.count)
+        self.plane_bits = plane_bits.reshape(nwords, self.flag_count)
+        self.plane_gid = _first_occurrence_ids(self.plane_bits)
+        self.solid_bits = np.repeat(solid_bits, pps, axis=1)
 
     def _need_masks(self) -> None:
         if not self.has_masks:
@@ -227,30 +184,31 @@ class FlagUniverse:
                 "graph-scale scans need the materialized q=2 arrays; "
                 "q=%d keeps per-flag data on demand" % self.q)
 
-    def flag_bits(self, ordinal: int) -> tuple[int, int]:
-        """(plane point bitset, solid point bitset) as Python integers."""
-        if self.has_masks:
-            s_ord, _ = divmod(ordinal, self.planes_per_solid)
-            g = int(self.plane_gid[ordinal])
-            return (self.plane_points_by_gid[g], self.solid_points_by_solid[s_ord])
-        f = self.flag(ordinal)
-        return (point_bitset(f.plane), point_bitset(f.solid))
-
     def adjacent_mask(self, ordinal: int) -> np.ndarray:
         """Boolean mask over all flags: adjacency to the given flag."""
         self._need_masks()
-        pb, sb = self.flag_bits(ordinal)
-        mask64 = (1 << 64) - 1
-        pl = np.uint64(pb & mask64)
-        ph = np.uint64(pb >> 64)
-        sl = np.uint64(sb & mask64)
-        sh = np.uint64(sb >> 64)
-        zero = np.uint64(0)
-        return ((self.plane_lo & sl) == zero) & ((self.plane_hi & sh) == zero) \
-            & ((self.solid_lo & pl) == zero) & ((self.solid_hi & ph) == zero)
+        return adjacent_bits(self.plane_bits[:, ordinal], self.solid_bits[:, ordinal],
+                             self.plane_bits, self.solid_bits)
 
     def degree(self, ordinal: int) -> int:
         return int(np.count_nonzero(self.adjacent_mask(ordinal)))
+
+
+def _first_occurrence_ids(bits: np.ndarray) -> np.ndarray:
+    """int32 id per column of a word-major bitset array: equal columns share
+    an id, and ids count distinct columns in order of first occurrence."""
+    order = np.lexsort(bits)  # stable, so equal columns keep their order
+    new = np.zeros(bits.shape[1], dtype=bool)
+    new[0] = True
+    for row in bits:
+        srt = row.take(order)
+        new[1:] |= srt[1:] != srt[:-1]
+    first = order[new]
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
+    ids = np.empty(bits.shape[1], dtype=np.int32)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids
 
 
 @functools.lru_cache(maxsize=None)
@@ -410,17 +368,12 @@ def export_dimacs(universe: FlagUniverse, path: str, *,
     if nv < 1:
         raise ValueError("need at least one vertex")
 
-    mask64 = (1 << 64) - 1
-    plo, phi = universe.plane_lo[:nv], universe.plane_hi[:nv]
-    slo, shi = universe.solid_lo[:nv], universe.solid_hi[:nv]
-    zero = np.uint64(0)
+    planes = universe.plane_bits[:, :nv]
+    solids = universe.solid_bits[:, :nv]
 
     def row_after(i: int) -> np.ndarray:
-        pb, sb = universe.flag_bits(i)
-        pl, ph = np.uint64(pb & mask64), np.uint64(pb >> 64)
-        sl, sh = np.uint64(sb & mask64), np.uint64(sb >> 64)
-        return ((plo[i + 1:] & sl) == zero) & ((phi[i + 1:] & sh) == zero) \
-            & ((slo[i + 1:] & pl) == zero) & ((shi[i + 1:] & ph) == zero)
+        return adjacent_bits(planes[:, i], solids[:, i],
+                             planes[:, i + 1:], solids[:, i + 1:])
 
     induced = nv < n_all
     if induced:

@@ -1,12 +1,15 @@
-"""Exact matrix routines over the table-driven fields.
+"""Exact matrix routines over the table-driven fields, and the point-bitset
+layout with its kernels.
 
-A matrix is a tuple of rows, each row a tuple of element codes.  Everything
-in here is exact integer work; numpy only appears in the batched
-point-bitset machinery that the graph-scale scans rely on.
+A matrix is a tuple of rows, each row a tuple of element codes; the row
+routines are exact integer work.
 
-For q = 2 there is a parallel representation of rows as machine integers
-(coordinate i sits at bit n - i, so lexicographic order on code vectors is
-numeric order on the packed integers).
+Point sets of subspaces of PG(n,q) have one array layout: a C-contiguous
+uint64 array of shape (W, N), word-major, whose row k holds points
+64k..64k+63 of N subspaces, W = ceil(#points / 64).  One subspace is a (W,)
+column.  batch_point_bitsets builds such arrays for prime q; the kernels
+disjoint, subset, superset and popcount take two arrays that broadcast over
+their trailing axes, compare them word by word and AND the results.
 """
 
 from __future__ import annotations
@@ -107,57 +110,8 @@ def nullspace(rows: Matrix, fld: FieldTable, m: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) rows as machine integers
-
-
-def pack_bits(row: Sequence[int], n: int) -> int:
-    v = 0
-    for i, c in enumerate(row):
-        if c:
-            v |= 1 << (n - i)
-    return v
-
-
-def unpack_bits(v: int, n: int) -> Row:
-    return tuple((v >> (n - i)) & 1 for i in range(n + 1))
-
-
-def rref_bits(rows: Iterable[int]) -> tuple[int, ...]:
-    """RREF over GF(2) on packed rows; result sorted by pivot column."""
-    pivots: dict[int, int] = {}
-    for v in rows:
-        while v:
-            h = v.bit_length() - 1
-            if h in pivots:
-                v ^= pivots[h]
-            else:
-                pivots[h] = v
-                break
-    # eliminate each pivot bit from the other rows (reduced form)
-    for h in sorted(pivots, reverse=True):
-        v = pivots[h]
-        for g in pivots:
-            if g != h and (pivots[g] >> h) & 1:
-                pivots[g] ^= v
-    return tuple(pivots[h] for h in sorted(pivots, reverse=True))
-
-
-def rank_bits(rows: Iterable[int]) -> int:
-    pivots: dict[int, int] = {}
-    for v in rows:
-        while v:
-            h = v.bit_length() - 1
-            if h in pivots:
-                v ^= pivots[h]
-            else:
-                pivots[h] = v
-                break
-    return len(pivots)
-
-
-# ---------------------------------------------------------------------------
-# Batched point bitsets (prime q only; the extension fields never reach the
-# enumeration layer)
+# Word-major point bitsets (batches at prime q; the extension fields never
+# reach the enumeration layer)
 
 
 def coefficient_reps(r: int, q: int) -> np.ndarray:
@@ -183,11 +137,12 @@ def coefficient_reps(r: int, q: int) -> np.ndarray:
 
 def batch_point_bitsets(mats: np.ndarray, q: int, point_codes: np.ndarray,
                         n_points: int) -> np.ndarray:
-    """Point bitsets for a batch of rank-r RREF matrices, prime q.
+    """Point bitsets for a batch of full-rank r x m matrices, prime q.
 
-    mats: int array (N, r, m).  point_codes: lookup from base-q encoding of a
-    normalized vector to its point index (size q^m).  Returns (N, W) uint64
-    with W = ceil(n_points / 64).
+    mats: int array (N, r, m); any basis of each row space will do, RREF is
+    not needed.  point_codes: lookup from base-q encoding of a normalized
+    vector to its point index (size q^m).  Returns the word-major (W, N)
+    uint64 array with W = ceil(n_points / 64).
     """
     if mats.ndim != 3:
         raise ValueError("expected a (N, r, m) batch")
@@ -205,23 +160,41 @@ def batch_point_bitsets(mats: np.ndarray, q: int, point_codes: np.ndarray,
     codes = pts @ (q ** np.arange(m, dtype=np.int64))
     idx = point_codes[codes]
     nwords = (n_points + 63) // 64
-    bits = np.zeros((n, nwords), dtype=np.uint64)
-    rows = np.arange(n)
+    bits = np.zeros((nwords, n), dtype=np.uint64)
+    cols = np.arange(n)
     for p in range(idx.shape[1]):
-        col = idx[:, p]
-        bits[rows, col >> 6] |= np.uint64(1) << (col & 63).astype(np.uint64)
+        pt = idx[:, p]
+        bits[pt >> 6, cols] |= np.uint64(1) << (pt & 63).astype(np.uint64)
     return bits
 
 
-def words_to_int(words: np.ndarray) -> int:
-    out = 0
-    for i, w in enumerate(words):
-        out |= int(w) << (64 * i)
+def disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where the point sets a and b share no point."""
+    out = (a[0] & b[0]) == 0
+    for k in range(1, len(a)):
+        out &= (a[k] & b[k]) == 0
     return out
 
 
-def int_to_words(v: int, nwords: int) -> np.ndarray:
-    out = np.zeros(nwords, dtype=np.uint64)
-    for i in range(nwords):
-        out[i] = (v >> (64 * i)) & 0xFFFFFFFFFFFFFFFF
+def subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where every point of a lies in b."""
+    out = (a[0] & ~b[0]) == 0
+    for k in range(1, len(a)):
+        out &= (a[k] & ~b[k]) == 0
+    return out
+
+
+def superset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where every point of b lies in a."""
+    out = (a[0] & b[0]) == b[0]
+    for k in range(1, len(a)):
+        out &= (a[k] & b[k]) == b[k]
+    return out
+
+
+def popcount(a: np.ndarray) -> np.ndarray:
+    """Number of points in each set of a (int64)."""
+    out = np.bitwise_count(a[0]).astype(np.int64)
+    for k in range(1, len(a)):
+        out += np.bitwise_count(a[k])
     return out

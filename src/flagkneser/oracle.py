@@ -19,10 +19,12 @@ from .counting import (complement_count, gaussian,
                        planes_meeting_two_solids_bound,
                        planes_meeting_two_solids_exact, s,
                        solids_meeting_three_planes_bound)
+from .constructions import build_line_meeting_plane_family
 from .galois import build_field
-from .linalg import batch_point_bitsets, int_to_words
-from .projective import (Subspace, intersect_trivially, meet, point_bitset,
-                         point_indexer, rref_patterns, span, subspace_to_text)
+from .linalg import disjoint, mat_from_combo, popcount, superset
+from .projective import (Subspace, enumerate_subspaces, intersect_trivially,
+                         meet, point_bitsets, point_words, rref_patterns, span,
+                         subspace_to_text)
 
 MAX_ENUMERATED = 3_000_000
 
@@ -63,42 +65,17 @@ def _result(name: str, q: int, parameters: dict, count: int, expected: int,
 # Batched enumeration
 
 
-def _nwords(n: int, q: int) -> int:
-    return (point_indexer(n, q).count + 63) // 64
-
-
-def _words(sub: Subspace) -> np.ndarray:
-    return int_to_words(point_bitset(sub), _nwords(sub.n, sub.q))
-
-
 @functools.lru_cache(maxsize=64)
 def _all_d_space_bits(n: int, q: int, d: int) -> np.ndarray:
-    """Point bitsets of every d-space of PG(n,q), rref_patterns order."""
+    """Word-major point bitsets of every d-space of PG(n,q), rref_patterns
+    order."""
     total = gaussian(n + 1, d + 1, q)
     if total > MAX_ENUMERATED:
         raise ValueError(
             "PG(%d,%d) has %d %d-spaces, above the enumeration cutoff %d"
             % (n, q, total, d, MAX_ENUMERATED))
-    idx = point_indexer(n, q)
-    if build_field(q).e == 1:
-        mats = np.array(list(rref_patterns(n + 1, d + 1, q)), dtype=np.int64)
-        return batch_point_bitsets(mats, q, idx.point_codes(), idx.count)
-    out = np.zeros((total, _nwords(n, q)), dtype=np.uint64)
-    for i, pat in enumerate(rref_patterns(n + 1, d + 1, q)):
-        out[i] = int_to_words(point_bitset(Subspace(n, q, pat)), out.shape[1])
-    return out
-
-
-def _superset_mask(bits: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return ((bits & w) == w).all(axis=1)
-
-
-def _disjoint_mask(bits: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return ((bits & w) == np.uint64(0)).all(axis=1)
-
-
-def _meets_mask(bits: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return ~_disjoint_mask(bits, w)
+    subs = [Subspace(n, q, pat) for pat in rref_patterns(n + 1, d + 1, q)]
+    return point_bitsets(subs, n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +95,11 @@ def count_skew_constrained(n: int, q: int, d: int,
             and not intersect_trivially(contains, skew_to):
         raise ValueError("the fixed subspaces must be skew")
     bits = _all_d_space_bits(n, q, d)
-    keep = np.ones(len(bits), dtype=bool)
+    keep = np.ones(bits.shape[1], dtype=bool)
     if contains is not None and k >= 0:
-        keep &= _superset_mask(bits, _words(contains))
+        keep &= superset(bits, point_words(contains))
     if skew_to is not None and l >= 0:
-        keep &= _disjoint_mask(bits, _words(skew_to))
+        keep &= disjoint(bits, point_words(skew_to))
     count = int(np.count_nonzero(keep))
     params = {"n": n, "d": d, "k": k, "l": l,
               "contains": subspace_to_text(contains) if contains else None,
@@ -138,7 +115,7 @@ def complement_count_check(n: int, q: int, d: int,
     if u.d != d:
         raise ValueError("subspace has dimension %d, expected %d" % (u.d, d))
     bits = _all_d_space_bits(n, q, n - d - 1)
-    count = int(np.count_nonzero(_disjoint_mask(bits, _words(u))))
+    count = int(np.count_nonzero(disjoint(bits, point_words(u))))
     params = {"n": n, "d": d, "subspace": subspace_to_text(u)}
     return _result("complement_count", q, params, count,
                    complement_count(d, n, q), "==")
@@ -212,28 +189,16 @@ def count_solids_meeting_three_planes(q: int,
     cfg = config if config is not None else canonical_three_planes_config(q)
     cfg.validate()
     n = 6
-    from .projective import enumerate_subspaces
     solids = list(enumerate_subspaces(n, q, 3, contains=cfg.outside_point))
-    bits = _stack(solids, n, q)
+    bits = point_bitsets(solids, n, q)
     keep = np.ones(len(solids), dtype=bool)
     for e in cfg.planes:
-        keep &= _meets_mask(bits, _words(e))
+        keep &= ~disjoint(bits, point_words(e))
     count = int(np.count_nonzero(keep))
     bound = solids_meeting_three_planes_bound(q)
     return _result("solids_meeting_three_planes", q, cfg.to_params(),
                    count, bound, "<=",
                    details={"solids_through_point": len(solids)})
-
-
-def _stack(subs: Sequence[Subspace], n: int, q: int) -> np.ndarray:
-    idx = point_indexer(n, q)
-    if build_field(q).e == 1 and subs:
-        mats = np.array([sub.rows for sub in subs], dtype=np.int64)
-        return batch_point_bitsets(mats, q, idx.point_codes(), idx.count)
-    out = np.zeros((len(subs), _nwords(n, q)), dtype=np.uint64)
-    for i, sub in enumerate(subs):
-        out[i] = int_to_words(point_bitset(sub), out.shape[1])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +264,14 @@ def count_planes_meeting_two_solids(q: int,
     cfg.validate()
     uu = cfg.u
     n = 6
-    from .projective import enumerate_subspaces
     planes = list(enumerate_subspaces(n, q, 2, contains=cfg.point))
-    bits = _stack(planes, n, q)
-    keep = _meets_mask(bits, _words(cfg.solid1)) \
-        & _meets_mask(bits, _words(cfg.solid2))
+    bits = point_bitsets(planes, n, q)
+    keep = ~disjoint(bits, point_words(cfg.solid1)) \
+        & ~disjoint(bits, point_words(cfg.solid2))
 
     u1 = meet(span(cfg.point, cfg.solid2), cfg.solid1)
     v = span(u1, cfg.point)
-    overlap = np.bitwise_count(bits & _words(v)).sum(axis=1)
+    overlap = popcount(bits & point_words(v)[:, None])
     classes = {
         "meet_v_in_point": int(np.count_nonzero(keep & (overlap == 1))),
         "meet_v_in_line": int(np.count_nonzero(keep & (overlap == q + 1))),
@@ -339,28 +303,27 @@ def line_meeting_family_check(q: int, planes: Sequence[Subspace] | None = None,
     plane of the space as a candidate extension."""
     n = 5
     if planes is None:
-        from .constructions import build_line_meeting_plane_family
         planes = build_line_meeting_plane_family(kind, n=n, q=q)
     planes = list(planes)
     for e in planes:
         if (e.n, e.q, e.d) != (n, q, 2):
             raise ValueError("family members must be planes of PG(5,%d)" % q)
-    member = _stack(planes, n, q)
-    line_size = np.uint64(q + 1)
+    member = point_bitsets(planes, n, q)
+    line_size = q + 1
 
     pair_ok = True
     for i in range(len(planes)):
-        cut = np.bitwise_count(member[i + 1:] & member[i]).sum(axis=1)
+        cut = popcount(member[:, i + 1:] & member[:, i:i + 1])
         if not (cut == line_size).all():
             pair_ok = False
             break
 
     bits = _all_d_space_bits(n, q, 2)
-    cuts = np.bitwise_count(bits[:, None, :] & member[None, :, :]).sum(axis=2)
+    cuts = popcount(bits[:, :, None] & member[:, None, :])
     extends = (cuts == line_size).all(axis=1)
-    is_member = np.zeros(len(bits), dtype=bool)
-    for row in member:
-        is_member |= (bits == row).all(axis=1)
+    is_member = np.zeros(bits.shape[1], dtype=bool)
+    for i in range(len(planes)):
+        is_member |= (bits == member[:, i:i + 1]).all(axis=0)
     extensions = int(np.count_nonzero(extends & ~is_member))
 
     common = planes[0]
@@ -381,7 +344,7 @@ def line_meeting_family_check(q: int, planes: Sequence[Subspace] | None = None,
                    details={"pairwise_meet_in_lines": pair_ok,
                             "extensions_found": extensions,
                             "maximal": extensions == 0,
-                            "planes_swept": len(bits),
+                            "planes_swept": bits.shape[1],
                             "family_type": family_type},
                    extra_ok=pair_ok and extensions == 0)
 
@@ -441,7 +404,6 @@ def random_subspace(n: int, q: int, d: int,
 
 
 def _random_within(w: Subspace, d: int, rng: np.random.Generator) -> Subspace:
-    from .linalg import mat_from_combo
     fld = build_field(w.q)
     while True:
         vecs = [mat_from_combo([int(c) for c in rng.integers(0, w.q, size=len(w.rows))],

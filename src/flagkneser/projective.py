@@ -6,7 +6,9 @@ subspaces are equal objects.  The empty subspace has d = -1 and no rows.
 
 Points of PG(n,q) carry a pinned order: representatives are normalized so
 the last nonzero coordinate is 1, then sorted lexicographically by code
-vector.  point_bitset() is an integer whose bit k is point k in this order.
+vector.  point_bitset() is an integer whose bit k is point k in this order;
+point_bitsets() gives many subspaces at once in the word-major uint64
+layout that the kernels in linalg work on.
 """
 
 from __future__ import annotations
@@ -73,12 +75,6 @@ class Subspace:
         if (self.n, self.q) != (other.n, other.q):
             raise ValueError("ambient spaces differ: PG(%d,%d) vs PG(%d,%d)"
                              % (self.n, self.q, other.n, other.q))
-
-    def points(self) -> list[tuple[int, ...]]:
-        """Normalized point representatives of this subspace, pinned order."""
-        idx = point_indexer(self.n, self.q)
-        out = [idx.vectors[k] for k in bit_indices(point_bitset(self))]
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "Subspace(PG(%d,%d), d=%d)" % (self.n, self.q, self.d)
@@ -171,6 +167,31 @@ def point_bitset(a: Subspace) -> int:
         v = linalg.mat_from_combo(combo, a.rows, fld)
         bits |= 1 << idx.index_of(v)
     return bits
+
+
+def point_bitsets(subs: Sequence[Subspace], n: int, q: int) -> np.ndarray:
+    """Word-major (W, len(subs)) uint64 point bitsets of equal-dimension
+    subspaces of PG(n,q): bit j of row k is point 64k + j.
+
+    Prime q goes through linalg.batch_point_bitsets; the extension fields
+    take point_bitset one subspace at a time.
+    """
+    idx = point_indexer(n, q)
+    if build_field(q).e == 1 and subs and subs[0].d >= 0:
+        mats = np.array([sub.rows for sub in subs], dtype=np.int64)
+        return linalg.batch_point_bitsets(mats, q, idx.point_codes(), idx.count)
+    nwords = (idx.count + 63) // 64
+    out = np.zeros((nwords, len(subs)), dtype=np.uint64)
+    for i, sub in enumerate(subs):
+        bits = point_bitset(sub)
+        out[:, i] = [(bits >> (64 * k)) & 0xFFFFFFFFFFFFFFFF
+                     for k in range(nwords)]
+    return out
+
+
+def point_words(a: Subspace) -> np.ndarray:
+    """The (W,) word column of one subspace in the point_bitsets layout."""
+    return point_bitsets([a], a.n, a.q)[:, 0]
 
 
 def bit_indices(bits: int) -> Iterator[int]:

@@ -23,8 +23,10 @@ import numpy as np
 from .counting import (chromatic_lower_poly, independence_number_formula,
                        plane_disjoint_solid_meeting_bound, s,
                        universe_size_formula)
-from .flags import Flag, FlagSet, FlagUniverse
-from .projective import Subspace, meet, span, subspace_to_text
+from .flags import Flag, FlagSet, FlagUniverse, adjacent_bits
+from .linalg import disjoint, popcount, subset, superset
+from .projective import (Subspace, meet, point_bitsets, point_words, span,
+                         subspace_to_text)
 
 
 class PreconditionError(ValueError):
@@ -79,22 +81,34 @@ def _timed(check_fn):
 
 
 def _member_arrays(fset: FlagSet):
+    """The universe, the member ordinals, and the members' word-major plane
+    and solid bitsets."""
     uni = fset.universe
     uni._need_masks()
     ords = fset.ordinals()
-    return uni, ords, (uni.plane_lo[ords], uni.plane_hi[ords],
-                       uni.solid_lo[ords], uni.solid_hi[ords])
+    return (uni, ords, uni.plane_bits.take(ords, axis=1),
+            uni.solid_bits.take(ords, axis=1))
+
+
+def _least_pair(bits: np.ndarray, bad) -> tuple[int, int] | None:
+    """Least column pair (i, j), i < j, of a word-major array that the
+    kernel `bad` flags; bad gets column i as (W, 1) and the columns after
+    it."""
+    for i in range(bits.shape[1] - 1):
+        hit = np.flatnonzero(bad(bits[:, i:i + 1], bits[:, i + 1:]))
+        if hit.size:
+            return i, i + 1 + int(hit[0])
+    return None
 
 
 def check_independent(fset: FlagSet, subject: str = "flag set") -> VerificationReport:
     """No two members are adjacent.  Fail witness: least ordinal pair."""
-    uni, ords, (plo, phi, slo, shi) = _member_arrays(fset)
+    uni, ords, planes, solids = _member_arrays(fset)
 
     def run() -> CheckResult:
-        zero = np.uint64(0)
         for i in range(len(ords) - 1):
-            bad = ((plo[i + 1:] & slo[i]) == zero) & ((phi[i + 1:] & shi[i]) == zero) \
-                & ((slo[i + 1:] & plo[i]) == zero) & ((shi[i + 1:] & phi[i]) == zero)
+            bad = adjacent_bits(planes[:, i], solids[:, i],
+                                planes[:, i + 1:], solids[:, i + 1:])
             j = int(np.argmax(bad))
             if bad[j]:
                 pair = [int(ords[i]), int(ords[i + 1 + j])]
@@ -116,27 +130,19 @@ def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationRepor
     shrinking array of still-uncoverable candidates, so it is fast even
     though it touches every member once.
     """
-    uni, ords, _ = _member_arrays(fset)
+    uni, ords, member_planes, member_solids = _member_arrays(fset)
 
     def run() -> CheckResult:
         cand = np.arange(uni.flag_count)
-        plo = uni.plane_lo.copy()
-        phi = uni.plane_hi.copy()
-        slo = uni.solid_lo.copy()
-        shi = uni.solid_hi.copy()
-        zero = np.uint64(0)
-        m64 = (1 << 64) - 1
-        for o in ords:
-            pb, sb = uni.flag_bits(int(o))
-            adj = ((plo & np.uint64(sb & m64)) == zero) \
-                & ((phi & np.uint64(sb >> 64)) == zero) \
-                & ((slo & np.uint64(pb & m64)) == zero) \
-                & ((shi & np.uint64(pb >> 64)) == zero)
+        planes, solids = uni.plane_bits, uni.solid_bits
+        for i in range(len(ords)):
+            adj = adjacent_bits(member_planes[:, i], member_solids[:, i],
+                                planes, solids)
             if adj.any():
                 keep = ~adj
                 cand = cand[keep]
-                plo, phi = plo[keep], phi[keep]
-                slo, shi = slo[keep], shi[keep]
+                planes = np.compress(keep, planes, axis=1)
+                solids = np.compress(keep, solids, axis=1)
         extend = cand[~np.isin(cand, ords)]
         if extend.size:
             return CheckResult("maximal", False,
@@ -288,17 +294,10 @@ def check_saturation(fset: FlagSet, subject: str = "flag set") -> VerificationRe
 
     t0 = time.perf_counter()
     sats = profile.saturated_solids()
-    from .projective import point_bitset
-    bits = [point_bitset(t) for t in sats]
-    witness = None
-    for i in range(len(bits)):
-        for j in range(i + 1, len(bits)):
-            if (bits[i] & bits[j]).bit_count() < 2:
-                witness = {"solids": [subspace_to_text(sats[i]),
-                                      subspace_to_text(sats[j])]}
-                break
-        if witness:
-            break
+    pair = _least_pair(point_bitsets(sats, fset.universe.n, fset.universe.q),
+                       lambda a, b: popcount(a & b) < 2)
+    witness = None if pair is None else {
+        "solids": [subspace_to_text(sats[i]) for i in pair]}
     report.checks.append(CheckResult(
         "saturated_solids_pairwise_meet_in_line", witness is None, witness,
         (time.perf_counter() - t0) * 1000))
@@ -309,19 +308,14 @@ def check_saturation(fset: FlagSet, subject: str = "flag set") -> VerificationRe
 # Trace bounds
 
 
-def _trace_planes(fset: FlagSet, hyperplane: Subspace) -> list[int]:
-    """Plane gids E with some member (E,S), E inside H, S not inside H
-    (equivalently the trace of S on H is exactly E)."""
-    from .projective import point_bitset
-    uni, ords, (plo, phi, slo, shi) = _member_arrays(fset)
-    hbits = point_bitset(hyperplane)
-    m64 = (1 << 64) - 1
-    hlo, hhi = np.uint64(hbits & m64), np.uint64(hbits >> 64)
-    zero = np.uint64(0)
-    plane_in = ((plo & ~hlo) == zero) & ((phi & ~hhi) == zero)
-    solid_in = ((slo & ~hlo) == zero) & ((shi & ~hhi) == zero)
-    pick = plane_in & ~solid_in
-    return sorted(set(int(g) for g in fset.universe.plane_gid[ords[pick]]))
+def _trace_planes(fset: FlagSet, hyperplane: Subspace):
+    """Sorted plane gids E with some member (E,S), E inside H, S not inside
+    H (equivalently the trace of S on H is exactly E), and their bitsets."""
+    uni, ords, planes, solids = _member_arrays(fset)
+    h = point_words(hyperplane)
+    pick = subset(planes, h) & ~subset(solids, h)
+    gids, first = np.unique(uni.plane_gid[ords[pick]], return_index=True)
+    return [int(g) for g in gids], np.compress(pick, planes, axis=1).take(first, axis=1)
 
 
 def check_hyperplane_trace_ekr(fset: FlagSet, hyperplane: Subspace,
@@ -331,8 +325,7 @@ def check_hyperplane_trace_ekr(fset: FlagSet, hyperplane: Subspace,
     if hyperplane.d != 5:
         raise PreconditionError("trace anchor must be a hyperplane")
     uni = fset.universe
-    gids = _trace_planes(fset, hyperplane)
-    bits = [uni.plane_points_by_gid[g] for g in gids]
+    gids, bits = _trace_planes(fset, hyperplane)
     report = VerificationReport(subject=subject, q=uni.q,
                                 cardinality=len(gids),
                                 expected=None)
@@ -345,14 +338,9 @@ def check_hyperplane_trace_ekr(fset: FlagSet, hyperplane: Subspace,
         (time.perf_counter() - t0) * 1000))
 
     t0 = time.perf_counter()
-    witness = None
-    for i in range(len(bits)):
-        for j in range(i + 1, len(bits)):
-            if bits[i] & bits[j] == 0:
-                witness = {"disjoint_planes": [gids[i], gids[j]]}
-                break
-        if witness:
-            break
+    pair = _least_pair(bits, disjoint)
+    witness = None if pair is None else {
+        "disjoint_planes": [gids[i] for i in pair]}
     report.checks.append(CheckResult(
         "trace_pairwise_intersecting", witness is None, witness,
         (time.perf_counter() - t0) * 1000))
@@ -365,30 +353,21 @@ def check_point_trace_ekr(fset: FlagSet, point: Subspace,
     pairwise meet in at least a line and number at most s(1,4)."""
     if point.d != 0:
         raise PreconditionError("trace anchor must be a point")
-    from .projective import point_bitset
-    uni, ords, (plo, phi, slo, shi) = _member_arrays(fset)
-    pbits = point_bitset(point)
-    m64 = (1 << 64) - 1
-    qlo, qhi = np.uint64(pbits & m64), np.uint64(pbits >> 64)
-    on_solid = ((slo & qlo) == qlo) & ((shi & qhi) == qhi)
-    off_plane = ((plo & qlo) != qlo) | ((phi & qhi) != qhi)
-    pick = on_solid & off_plane
+    uni, ords, planes, solids = _member_arrays(fset)
+    p = point_words(point)
+    pick = superset(solids, p) & ~superset(planes, p)
     s_ords = sorted(set(int(x) for x in (ords[pick] // uni.planes_per_solid)))
-    bits = [uni.solid_points_by_solid[t] for t in s_ords]
+    bits = uni.solid_bits.take(np.asarray(s_ords, dtype=np.int64)
+                               * uni.planes_per_solid, axis=1)
 
     report = VerificationReport(subject=subject, q=uni.q, cardinality=len(s_ords))
     bound = s(1, 4, q=uni.q)
     report.checks.append(CheckResult(
         "trace_size_at_most_s14", len(s_ords) <= bound,
         {"trace_size": len(s_ords), "bound": bound}))
-    witness = None
-    for i in range(len(bits)):
-        for j in range(i + 1, len(bits)):
-            if (bits[i] & bits[j]).bit_count() < 2:
-                witness = {"solids_meeting_in_at_most_a_point": [s_ords[i], s_ords[j]]}
-                break
-        if witness:
-            break
+    pair = _least_pair(bits, lambda a, b: popcount(a & b) < 2)
+    witness = None if pair is None else {
+        "solids_meeting_in_at_most_a_point": [s_ords[i] for i in pair]}
     report.checks.append(CheckResult(
         "trace_pairwise_meet_in_line", witness is None, witness))
     return report
@@ -404,8 +383,7 @@ def check_disjoint_plane_meeting_solid(fset: FlagSet, f: Flag | int,
     a smaller xi than measured is a precondition violation, as is f not
     being a member.
     """
-    from .projective import point_bitset
-    uni, ords, (plo, phi, slo, shi) = _member_arrays(fset)
+    uni, ords, planes, solids = _member_arrays(fset)
     ordinal = f if isinstance(f, int) else uni.ordinal_of(f)
     if ordinal not in fset:
         raise PreconditionError("reference flag %d is not a member" % ordinal)
@@ -417,12 +395,9 @@ def check_disjoint_plane_meeting_solid(fset: FlagSet, f: Flag | int,
             "a solid carries %d member flags, above the declared xi=%d"
             % (measured, xi))
 
-    ebits = point_bitset(uni.flag(ordinal).plane)
-    m64 = (1 << 64) - 1
-    elo, ehi = np.uint64(ebits & m64), np.uint64(ebits >> 64)
-    zero = np.uint64(0)
-    plane_misses = ((plo & elo) == zero) & ((phi & ehi) == zero)
-    solid_meets = ((slo & elo) != zero) | ((shi & ehi) != zero)
+    e = uni.plane_bits[:, ordinal]
+    plane_misses = disjoint(planes, e)
+    solid_meets = ~disjoint(solids, e)
     count = int(np.count_nonzero(plane_misses & solid_meets))
     bound = plane_disjoint_solid_meeting_bound(xi, uni.q)
 

@@ -22,6 +22,7 @@ from flagkneser.counting import (chromatic_lower_poly, ekr_planes_max,
                                  planes_meeting_two_solids_exact, s,
                                  solids_meeting_three_planes_bound,
                                  universe_size_formula)
+from flagkneser.flags import adjacent_bits
 from flagkneser.galois import SUPPORTED_ORDERS
 from flagkneser.oracle import (count_planes_meeting_two_solids,
                                count_solids_meeting_three_planes,
@@ -272,10 +273,9 @@ def test_criterion_10_duality(uni2, frame2, families):
         problems.append("dualization is not an involution")
 
     def adj(i, j):
-        return (((uni2.plane_lo[i] & uni2.solid_lo[j]) == 0)
-                & ((uni2.plane_hi[i] & uni2.solid_hi[j]) == 0)
-                & ((uni2.plane_lo[j] & uni2.solid_lo[i]) == 0)
-                & ((uni2.plane_hi[j] & uni2.solid_hi[i]) == 0))
+        planes, solids = uni2.plane_bits, uni2.solid_bits
+        return adjacent_bits(planes.take(i, axis=1), solids.take(i, axis=1),
+                             planes.take(j, axis=1), solids.take(j, axis=1))
 
     i, j = pairs[:, 0], pairs[:, 1]
     di = np.array([dual[int(v)] for v in i])

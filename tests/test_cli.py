@@ -1,8 +1,12 @@
 """End-to-end CLI runs, driven in-process through main(argv)."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import flagkneser
 from flagkneser.cli import main
 
 
@@ -230,3 +234,24 @@ def test_version_flag(capsys):
     code = run(["--version"])
     assert code == 0
     assert "0.1.0" in capsys.readouterr().out
+
+
+BAD_INPUTS = [
+    ["construct", "--kind", "P_l", "--q", "3", "--canonical"],
+    ["export", "--q", "2", "--max-vertices", "0"],
+    ["color", "--scheme", "mi", "--q", "6"],
+    ["construct", "--kind", "P_l", "--q", "2", "--point", "0;x"],
+    ["construct", "--kind", "H_E", "--q", "2", "--canonical"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda a: " ".join(a))
+def test_bad_input_exits_2_without_traceback(tmp_path, argv):
+    src = os.path.dirname(os.path.dirname(flagkneser.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "flagkneser.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr

@@ -108,7 +108,7 @@ def test_golden_cli_outputs(tmp_path, capsys):
 def test_golden_universe_arrays(uni2):
     got = {
         "plane_gid": _sha256(uni2.plane_gid.tobytes()),
-        "plane_bits": _sha256(np.stack([uni2.plane_lo, uni2.plane_hi]).tobytes()),
-        "solid_bits": _sha256(np.stack([uni2.solid_lo, uni2.solid_hi]).tobytes()),
+        "plane_bits": _sha256(uni2.plane_bits.tobytes()),
+        "solid_bits": _sha256(uni2.solid_bits.tobytes()),
     }
     assert got == GOLDEN_UNIVERSE, got

@@ -187,4 +187,5 @@ def test_batch_point_bitsets_agree_with_scalar_path():
     mats = np.array([s.rows for s in subs], dtype=np.int64)
     bits = linalg.batch_point_bitsets(mats, q, idx.point_codes(), idx.count)
     for k, sub in enumerate(subs):
-        assert linalg.words_to_int(bits[k]) == point_bitset(sub)
+        assert sum(int(w) << (64 * i)
+                   for i, w in enumerate(bits[:, k])) == point_bitset(sub)
