@@ -4,14 +4,17 @@ A fixed CLI script runs in a temporary directory and every output it
 writes is compared by sha256 with a frozen digest: flag files, size
 reports, verify reports (with their least witnesses), the DIMACS export and
 oracle JSON.  Manifests are left out because they carry a start time.  The
-q=2 universe's plane ids and point-bitset words are pinned the same way.
-Any change to these digests changes a published output and needs a reason.
+q=2 universe's plane ids and point-bitset words are pinned the same way, and
+so are the saturation reports and profiles of five sets that fail or are
+empty.  Any change to these digests changes a published output and needs a
+reason.
 """
 import hashlib
 
 import numpy as np
 
-from flagkneser import (FlagSet, canonical_frame, load_flagset,
+from flagkneser import (FlagSet, LambdaSpec, build_lambda, canonical_frame,
+                        check_saturation, load_flagset, saturation_profile,
                         save_flagset, subspace_to_text)
 from flagkneser.cli import main
 
@@ -39,6 +42,21 @@ GOLDEN_UNIVERSE = {
     "plane_gid": "774d6aa11ad6235a01859cbf8fc5ddd5b1587daad1bb8c77438c0f136cca75aa",
     "plane_bits": "1bc9aa7b0ef7f99e567b98782a5f260edfa944ffd813432c0a086da0f47e779d",
     "solid_bits": "62d29432fd4f333352f21490a4b2a8ad615218ea6f7dc00fdf53a4eb726119d1",
+}
+
+# sha256 of check_saturation(...).to_json() and of the saturation profile's
+# text dump, per set
+GOLDEN_SATURATION = {
+    "pl_minus_last": ("c3b9dd648b56048a1a89834a23300fc7f586ab1313e484a4fb17b80fa81e50a6",
+                      "0ba0c1aae39d0bda532ab3448dacc4af029e61cc43becae3d0d92bb782617123"),
+    "pl_every_third": ("0069b8d6c0297ba76c47839aee57424f1695961f5145b776349c06b254fdbf56",
+                       "bd2a383d9755defeade2f14e314d51f7c6c6b0bdb468915c29949bc1884b8e0f"),
+    "random_3000": ("2b893fcc8c23f4ae3e08a4291453936258f6421a059f20b387d6890a3ddbc724",
+                    "c23fd602fa30f84c9a66634da782310a7b93e03d3cec7ec283dd2ccb8e7208e6"),
+    "empty": ("0003936dc63566aa6855e0d8498c7d04e83f1657f28155217173b144be19b3e8",
+              "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    "two_solids_in_a_point": ("1445a7d904559e4bf5fa49140035691067b91ddc650255b719e1a1a7077ad405",
+                              "7a8eb3e21718db06299da7a16d9cb8d012d367b4c2555bc85cc944ac065ae7af"),
 }
 
 
@@ -112,3 +130,36 @@ def test_golden_universe_arrays(uni2):
         "solid_bits": _sha256(uni2.solid_bits.tobytes()),
     }
     assert got == GOLDEN_UNIVERSE, got
+
+
+def _profile_text(fset) -> str:
+    prof = saturation_profile(fset)
+    lines = ["solid %s %d %s %s" % (subspace_to_text(e.solid), e.members,
+                                    e.is_pencil, e.saturated)
+             for e in prof.solid_entries]
+    lines += ["plane %s %d %s %s" % (subspace_to_text(e.plane), e.members,
+                                     e.is_quotient_subspace, e.saturated)
+              for e in prof.plane_entries]
+    return "\n".join(lines) + "\n"
+
+
+def test_golden_saturation_failures(uni2, frame2):
+    pl = build_lambda(LambdaSpec(kind="P_l", point=frame2["point"],
+                                 line=frame2["line"]), uni2)
+    ords = [int(o) for o in pl.ordinals()]
+    rng = np.random.default_rng(20190419)
+    sets = {
+        "pl_minus_last": ords[:-1],
+        "pl_every_third": ords[::3],
+        "random_3000": sorted(int(o) for o in rng.choice(
+            uni2.flag_count, size=3000, replace=False)),
+        "empty": [],
+        # every flag of solids 0 and 84, which meet in a single point
+        "two_solids_in_a_point": list(range(15)) + list(range(84 * 15, 85 * 15)),
+    }
+    got = {}
+    for name, members in sets.items():
+        fset = FlagSet.from_ordinals(uni2, members)
+        got[name] = (_sha256(check_saturation(fset).to_json().encode()),
+                     _sha256(_profile_text(fset).encode()))
+    assert got == GOLDEN_SATURATION, got
