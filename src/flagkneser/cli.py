@@ -2,11 +2,11 @@
 
 Every run writes a manifest (<output>.manifest.json, or
 <command>.manifest.json when the run has no file output) recording command,
-parameters, seed and tool version; reports are byte-stable for fixed
-(command, parameters, seed, version).  Exit code is 0 iff every check in
-the run passed, 1 when a check failed, and 2 on usage, configuration or
-precondition errors: main() turns every ValueError into one line on stderr
-and exit code 2.
+parameters, seed, tool version and the wall time from the start of main();
+reports are byte-stable for fixed (command, parameters, seed, version).
+Exit code is 0 iff every check in the run passed, 1 when a check failed,
+and 2 on usage, configuration or precondition errors: main() turns every
+ValueError into one line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -63,32 +63,29 @@ class RunManifest:
 
 
 class _Run:
-    """Collects outputs and writes the manifest when the command ends."""
+    """One command run: its clock starts when main() starts, it collects
+    the outputs, and finish() writes the manifest."""
 
-    def __init__(self, command: str, q: int | None, parameters: dict,
-                 seed: int | None, manifest_path: str | None):
-        self.manifest = RunManifest(
-            command=command, q=q, parameters=parameters, seed=seed,
-            tool_version=__version__,
-            started=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            elapsed_s=0.0)
+    def __init__(self):
+        self.started = datetime.now(timezone.utc).isoformat(timespec="seconds")
         self._t0 = time.perf_counter()
-        self._path = manifest_path
+        self.outputs: list[str] = []
 
     def emit(self, path: str, payload: str) -> None:
         with open(path, "w") as fh:
             fh.write(payload)
-        self.manifest.outputs.append(path)
+        self.outputs.append(path)
 
-    def finish(self) -> None:
-        self.manifest.elapsed_s = time.perf_counter() - self._t0
-        path = self._path
-        if path is None:
-            base = self.manifest.outputs[0] if self.manifest.outputs \
-                else self.manifest.command
-            path = base + ".manifest.json"
+    def finish(self, command: str, q: int | None, parameters: dict,
+               seed: int | None, manifest_path: str | None) -> None:
+        manifest = RunManifest(
+            command=command, q=q, parameters=parameters, seed=seed,
+            tool_version=__version__, started=self.started,
+            elapsed_s=time.perf_counter() - self._t0, outputs=self.outputs)
+        path = manifest_path or \
+            (self.outputs[0] if self.outputs else command) + ".manifest.json"
         with open(path, "w") as fh:
-            json.dump(self.manifest.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -107,7 +104,7 @@ def _parse_subspace(text: str, n: int, q: int, what: str) -> Subspace:
 # count
 
 
-def cmd_count(args) -> int:
+def cmd_count(args, run: _Run) -> int:
     names = args.names or sorted(
         name for name, entry in REGISTRY.items() if not entry.params)
     try:
@@ -117,11 +114,10 @@ def cmd_count(args) -> int:
         print("available formulas: %s" % ", ".join(sorted(REGISTRY)),
               file=sys.stderr)
         return 2
-    run = _Run("count", args.q, {"names": names}, None, args.manifest)
     for name in names:
         print("%s = %s" % (name, values[name]["value"]))
     run.emit(args.out, _json_dumps({"q": args.q, "values": values}))
-    run.finish()
+    run.finish("count", args.q, {"names": names}, None, args.manifest)
     return 0
 
 
@@ -176,7 +172,7 @@ def _spec_from_args(args, q: int) -> LambdaSpec:
                       plane_family=plane_family, solid_family=solid_family)
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args, run: _Run) -> int:
     q = args.q
     spec = _spec_from_args(args, q)
     spec.validate(q)
@@ -193,12 +189,11 @@ def cmd_construct(args) -> int:
     }
     params = {"kind": args.kind, "canonical": args.canonical,
               "ekr": args.ekr, "solid_family": args.solid_family}
-    run = _Run("construct", q, params, None, args.manifest)
     save_flagset(fset, args.out)
-    run.manifest.outputs.append(args.out)
+    run.outputs.append(args.out)
     if args.report:
         run.emit(args.report, _json_dumps(report))
-    run.finish()
+    run.finish("construct", q, params, None, args.manifest)
     print("%s at q=%d: %d flags (expected %d) -> %s"
           % (spec.kind, q, fset.cardinality, expected, args.out))
     return 0 if report["match"] else 1
@@ -208,7 +203,7 @@ def cmd_construct(args) -> int:
 # verify
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, run: _Run) -> int:
     try:
         fset = load_flagset(args.flagset)
     except OSError as exc:
@@ -248,11 +243,10 @@ def cmd_verify(args) -> int:
 
     report = verify_mod.VerificationReport(
         subject=subject, q=q, cardinality=fset.cardinality, checks=checks)
-    run = _Run("verify", q, {"flagset": args.flagset,
+    run.emit(args.out, report.to_json(include_timing=args.timing) + "\n")
+    run.finish("verify", q, {"flagset": args.flagset,
                              "checks": [c.name for c in checks]},
                None, args.manifest)
-    run.emit(args.out, report.to_json(include_timing=args.timing) + "\n")
-    run.finish()
     for c in checks:
         line = "%-45s %s" % (c.name, "pass" if c.passed else "FAIL")
         if not c.passed and c.witness is not None:
@@ -265,7 +259,7 @@ def cmd_verify(args) -> int:
 # color
 
 
-def cmd_color(args) -> int:
+def cmd_color(args, run: _Run) -> int:
     q = args.q
     frame = canonical_frame(q)
     if args.scheme == "mi":
@@ -297,9 +291,8 @@ def cmd_color(args) -> int:
     else:
         report["note"] = ("classes are reported structurally; full cover "
                           "verification runs at q=2 only")
-    run = _Run("color", q, {"scheme": args.scheme}, None, args.manifest)
     run.emit(args.out, _json_dumps(report))
-    run.finish()
+    run.finish("color", q, {"scheme": args.scheme}, None, args.manifest)
     print("%s scheme at q=%d: %d classes" % (args.scheme, q, len(specs)))
     if report["all_independent"] is not None:
         print("all classes independent: %s" % report["all_independent"])
@@ -326,7 +319,7 @@ def _sweep(fn, configs, threads: int):
         return list(pool.map(fn, configs))
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, run: _Run) -> int:
     q = args.q
     rng = np.random.default_rng(args.seed)
     results: list[oracle_mod.OracleResult] = []
@@ -376,13 +369,12 @@ def cmd_oracle(args) -> int:
         "results": [r.to_dict() for r in results],
         "all_passed": all_passed,
     }
-    run = _Run("oracle", q,
+    run.emit(args.out, _json_dumps(payload))
+    run.finish("oracle", q,
                {"oracle": args.oracle, "sweeps": args.sweeps, "u": args.u,
                 "grid": args.grid, "family": args.family, "n": args.n,
                 "d": args.d, "k": args.k, "l": args.l},
                args.seed, args.manifest)
-    run.emit(args.out, _json_dumps(payload))
-    run.finish()
     for r in results[:10]:
         print("%s: count=%d %s %d  %s"
               % (r.name, r.count, r.relation, r.expected,
@@ -397,7 +389,7 @@ def cmd_oracle(args) -> int:
 # export
 
 
-def cmd_export(args) -> int:
+def cmd_export(args, run: _Run) -> int:
     q = args.q
     if args.format != "dimacs":
         print("unsupported format %r" % args.format, file=sys.stderr)
@@ -406,6 +398,8 @@ def cmd_export(args) -> int:
         print("refusing: only the q=2 graph has materialized adjacency "
               "arrays; larger q would need tens of gigabytes", file=sys.stderr)
         return 2
+    if args.max_vertices is not None and args.max_vertices < 1:
+        raise ValueError("need at least one vertex")
     universe = build_universe(q)
     if args.max_vertices is None and not args.confirm_size:
         est = universe.flag_count * universe.degree(0) // 2
@@ -413,12 +407,11 @@ def cmd_export(args) -> int:
               "%d edges (tens of gigabytes); use --max-vertices for an "
               "induced subgraph" % (universe.flag_count, est), file=sys.stderr)
         return 2
-    run = _Run("export", q,
+    summary = export_dimacs(universe, args.out, max_vertices=args.max_vertices)
+    run.outputs.append(args.out)
+    run.finish("export", q,
                {"format": args.format, "max_vertices": args.max_vertices},
                None, args.manifest)
-    summary = export_dimacs(universe, args.out, max_vertices=args.max_vertices)
-    run.manifest.outputs.append(args.out)
-    run.finish()
     print("wrote %s: %d vertices, %d edges"
           % (args.out, summary["vertices"], summary["edges"]))
     return 0
@@ -528,9 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    run = _Run()
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, run)
     except ValueError as exc:
         label = ("precondition failed"
                  if isinstance(exc, verify_mod.PreconditionError) else "error")

@@ -9,7 +9,9 @@ uint64 array of shape (W, N), word-major, whose row k holds points
 64k..64k+63 of N subspaces, W = ceil(#points / 64).  One subspace is a (W,)
 column.  batch_point_bitsets builds such arrays for prime q; the kernels
 disjoint, subset, superset and popcount take two arrays that broadcast over
-their trailing axes, compare them word by word and AND the results.
+their trailing axes, compare them word by word and AND the results;
+least_pair scans the column pairs of one array for the least one a kernel
+flags.
 """
 
 from __future__ import annotations
@@ -198,3 +200,15 @@ def popcount(a: np.ndarray) -> np.ndarray:
     for k in range(1, len(a)):
         out += np.bitwise_count(a[k])
     return out
+
+
+def least_pair(bits: np.ndarray, bad) -> tuple[int, int] | None:
+    """Least column pair (i, j), i < j, of a word-major array that the
+    kernel `bad` flags; bad gets column i as (W, 1) and the columns after
+    it."""
+    for i in range(bits.shape[1] - 1):
+        hit = bad(bits[:, i:i + 1], bits[:, i + 1:])
+        j = int(np.argmax(hit))
+        if hit[j]:  # argmax is 0 when nothing is flagged
+            return i, i + 1 + j
+    return None

@@ -21,7 +21,7 @@ from .counting import (complement_count, gaussian,
                        solids_meeting_three_planes_bound)
 from .constructions import build_line_meeting_plane_family
 from .galois import build_field
-from .linalg import disjoint, mat_from_combo, popcount, superset
+from .linalg import disjoint, least_pair, mat_from_combo, popcount, superset
 from .projective import (Subspace, enumerate_subspaces, intersect_trivially,
                          meet, point_bitsets, point_words, rref_patterns, span,
                          subspace_to_text)
@@ -311,12 +311,8 @@ def line_meeting_family_check(q: int, planes: Sequence[Subspace] | None = None,
     member = point_bitsets(planes, n, q)
     line_size = q + 1
 
-    pair_ok = True
-    for i in range(len(planes)):
-        cut = popcount(member[:, i + 1:] & member[:, i:i + 1])
-        if not (cut == line_size).all():
-            pair_ok = False
-            break
+    pair_ok = least_pair(member,
+                         lambda a, b: popcount(a & b) != line_size) is None
 
     bits = _all_d_space_bits(n, q, 2)
     cuts = popcount(bits[:, :, None] & member[:, None, :])

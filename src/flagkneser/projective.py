@@ -194,6 +194,28 @@ def point_words(a: Subspace) -> np.ndarray:
     return point_bitsets([a], a.n, a.q)[:, 0]
 
 
+@functools.lru_cache(maxsize=None)
+def _point_perps(n: int, q: int) -> np.ndarray:
+    """Word-major point sets of the hyperplanes x^perp, column x for point x."""
+    return point_bitsets([dualize(Subspace.from_vectors(n, q, [v]))
+                          for v in point_indexer(n, q).vectors], n, q)
+
+
+def perp_bitsets(bits: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Orthogonal complements of word-major point sets of PG(n,q).
+
+    Column i of the result is the point set of dualize(span(column i)):
+    point x lies in it iff column i lies in the hyperplane x^perp.  A set
+    has the complement of its span, so the columns need not be subspaces.
+    """
+    perps = _point_perps(n, q)
+    out = np.zeros_like(bits)
+    for x in range(perps.shape[1]):
+        inside = linalg.subset(bits, perps[:, x])
+        out[x >> 6] |= inside.astype(np.uint64) << np.uint64(x & 63)
+    return out
+
+
 def bit_indices(bits: int) -> Iterator[int]:
     while bits:
         low = bits & -bits

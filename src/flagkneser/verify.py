@@ -24,9 +24,8 @@ from .counting import (chromatic_lower_poly, independence_number_formula,
                        plane_disjoint_solid_meeting_bound, s,
                        universe_size_formula)
 from .flags import Flag, FlagSet, FlagUniverse, adjacent_bits
-from .linalg import disjoint, popcount, subset, superset
-from .projective import (Subspace, meet, point_bitsets, point_words, span,
-                         subspace_to_text)
+from .linalg import disjoint, least_pair, popcount, subset, superset
+from .projective import Subspace, perp_bitsets, point_words, subspace_to_text
 
 
 class PreconditionError(ValueError):
@@ -73,11 +72,12 @@ class VerificationReport:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
 
 
-def _timed(check_fn):
+def _timed(name: str, check) -> CheckResult:
+    """Run check() -> (passed, witness) as the check `name`, timed."""
     t0 = time.perf_counter()
-    out = check_fn()
-    out.ms = (time.perf_counter() - t0) * 1000.0
-    return out
+    passed, witness = check()
+    return CheckResult(name, passed, witness,
+                       (time.perf_counter() - t0) * 1000.0)
 
 
 def _member_arrays(fset: FlagSet):
@@ -90,36 +90,22 @@ def _member_arrays(fset: FlagSet):
             uni.solid_bits.take(ords, axis=1))
 
 
-def _least_pair(bits: np.ndarray, bad) -> tuple[int, int] | None:
-    """Least column pair (i, j), i < j, of a word-major array that the
-    kernel `bad` flags; bad gets column i as (W, 1) and the columns after
-    it."""
-    for i in range(bits.shape[1] - 1):
-        hit = np.flatnonzero(bad(bits[:, i:i + 1], bits[:, i + 1:]))
-        if hit.size:
-            return i, i + 1 + int(hit[0])
-    return None
-
-
 def check_independent(fset: FlagSet, subject: str = "flag set") -> VerificationReport:
     """No two members are adjacent.  Fail witness: least ordinal pair."""
     uni, ords, planes, solids = _member_arrays(fset)
+    w = len(planes)
 
-    def run() -> CheckResult:
-        for i in range(len(ords) - 1):
-            bad = adjacent_bits(planes[:, i], solids[:, i],
-                                planes[:, i + 1:], solids[:, i + 1:])
-            j = int(np.argmax(bad))
-            if bad[j]:
-                pair = [int(ords[i]), int(ords[i + 1 + j])]
-                return CheckResult("independent", False,
-                                   {"adjacent_pair": pair})
-            # np.argmax returns 0 on all-false; bad[0] re-checks that case
-        return CheckResult("independent", True)
+    def run():
+        # each column: a member's plane words over its solid words
+        pair = least_pair(np.concatenate([planes, solids]),
+                          lambda a, b: adjacent_bits(a[:w], a[w:], b[:w], b[w:]))
+        if pair is None:
+            return True, None
+        return False, {"adjacent_pair": [int(ords[i]) for i in pair]}
 
     report = VerificationReport(subject=subject, q=uni.q,
                                 cardinality=fset.cardinality)
-    report.checks.append(_timed(run))
+    report.checks.append(_timed("independent", run))
     return report
 
 
@@ -132,7 +118,7 @@ def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationRepor
     """
     uni, ords, member_planes, member_solids = _member_arrays(fset)
 
-    def run() -> CheckResult:
+    def run():
         cand = np.arange(uni.flag_count)
         planes, solids = uni.plane_bits, uni.solid_bits
         for i in range(len(ords)):
@@ -145,13 +131,12 @@ def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationRepor
                 solids = np.compress(keep, solids, axis=1)
         extend = cand[~np.isin(cand, ords)]
         if extend.size:
-            return CheckResult("maximal", False,
-                               {"extending_flag": int(extend.min())})
-        return CheckResult("maximal", True)
+            return False, {"extending_flag": int(extend.min())}
+        return True, None
 
     report = VerificationReport(subject=subject, q=uni.q,
                                 cardinality=fset.cardinality)
-    report.checks.append(_timed(run))
+    report.checks.append(_timed("maximal", run))
     return report
 
 
@@ -171,7 +156,7 @@ def max_flags_per_solid(fset: FlagSet) -> int:
 @dataclass
 class PlaneEntry:
     plane: Subspace
-    hull: Subspace          # span of the member solids on this plane
+    hull_dim: int           # dimension of the span of the member solids on it
     members: int
     is_quotient_subspace: bool
     saturated: bool         # every solid on the plane occurs
@@ -180,7 +165,8 @@ class PlaneEntry:
 @dataclass
 class SolidEntry:
     solid: Subspace
-    base: Subspace          # meet of the member planes in this solid
+    ordinal: int            # solid ordinal in the universe's canonical order
+    base_dim: int           # dimension of the meet of the member planes in it
     members: int
     is_pencil: bool
     saturated: bool         # every plane of the solid occurs
@@ -200,107 +186,101 @@ class SaturationProfile:
     def all_quotient_subspaces(self) -> bool:
         return all(e.is_quotient_subspace for e in self.plane_entries)
 
-    def saturated_planes(self) -> list[Subspace]:
-        return [e.plane for e in self.plane_entries if e.saturated]
-
     def saturated_solids(self) -> list[Subspace]:
         return [e.solid for e in self.solid_entries if e.saturated]
+
+
+def _group_reduce(ufunc, bits: np.ndarray, keys: np.ndarray):
+    """For the groups of equal keys, in ascending key order: the first
+    column of each, its size, and ufunc reduced over its columns of the
+    word-major array bits."""
+    order = np.argsort(keys, kind="stable")
+    _, starts, sizes = np.unique(keys[order], return_index=True,
+                                 return_counts=True)
+    return (order[starts], sizes,
+            ufunc.reduceat(bits.take(order, axis=1), starts, axis=1))
+
+
+def _group_size_test(bits: np.ndarray, sizes: np.ndarray, q: int):
+    """Dimension d of each subspace in bits (from its point count), and
+    whether its group has (q^(3-d) - 1)/(q - 1) members."""
+    point_counts = [(q ** k - 1) // (q - 1) for k in range(8)]
+    dims = np.searchsorted(point_counts, popcount(bits)) - 1
+    return dims, sizes == (q ** (3 - dims) - 1) // (q - 1)
 
 
 def saturation_profile(fset: FlagSet) -> SaturationProfile:
     """Per-plane and per-solid structure of a flag set.
 
-    For each plane E of the set, the member solids on E span a subspace
-    hull(E); the solids are exactly the solids between E and the hull iff
-    their number matches the point count of the quotient.  Dually, the
-    member planes inside a solid S meet in base(S) and form the pencil of
-    planes of S through base(S) iff the count matches.
+    The member planes inside a solid S meet in base(S), the AND of their
+    point sets; they are the pencil of planes of S through base(S) iff they
+    number (q^(3-d) - 1)/(q - 1), d = dim base(S).  Dually, the member
+    solids on a plane E span hull(E), whose orthogonal complement is the
+    set of points orthogonal to the OR of their point sets; they are all
+    the solids between E and hull(E) iff they number (q^(3-d) - 1)/(q - 1),
+    d = dim hull(E)^perp.
     """
-    uni = fset.universe
-    uni._need_masks()
-    ords = fset.ordinals()
-    q = uni.q
-    pps = uni.planes_per_solid
+    uni, ords, planes, solids = _member_arrays(fset)
+    q, pps = uni.q, uni.planes_per_solid
 
-    solid_entries: list[SolidEntry] = []
-    plane_groups: dict[int, list[int]] = {}
-    for s_ord, group in _group_by(ords // pps, ords):
-        solid = Subspace(uni.n, q, uni.solid_codec.unrank(int(s_ord)))
-        planes = [uni.flag(int(o)).plane for o in group]
-        base = planes[0]
-        for e in planes[1:]:
-            base = meet(base, e)
-        # planes of the solid through `base`: (q^(3-u) - 1)/(q - 1)
-        u = base.d
-        expect = (q ** (3 - u) - 1) // (q - 1)
-        solid_entries.append(SolidEntry(
-            solid=solid, base=base, members=len(planes),
-            is_pencil=len(planes) == expect,
-            saturated=len(planes) == pps))
-        for o in group:
-            plane_groups.setdefault(int(uni.plane_gid[o]), []).append(int(o))
+    firsts, s_sizes, bases = _group_reduce(np.bitwise_and, planes, ords // pps)
+    base_dims, pencils = _group_size_test(bases, s_sizes, q)
+    solid_entries = [
+        SolidEntry(solid=Subspace(uni.n, q, uni.solid_codec.unrank(s_ord)),
+                   ordinal=s_ord, base_dim=d, members=size, is_pencil=ok,
+                   saturated=size == pps)
+        for s_ord, d, size, ok in zip((ords[firsts] // pps).tolist(),
+                                      base_dims.tolist(), s_sizes.tolist(),
+                                      pencils.tolist())]
 
-    plane_entries: list[PlaneEntry] = []
+    firsts, p_sizes, hulls = _group_reduce(np.bitwise_or, solids,
+                                           uni.plane_gid[ords])
+    perp_dims, quotients = _group_size_test(perp_bitsets(hulls, uni.n, q),
+                                             p_sizes, q)
     solids_on_plane = s(2, 3, 6, q=q)
-    for gid in sorted(plane_groups):
-        group = plane_groups[gid]
-        plane = uni.flag(group[0]).plane
-        hull = plane
-        for o in group:
-            hull = span(hull, uni.flag(o).solid)
-        t = hull.d - 2  # quotient of hull by the plane, as a vector space rank
-        expect = (q ** t - 1) // (q - 1) if t >= 0 else 0
-        plane_entries.append(PlaneEntry(
-            plane=plane, hull=hull, members=len(group),
-            is_quotient_subspace=len(group) == expect,
-            saturated=len(group) == solids_on_plane))
+    plane_entries = [
+        PlaneEntry(plane=uni.flag(o).plane, hull_dim=uni.n - 1 - d,
+                   members=size, is_quotient_subspace=ok,
+                   saturated=size == solids_on_plane)
+        for o, d, size, ok in zip(ords[firsts].tolist(), perp_dims.tolist(),
+                                  p_sizes.tolist(), quotients.tolist())]
     return SaturationProfile(q=q, plane_entries=plane_entries,
                              solid_entries=solid_entries)
-
-
-def _group_by(keys: np.ndarray, values: np.ndarray):
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    if keys.size == 0:
-        return
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    for a, b in zip(starts, np.r_[starts[1:], keys.size]):
-        yield keys[a], values[a:b]
 
 
 def check_saturation(fset: FlagSet, subject: str = "flag set") -> VerificationReport:
     """Structure checks on the saturation profile: per-solid plane sets are
     pencils, per-plane solid sets are quotient subspaces, and saturated
     solids pairwise share at least a line."""
-    report = VerificationReport(subject=subject, q=fset.universe.q,
+    uni = fset.universe
+    report = VerificationReport(subject=subject, q=uni.q,
                                 cardinality=fset.cardinality)
-
-    t0 = time.perf_counter()
     profile = saturation_profile(fset)
-    bad_solid = next((e for e in profile.solid_entries if not e.is_pencil), None)
-    report.checks.append(CheckResult(
-        "solid_plane_sets_are_pencils", bad_solid is None,
-        None if bad_solid is None else {"solid": subspace_to_text(bad_solid.solid),
-                                        "members": bad_solid.members},
-        (time.perf_counter() - t0) * 1000))
 
-    t0 = time.perf_counter()
-    bad_plane = next((e for e in profile.plane_entries if not e.is_quotient_subspace), None)
-    report.checks.append(CheckResult(
-        "plane_solid_sets_are_quotient_subspaces", bad_plane is None,
-        None if bad_plane is None else {"plane": subspace_to_text(bad_plane.plane),
-                                        "members": bad_plane.members},
-        (time.perf_counter() - t0) * 1000))
+    def pencils():
+        bad = next((e for e in profile.solid_entries if not e.is_pencil), None)
+        return bad is None, None if bad is None else {
+            "solid": subspace_to_text(bad.solid), "members": bad.members}
 
-    t0 = time.perf_counter()
-    sats = profile.saturated_solids()
-    pair = _least_pair(point_bitsets(sats, fset.universe.n, fset.universe.q),
-                       lambda a, b: popcount(a & b) < 2)
-    witness = None if pair is None else {
-        "solids": [subspace_to_text(sats[i]) for i in pair]}
-    report.checks.append(CheckResult(
-        "saturated_solids_pairwise_meet_in_line", witness is None, witness,
-        (time.perf_counter() - t0) * 1000))
+    def quotients():
+        bad = next((e for e in profile.plane_entries
+                    if not e.is_quotient_subspace), None)
+        return bad is None, None if bad is None else {
+            "plane": subspace_to_text(bad.plane), "members": bad.members}
+
+    def lines():
+        sats = [e for e in profile.solid_entries if e.saturated]
+        bits = uni.solid_bits.take(
+            np.array([e.ordinal for e in sats], dtype=np.int64)
+            * uni.planes_per_solid, axis=1)
+        pair = least_pair(bits, lambda a, b: popcount(a & b) < 2)
+        return pair is None, None if pair is None else {
+            "solids": [subspace_to_text(sats[i].solid) for i in pair]}
+
+    report.checks += [
+        _timed("solid_plane_sets_are_pencils", pencils),
+        _timed("plane_solid_sets_are_quotient_subspaces", quotients),
+        _timed("saturated_solids_pairwise_meet_in_line", lines)]
     return report
 
 
@@ -326,24 +306,18 @@ def check_hyperplane_trace_ekr(fset: FlagSet, hyperplane: Subspace,
         raise PreconditionError("trace anchor must be a hyperplane")
     uni = fset.universe
     gids, bits = _trace_planes(fset, hyperplane)
-    report = VerificationReport(subject=subject, q=uni.q,
-                                cardinality=len(gids),
-                                expected=None)
-
-    t0 = time.perf_counter()
+    report = VerificationReport(subject=subject, q=uni.q, cardinality=len(gids))
     bound = s(1, 4, q=uni.q)
-    report.checks.append(CheckResult(
-        "trace_size_at_most_s14", len(gids) <= bound,
-        {"trace_size": len(gids), "bound": bound},
-        (time.perf_counter() - t0) * 1000))
 
-    t0 = time.perf_counter()
-    pair = _least_pair(bits, disjoint)
-    witness = None if pair is None else {
-        "disjoint_planes": [gids[i] for i in pair]}
-    report.checks.append(CheckResult(
-        "trace_pairwise_intersecting", witness is None, witness,
-        (time.perf_counter() - t0) * 1000))
+    def intersecting():
+        pair = least_pair(bits, disjoint)
+        return pair is None, None if pair is None else {
+            "disjoint_planes": [gids[i] for i in pair]}
+
+    report.checks += [
+        _timed("trace_size_at_most_s14", lambda: (
+            len(gids) <= bound, {"trace_size": len(gids), "bound": bound})),
+        _timed("trace_pairwise_intersecting", intersecting)]
     return report
 
 
@@ -356,20 +330,21 @@ def check_point_trace_ekr(fset: FlagSet, point: Subspace,
     uni, ords, planes, solids = _member_arrays(fset)
     p = point_words(point)
     pick = superset(solids, p) & ~superset(planes, p)
-    s_ords = sorted(set(int(x) for x in (ords[pick] // uni.planes_per_solid)))
-    bits = uni.solid_bits.take(np.asarray(s_ords, dtype=np.int64)
-                               * uni.planes_per_solid, axis=1)
+    s_ords = np.unique(ords[pick] // uni.planes_per_solid)
+    bits = uni.solid_bits.take(s_ords * uni.planes_per_solid, axis=1)
 
     report = VerificationReport(subject=subject, q=uni.q, cardinality=len(s_ords))
     bound = s(1, 4, q=uni.q)
-    report.checks.append(CheckResult(
-        "trace_size_at_most_s14", len(s_ords) <= bound,
-        {"trace_size": len(s_ords), "bound": bound}))
-    pair = _least_pair(bits, lambda a, b: popcount(a & b) < 2)
-    witness = None if pair is None else {
-        "solids_meeting_in_at_most_a_point": [s_ords[i] for i in pair]}
-    report.checks.append(CheckResult(
-        "trace_pairwise_meet_in_line", witness is None, witness))
+
+    def meet_in_lines():
+        pair = least_pair(bits, lambda a, b: popcount(a & b) < 2)
+        return pair is None, None if pair is None else {
+            "solids_meeting_in_at_most_a_point": [int(s_ords[i]) for i in pair]}
+
+    report.checks += [
+        _timed("trace_size_at_most_s14", lambda: (
+            len(s_ords) <= bound, {"trace_size": len(s_ords), "bound": bound})),
+        _timed("trace_pairwise_meet_in_line", meet_in_lines)]
     return report
 
 
@@ -396,16 +371,17 @@ def check_disjoint_plane_meeting_solid(fset: FlagSet, f: Flag | int,
             % (measured, xi))
 
     e = uni.plane_bits[:, ordinal]
-    plane_misses = disjoint(planes, e)
-    solid_meets = ~disjoint(solids, e)
-    count = int(np.count_nonzero(plane_misses & solid_meets))
     bound = plane_disjoint_solid_meeting_bound(xi, uni.q)
+
+    def bounded():
+        count = int(np.count_nonzero(disjoint(planes, e)
+                                     & ~disjoint(solids, e)))
+        return count <= bound, {"count": count, "bound": bound, "xi": xi,
+                                "flag": ordinal}
 
     report = VerificationReport(subject=subject, q=uni.q,
                                 cardinality=fset.cardinality)
-    report.checks.append(CheckResult(
-        "disjoint_plane_meeting_solid_bound", count <= bound,
-        {"count": count, "bound": bound, "xi": xi, "flag": ordinal}))
+    report.checks.append(_timed("disjoint_plane_meeting_solid_bound", bounded))
     return report
 
 
@@ -425,26 +401,23 @@ def check_coloring(classes: Sequence[FlagSet],
     report = VerificationReport(subject=subject, q=uni.q,
                                 cardinality=len(classes))
 
-    t0 = time.perf_counter()
-    witness = None
-    for i, c in enumerate(classes):
-        rep = check_independent(c)
-        if not rep.passed:
-            witness = {"class": i, "witness": rep.checks[0].witness}
-            break
-    report.checks.append(CheckResult(
-        "classes_independent", witness is None, witness,
-        (time.perf_counter() - t0) * 1000))
+    def independent():
+        for i, c in enumerate(classes):
+            rep = check_independent(c)
+            if not rep.passed:
+                return False, {"class": i, "witness": rep.checks[0].witness}
+        return True, None
 
-    t0 = time.perf_counter()
-    covered = np.zeros(uni.flag_count, dtype=bool)
-    for c in classes:
-        covered |= c.mask
-    missing = np.flatnonzero(~covered)
-    report.checks.append(CheckResult(
-        "classes_cover_universe", missing.size == 0,
-        None if missing.size == 0 else {"uncovered_flag": int(missing[0])},
-        (time.perf_counter() - t0) * 1000))
+    def cover():
+        covered = np.zeros(uni.flag_count, dtype=bool)
+        for c in classes:
+            covered |= c.mask
+        missing = np.flatnonzero(~covered)
+        return missing.size == 0, None if missing.size == 0 else {
+            "uncovered_flag": int(missing[0])}
+
+    report.checks += [_timed("classes_independent", independent),
+                      _timed("classes_cover_universe", cover)]
     return report
 
 

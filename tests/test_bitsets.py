@@ -1,14 +1,15 @@
 """The word-major point-bitset layout and its kernels against the scalar
 references: point_bitset (a Python int per subspace), int `&` and
-bit_count, and the flag-level adjacent()."""
+bit_count, dualize and span, and the flag-level adjacent()."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from flagkneser import linalg
 from flagkneser.flags import adjacent, adjacent_bits
-from flagkneser.linalg import disjoint, popcount, subset, superset
-from flagkneser.projective import (Subspace, point_bitset, point_bitsets,
-                                   point_indexer, point_words)
+from flagkneser.linalg import disjoint, least_pair, popcount, subset, superset
+from flagkneser.projective import (Subspace, dualize, perp_bitsets,
+                                   point_bitset, point_bitsets, point_indexer,
+                                   point_words, span)
 
 
 def _to_int(column) -> int:
@@ -78,6 +79,46 @@ def test_kernels_match_int_operations(case, data):
     assert disjoint(a, w).tolist() == [x & y == 0 for x in ints_a]
     assert subset(w, a).tolist() == [y & ~x == 0 for x in ints_a]
     assert superset(a, w).tolist() == [x & y == y for x in ints_a]
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(q, n, X, Y): two random subspaces of PG(n,q), q in {2, 3, 4}, each
+    of dimension 0..n."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(2, {2: 6, 3: 4, 4: 3}[q]))
+    coords = st.lists(st.integers(0, q - 1), min_size=n + 1, max_size=n + 1)
+    subs = [Subspace.from_vectors(n, q, draw(st.lists(
+        coords, min_size=1, max_size=n + 1))) for _ in range(2)]
+    return (q, n, *[t if t.d >= 0 else Subspace.from_vectors(
+        n, q, [[1] + [0] * n]) for t in subs])
+
+
+@given(subspace_pairs())
+@settings(max_examples=150, deadline=None)
+def test_perp_bitsets_matches_dualize(case):
+    q, n, x, y = case
+    bits = np.stack([point_words(x), point_words(y)], axis=1)
+    perp = perp_bitsets(bits, n, q)
+    assert np.array_equal(perp[:, 0], point_words(dualize(x)))
+    assert np.array_equal(perp[:, 1], point_words(dualize(y)))
+    # a point set has the complement of its span: the saturation profile
+    # takes hull(E)^perp from the OR of the member solids
+    union = perp_bitsets(bits[:, :1] | bits[:, 1:], n, q)
+    assert np.array_equal(union[:, 0], point_words(dualize(span(x, y))))
+
+
+@given(subspace_batches(), st.integers(0, 2))
+@settings(max_examples=100, deadline=None)
+def test_least_pair_is_the_least_flagged_pair(case, cut):
+    q, n, mats = case
+    subs = [Subspace.from_vectors(n, q, m) for m in mats]
+    ints = [point_bitset(t) for t in subs]
+    bits = point_bitsets(subs, n, q)
+    flagged = [(i, j) for i in range(len(ints)) for j in range(i + 1, len(ints))
+               if (ints[i] & ints[j]).bit_count() <= cut]
+    got = least_pair(bits, lambda a, b: popcount(a & b) <= cut)
+    assert got == (flagged[0] if flagged else None)
 
 
 @given(st.data())

@@ -3,10 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import flagkneser
+from flagkneser import canonical_frame, subspace_to_text
+from flagkneser import cli
 from flagkneser.cli import main
 
 
@@ -228,6 +231,51 @@ def test_manifest_written_and_reproducible(tmp_path):
     assert man["parameters"]["names"] == ["gaussian:7,4"]
     assert str(out) in man["outputs"]
     assert man["tool_version"] == "0.1.0" and "started" in man
+
+
+def test_manifest_elapsed_covers_the_work(tmp_path, monkeypatch):
+    real = cli.formulas_report
+
+    def slow(*args):
+        time.sleep(0.2)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "formulas_report", slow)
+    out = tmp_path / "f.json"
+    assert run(["count", "--q", "2", "gaussian:7,4", "--out", str(out)]) == 0
+    man = json.loads((tmp_path / "f.json.manifest.json").read_text())
+    assert man["elapsed_s"] >= 0.2
+
+
+def test_export_rejects_zero_vertices_before_building(tmp_path, monkeypatch,
+                                                       capsys):
+    def no_build(q):
+        raise AssertionError("universe built for a rejected export")
+
+    monkeypatch.setattr(cli, "build_universe", no_build)
+    code = run(["export", "--q", "2", "--max-vertices", "0",
+                "--out", str(tmp_path / "g.dimacs")])
+    assert code == 2
+    assert "at least one vertex" in capsys.readouterr().err
+
+
+def test_verify_timing_per_check(tmp_path, capsys):
+    frame = canonical_frame(2)
+    flags = str(tmp_path / "he.flags")
+    run(["construct", "--kind", "H_E", "--q", "2", "--canonical",
+         "--ekr", "point_pencil", "--out", flags])
+    argv = ["verify", flags, "--all",
+            "--trace-hyperplane", subspace_to_text(frame["hyperplane"]),
+            "--trace-point", subspace_to_text(frame["point"]), "--xi-bound"]
+    for timing in (True, False):
+        out = tmp_path / ("timed.json" if timing else "plain.json")
+        assert run(argv + ["--out", str(out)]
+                   + (["--timing"] if timing else [])) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert len(checks) == 10
+        for c in checks:
+            assert isinstance(c["ms"], float) if timing else c["ms"] is None, c
+    capsys.readouterr()
 
 
 def test_version_flag(capsys):
