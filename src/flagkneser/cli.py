@@ -236,8 +236,11 @@ def cmd_verify(args, run: _Run) -> int:
         checks.extend(
             verify_mod.check_point_trace_ekr(fset, p, subject).checks)
     if args.xi_bound:
-        ordinal = args.flag if args.flag is not None \
-            else int(fset.ordinals()[0])
+        ordinal = args.flag
+        if ordinal is None:
+            if not fset.cardinality:
+                raise ValueError("--xi-bound needs --flag on an empty flag set")
+            ordinal = int(fset.ordinals()[0])
         checks.extend(verify_mod.check_disjoint_plane_meeting_solid(
             fset, ordinal, xi=args.xi, subject=subject).checks)
 

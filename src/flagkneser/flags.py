@@ -32,9 +32,9 @@ from . import linalg
 from .counting import universe_size_formula
 from .galois import build_field
 from .linalg import disjoint
-from .projective import (PatternCodec, Subspace, dualize, point_bitset,
-                         point_indexer, rref_patterns, subspace_from_text,
-                         subspace_to_text)
+from .projective import (PatternCodec, Subspace, dualize, local_coords,
+                         point_bitset, point_indexer, rref_patterns,
+                         subspace_from_text, subspace_to_text)
 
 N_AMBIENT = 6
 MATERIALIZABLE_Q = (2, 3)
@@ -141,12 +141,11 @@ class FlagUniverse:
         if f.q != self.q:
             raise ValueError("flag belongs to PG(6,%d), universe is PG(6,%d)"
                              % (f.q, self.q))
-        s_ord = self.solid_codec.rank(f.solid.rows)
-        solid_rows = f.solid.rows
-        for loc in range(self.planes_per_solid):
-            if self._local_plane(solid_rows, loc).rows == f.plane.rows:
-                return s_ord * self.planes_per_solid + loc
-        raise ValueError("flag not found under its solid")  # unreachable for valid flags
+        # the plane in the solid's RREF basis is its local pattern, once reduced
+        coords = linalg.rref([local_coords(row, f.solid) for row in f.plane.rows],
+                             self.field)
+        return (self.solid_codec.rank(f.solid.rows) * self.planes_per_solid
+                + self.local_plane_codec.rank(coords))
 
     def dual_ordinal(self, ordinal: int) -> int:
         return self.ordinal_of(dualize_flag(self.flag(ordinal)))
@@ -247,7 +246,7 @@ class FlagSet:
         return np.flatnonzero(self.mask)
 
     def __contains__(self, ordinal: int) -> bool:
-        return bool(self.mask[ordinal])
+        return 0 <= ordinal < len(self.mask) and bool(self.mask[ordinal])
 
     def flags(self) -> Iterator[Flag]:
         for o in self.ordinals():
@@ -351,16 +350,14 @@ def load_flagset(path: str, universe: FlagUniverse | None = None) -> FlagSet:
 
 
 def export_dimacs(universe: FlagUniverse, path: str, *,
-                  max_vertices: int | None = None,
-                  degree_samples: int = 64) -> dict:
+                  max_vertices: int | None = None) -> dict:
     """Write the Kneser graph (or the subgraph induced by the first
     max_vertices flags) in DIMACS edge format.
 
-    Vertices are 1-based flag ordinals shifted by one; edges are emitted
-    with i < j, sorted by (i, j).  For the full graph the edge count in the
-    header comes from the degree of evenly spaced sample vertices (checked
-    to be constant) times |V| / 2; the streamed edge count is verified
-    against it afterwards.  Returns a small summary dict.
+    Vertex v is flag ordinal v-1; edges are emitted with i < j, sorted by
+    (i, j).  One pass counts the edges for the exact header, a second
+    writes them a row at a time, and the written count is checked against
+    the header.  Returns a summary dict with vertices, edges and path.
     """
     universe._need_masks()
     n_all = universe.flag_count
@@ -375,36 +372,21 @@ def export_dimacs(universe: FlagUniverse, path: str, *,
         return adjacent_bits(planes[:, i], solids[:, i],
                              planes[:, i + 1:], solids[:, i + 1:])
 
-    induced = nv < n_all
-    if induced:
-        n_edges = 0
-        for i in range(nv):
-            n_edges += int(np.count_nonzero(row_after(i)))
-        degree = None
-    else:
-        samples = sorted({(k * (n_all - 1)) // max(degree_samples - 1, 1)
-                          for k in range(degree_samples)})
-        degs = {universe.degree(s) for s in samples}
-        if len(degs) != 1:
-            raise AssertionError("sampled degrees differ: %s" % sorted(degs))
-        degree = degs.pop()
-        if (n_all * degree) % 2:
-            raise AssertionError("odd degree sum")
-        n_edges = n_all * degree // 2
-
+    n_edges = sum(int(np.count_nonzero(row_after(i))) for i in range(nv))
+    labels = ["%d\n" % (k + 1) for k in range(nv)]
     written = 0
     with open(path, "w") as fh:
         fh.write("c plane-solid flag Kneser graph of PG(6,%d)\n" % universe.q)
         fh.write("c vertex v corresponds to flag ordinal v-1 in canonical order\n")
-        if induced:
+        if nv < n_all:
             fh.write("c induced subgraph on the first %d of %d flags\n" % (nv, n_all))
         fh.write("p edge %d %d\n" % (nv, n_edges))
         for i in range(nv):
-            js = np.flatnonzero(row_after(i))
+            js = np.flatnonzero(row_after(i)) + (i + 1)
             if js.size:
-                base = i + 2  # 1-based, and js counts from i+1
-                fh.write("".join("e %d %d\n" % (i + 1, int(j) + base) for j in js))
-                written += int(js.size)
+                head = "e %d " % (i + 1)
+                fh.write(head + head.join([labels[j] for j in js.tolist()]))
+                written += js.size
     if written != n_edges:
         raise AssertionError("streamed %d edges but header says %d" % (written, n_edges))
-    return {"vertices": nv, "edges": n_edges, "degree": degree, "path": path}
+    return {"vertices": nv, "edges": n_edges, "path": path}

@@ -110,6 +110,8 @@ def count_skew_constrained(n: int, q: int, d: int,
 def complement_count_check(n: int, q: int, d: int,
                            subspace: Subspace | None = None) -> OracleResult:
     """Count the complements of a d-space: the (n-d-1)-spaces skew to it."""
+    if d < -1 or d > n:
+        raise ValueError("d=%d outside -1..%d" % (d, n))
     u = subspace if subspace is not None else Subspace.from_vectors(
         n, q, _unit_rows(n, range(d + 1)))
     if u.d != d:

@@ -307,7 +307,7 @@ class PatternCodec:
         return tuple(tuple(row) for row in rows)
 
 
-def _local_coords(v: Sequence[int], w: Subspace) -> tuple[int, ...]:
+def local_coords(v: Sequence[int], w: Subspace) -> tuple[int, ...]:
     """Coordinates of v in the RREF basis of w (v must lie in w)."""
     pivots = [next(j for j, x in enumerate(row) if x) for row in w.rows]
     return tuple(v[p] for p in pivots)
@@ -370,7 +370,7 @@ def enumerate_subspaces(n: int, q: int, d: int, *,
         return
 
     m = w.d + 1
-    k_local = linalg.rref([_local_coords(row, w) for row in k.rows], fld)
+    k_local = linalg.rref([local_coords(row, w) for row in k.rows], fld)
     full_ambient = w.d == n
     for pat in _superspace_patterns(m, k_local, d + 1, q, fld):
         if full_ambient:

@@ -284,17 +284,34 @@ def test_version_flag(capsys):
     assert "0.1.0" in capsys.readouterr().out
 
 
+# flag files the bad-input cases read from their working directory
+FLAG_FILES = {
+    "empty.flags": "# flagkneser flag set\nq 2\ncount 0\n",
+    "last.flags": "# flagkneser flag set\nq 2\ncount 1\n177164\n",
+}
+
 BAD_INPUTS = [
     ["construct", "--kind", "P_l", "--q", "3", "--canonical"],
     ["export", "--q", "2", "--max-vertices", "0"],
     ["color", "--scheme", "mi", "--q", "6"],
     ["construct", "--kind", "P_l", "--q", "2", "--point", "0;x"],
     ["construct", "--kind", "H_E", "--q", "2", "--canonical"],
+    ["count", "--q", "6"],
+    ["oracle", "skew-count", "--q", "6"],
+    ["oracle", "complement-count", "--q", "2", "--n", "3", "--d", "7"],
+    ["export", "--q", "2", "--format", "graphml"],
+    ["verify", "missing.flags"],
+    ["verify", "empty.flags", "--xi-bound"],
+    ["verify", "last.flags", "--xi-bound", "--flag", "999999"],
+    # -1 must not wrap round to the last flag, which is a member here
+    ["verify", "last.flags", "--xi-bound", "--flag", "-1"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda a: " ".join(a))
 def test_bad_input_exits_2_without_traceback(tmp_path, argv):
+    for name, text in FLAG_FILES.items():
+        (tmp_path / name).write_text(text)
     src = os.path.dirname(os.path.dirname(flagkneser.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

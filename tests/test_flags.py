@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -53,11 +55,16 @@ def test_universe_rejects_large_q():
 
 
 def test_flag_ordinal_roundtrip(uni2):
-    step = 4211
-    for t in range(0, uni2.flag_count, step):
-        f = uni2.flag(t)
-        assert f.solid.contains(f.plane)
-        assert uni2.ordinal_of(f) == t
+    for uni, step in ((uni2, 4211), (build_universe(3), 880007)):
+        pps = uni.planes_per_solid
+        # every step-th flag, the last local plane of the first and of a
+        # middle solid, and the last flag
+        edge = [pps - 1, (uni.n_solids // 2) * pps + pps - 1,
+                uni.flag_count - 1]
+        for t in [*range(0, uni.flag_count, step), *edge]:
+            f = uni.flag(t)
+            assert f.solid.contains(f.plane)
+            assert uni.ordinal_of(f) == t
 
 
 def test_flag_ordinal_layout(uni2):
@@ -189,6 +196,48 @@ def test_export_dimacs_induced(tmp_path, uni2):
     path2 = tmp_path / "g2.dimacs"
     export_dimacs(uni2, str(path2), max_vertices=nv)
     assert path.read_text() == path2.read_text()
+
+
+def _dimacs_edges(path):
+    lines = path.read_text().splitlines()
+    return lines, [tuple(int(x) - 1 for x in ln.split()[1:])
+                   for ln in lines if ln.startswith("e ")]
+
+
+def test_export_dimacs_edges_are_the_adjacent_pairs(tmp_path, uni2):
+    # the first edge of the graph lies between flags 800 and 1000
+    nv = 1000
+    path = tmp_path / "g.dimacs"
+    summary = export_dimacs(uni2, str(path), max_vertices=nv)
+    lines, edges = _dimacs_edges(path)
+    want = [(i, int(j)) for i in range(nv)
+            for j in np.flatnonzero(uni2.adjacent_mask(i)[:nv]) if j > i]
+    assert len(want) == 3840
+    assert edges == want
+    assert "p edge %d %d" % (nv, len(want)) in lines
+    assert summary == {"vertices": nv, "edges": len(want), "path": str(path)}
+
+    export_dimacs(uni2, str(path), max_vertices=1)
+    lines, edges = _dimacs_edges(path)
+    assert lines[-1] == "p edge 1 0" and edges == []
+
+
+def test_export_dimacs_full_graph_of_a_small_universe(tmp_path, uni2):
+    # a stand-in universe of 64 flags spread over the q=2 universe, so the
+    # whole-graph export (no induced line, exact header) runs in a moment
+    cols = np.arange(64) * (uni2.flag_count // 64)
+    small = types.SimpleNamespace(
+        q=2, flag_count=64, plane_bits=uni2.plane_bits[:, cols],
+        solid_bits=uni2.solid_bits[:, cols], _need_masks=lambda: None)
+    path = tmp_path / "small.dimacs"
+    summary = export_dimacs(small, str(path))
+    lines, edges = _dimacs_edges(path)
+    want = [(i, j) for i in range(64) for j in range(i + 1, 64)
+            if adjacent(uni2.flag(int(cols[i])), uni2.flag(int(cols[j])))]
+    assert len(want) == 400
+    assert not any(ln.startswith("c induced") for ln in lines)
+    assert "p edge 64 400" in lines and edges == want
+    assert summary["edges"] == 400
 
 
 def test_export_dimacs_full_header_math(uni2):
