@@ -23,8 +23,20 @@ GOLDEN_OUTPUTS = {
     "g.dimacs": (0, "48058546ca549a6edbcf21c83d03592d6d13ef0e125e8b35af0f89ced7a4282e"),
     "he.flags": (0, "76b8a339211a939e0e82623da22494135c426aec152c01eb450cb0bc4b65c863"),
     "he.json": (0, "d2ae56bbb10369d1423a1a4e5982361537a20f5ea5b44e031253e3cc05ba53d1"),
+    "he_full.flags": (0, "07116f7d7844ff9fec771e48f53022c5e744cf1c2db06ead39e4a30517937881"),
+    "he_full.json": (0, "d2ae56bbb10369d1423a1a4e5982361537a20f5ea5b44e031253e3cc05ba53d1"),
     "he_traces.json": (0, "2e4d62944e4e41517f98818259162f41c5ec408359326344d519208ff5a2a88b"),
+    "hempty.flags": (0, "d3497a370ea1d34337e84bb014931d432bf95ec5cab175faac9873c7191e334d"),
+    "hempty.json": (0, "505618fc98eb2d77aa8606626bf2e338cd6d7c3a0040a86b13d5e012abeba932"),
+    "hp.flags": (0, "eb47d251d9f72590bf5ba3ab1eb0da2083a146d4d306cb26c63113a4482422f9"),
+    "hp.json": (0, "42d870a77c52cd1ab50ff0fce036c579272c42ffd9918fca657d0fefece164df"),
+    "hu.flags": (0, "f2ad03e35a31815462133b4e11fff63e41b656eba5698fa288feb7f3dd9bc7dc"),
+    "hu.json": (0, "fb7499da657656b982550d50ef7cfbb65266da9d563a360524bd21444ec13823"),
     "lm2.json": (0, "d65d757402e617c2396b956fcdc3abb74e178c329ed3b861376791c0ce479c57"),
+    "pempty.flags": (0, "b304f225bd34215e997b7aa3928644aa08ac7d5daa537b5d78639ca35a556f0f"),
+    "pempty.json": (0, "c4c887a3e186a5516a02e564c2f386c8f18c43547cce7488c2669a43944d369a"),
+    "ph.flags": (0, "a94f486d1e4e235a608cad8d4135f2ba6927e9f152755a4397bddd1ba150c4d9"),
+    "ph.json": (0, "9d9e5306ec95f7e9e685837a5b058ffe77e575599f36c0e689234ab32c287ebc"),
     "pl.flags": (0, "87f238281fa939e5f8e1a2ccd0ac44dba3a157a19b61f0e20446035edffd45f9"),
     "pl.json": (0, "a14333c113a7bc98bef53dd39380b5ca640f43bb866d3d4f0dd83e462b5c47ec"),
     "pl_all.json": (0, "0c44bcdebc5af6d2b4c6e09cb886788efc83997eddd46f4a3f53edb93c1f9167"),
@@ -32,6 +44,8 @@ GOLDEN_OUTPUTS = {
     "pl_plus.json": (1, "648476766d2a61cea0a2f9ae77c96e447dee8761f8a693a9d1cd1478fe290ea0"),
     "ps.flags": (0, "f6e040b4b4b09e4fda390566bba70fe10507c3164a35cd3cfb82d9a923bac752"),
     "ps.json": (0, "96e7d691dfc20892ca46b19b46c72067c22aa9a5ae66033a520bf8d8886ebf25"),
+    "ps_hyp.flags": (0, "8672e8a6c44ac74275bf38844b2819f75d2b5cb6c91985581bd8fbad6a42c143"),
+    "ps_hyp.json": (0, "96e7d691dfc20892ca46b19b46c72067c22aa9a5ae66033a520bf8d8886ebf25"),
     "skew3.json": (0, "30c3e163bb22063e87c05f5e1d00e6e3cd216c8db7a4e67bcfaaa4d4528ff14b"),
     "skew4.json": (0, "5055fb2f3d92226e751e96c278bbf712f258f5ce95ad157aed811fd33b4335b4"),
 }
@@ -77,18 +91,24 @@ def _run_script(tmp_path, capsys) -> dict:
         capsys.readouterr()
         return out, rc
 
-    rcs = dict([
-        run("pl.flags", ["construct", "--kind", "P_l", "--q", "2",
-                         "--canonical", "--report", w("pl.json")]),
-        run("he.flags", ["construct", "--kind", "H_E", "--q", "2",
-                         "--canonical", "--ekr", "point_pencil",
-                         "--report", w("he.json")]),
-        run("ps.flags", ["construct", "--kind", "P_S", "--q", "2",
-                         "--canonical", "--solid-family", "line_star",
-                         "--report", w("ps.json")]),
-    ])
-    for report in ("pl.json", "he.json", "ps.json"):
-        rcs[report] = rcs[report.replace(".json", ".flags")]
+    constructs = {
+        "pl": ["--kind", "P_l"],
+        "he": ["--kind", "H_E", "--ekr", "point_pencil"],
+        "ps": ["--kind", "P_S", "--solid-family", "line_star"],
+        "hempty": ["--kind", "H_empty"],
+        "pempty": ["--kind", "P_empty"],
+        "ph": ["--kind", "P_H"],
+        "hp": ["--kind", "H_P"],
+        "hu": ["--kind", "H_U"],
+        "he_full": ["--kind", "H_E", "--ekr", "subspace_full"],
+        "ps_hyp": ["--kind", "P_S", "--solid-family", "hyperplane_full"],
+    }
+    rcs = {}
+    for stem, kind_args in constructs.items():
+        _, rc = run(stem + ".flags", ["construct", "--q", "2", "--canonical",
+                                      "--report", w(stem + ".json")]
+                    + kind_args)
+        rcs[stem + ".flags"] = rcs[stem + ".json"] = rc
 
     # P_l plus its least nonmember (least adjacent pair) and P_l minus its
     # last member (least extending flag)
