@@ -28,7 +28,7 @@ from .constructions import (LAMBDA_KINDS, LambdaSpec, build_coloring_scheme,
                             build_intersecting_solid_family, build_lambda,
                             canonical_frame, realize_coloring,
                             trivial_coloring_scheme)
-from .counting import REGISTRY, formulas_report
+from .counting import REGISTRY, formulas_report, universe_size_formula
 from .flags import build_universe, export_dimacs, load_flagset, save_flagset
 from .projective import Subspace, subspace_from_text, subspace_to_text
 from . import oracle as oracle_mod
@@ -403,13 +403,14 @@ def cmd_export(args, run: _Run) -> int:
         return 2
     if args.max_vertices is not None and args.max_vertices < 1:
         raise ValueError("need at least one vertex")
-    universe = build_universe(q)
     if args.max_vertices is None and not args.confirm_size:
-        est = universe.flag_count * universe.degree(0) // 2
+        # every flag has q^15 neighbours
+        nv = universe_size_formula(q)
         print("refusing full export without --confirm-size: %d vertices, "
               "%d edges (tens of gigabytes); use --max-vertices for an "
-              "induced subgraph" % (universe.flag_count, est), file=sys.stderr)
+              "induced subgraph" % (nv, nv * q ** 15 // 2), file=sys.stderr)
         return 2
+    universe = build_universe(q)
     summary = export_dimacs(universe, args.out, max_vertices=args.max_vertices)
     run.outputs.append(args.out)
     run.finish("export", q,

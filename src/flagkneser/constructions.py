@@ -1,11 +1,14 @@
 """Extremal flag families and colorings.
 
-The workhorse families have the shape Lambda(H, E-family) = all flags whose
-solid lies in the hyperplane H plus all flags on one of the chosen planes
-of H, and the dual shape Lambda(P, S-family).  Mixed anchors (point plus
-hyperplane, point plus line, hyperplane plus 4-space) are special cases
-where the family is the full pencil determined by the second anchor.  Every
-one of them has cardinality s(3,5) s(3) + m q^3 where m is the family size.
+Every Lambda family has one of two dual shapes.  On side H, Lambda(H, E)
+is every flag whose solid lies in the hyperplane H plus every flag whose
+plane is in a family E of planes of H; on side P, Lambda(P, S) is every
+flag whose plane passes through the point P plus every flag whose solid is
+in a family S of solids through P.  The family is given (H_E, P_S), empty
+(H_empty, P_empty), or fixed by incidence: the planes of H through a point
+(H_P) or inside a 4-space (H_U), the solids through P inside a hyperplane
+(P_H) or through a line (P_l).  Every family has cardinality
+s(3,5) s(3) + m q^3, where m is the family size.
 
 Families are materialized against the q=2 universe as boolean masks;
 count_lambda() counts the same sets for q in {2,3} by direct constrained
@@ -16,7 +19,7 @@ cross-checks use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +30,22 @@ from .projective import (Subspace, bit_indices, enumerate_subspaces,
                          point_bitset, point_bitsets, point_indexer,
                          point_words, span)
 
-LAMBDA_KINDS = ("H_empty", "P_empty", "H_E", "P_S", "P_H", "H_P", "P_l", "H_U")
+# kind -> (side, family).  The family is None when empty, the name of a
+# given tuple, or a (contains, within) pair of anchor names: every member
+# through the first and inside the second, None dropping a constraint.
+_SHAPES = {
+    "H_empty": ("H", None),
+    "P_empty": ("P", None),
+    "H_E": ("H", "plane_family"),
+    "P_S": ("P", "solid_family"),
+    "P_H": ("P", ("point", "hyperplane")),
+    "H_P": ("H", ("point", "hyperplane")),
+    "P_l": ("P", ("line", None)),
+    "H_U": ("H", (None, "four_space")),
+}
+LAMBDA_KINDS = tuple(_SHAPES)
+_SIDES = {"H": ("hyperplane", 2), "P": ("point", 3)}  # base anchor, member dim
+_ANCHOR_DIMS = {"hyperplane": 5, "point": 0, "line": 1, "four_space": 4}  # anchors() order
 
 
 def unit_span(n: int, q: int, count: int) -> Subspace:
@@ -54,9 +72,29 @@ def canonical_frame(q: int, n: int = 6) -> dict[str, Subspace]:
     }
 
 
+class _Shape(NamedTuple):
+    """A spec resolved into its side and family.  On side H (`on_h`) `base`
+    is the hyperplane and the members are planes (d = 2); on side P `base`
+    is the point and the members are solids (d = 3).  The members are
+    `given`, or, when that is None, every d-space through `contains` and
+    inside `within`."""
+
+    on_h: bool
+    base: Subspace
+    d: int
+    given: tuple[Subspace, ...] | None
+    contains: Subspace | None
+    within: Subspace | None
+
+
 @dataclass(frozen=True)
 class LambdaSpec:
-    """Anchors for one Lambda-style family."""
+    """Anchors for one Lambda family.  `kind` picks the side (H: the base
+    anchor `hyperplane` and a family of planes inside it; P: the base
+    anchor `point` and a family of solids through it) and the family:
+    `plane_family` or `solid_family` as given, empty, or fixed by incidence
+    with `point`, `line`, `four_space` or `hyperplane`.  Anchors the kind
+    does not use are carried along unchecked."""
 
     kind: str
     hyperplane: Subspace | None = None
@@ -66,94 +104,71 @@ class LambdaSpec:
     plane_family: tuple[Subspace, ...] | None = None
     solid_family: tuple[Subspace, ...] | None = None
 
+    def _shape(self) -> _Shape:
+        side, family = _SHAPES[self.kind]
+        base, d = _SIDES[side]
+        head = (side == "H", getattr(self, base), d)
+        if not isinstance(family, tuple):
+            return _Shape(*head, getattr(self, family) if family else (), None, None)
+        return _Shape(*head, None, *(getattr(self, a) if a else None for a in family))
+
     def validate(self, q: int) -> None:
-        if self.kind not in LAMBDA_KINDS:
+        if self.kind not in _SHAPES:
             raise ValueError("unknown family kind %r (valid: %s)"
                              % (self.kind, ", ".join(LAMBDA_KINDS)))
-        need = {
-            "H_empty": ("hyperplane",),
-            "P_empty": ("point",),
-            "H_E": ("hyperplane", "plane_family"),
-            "P_S": ("point", "solid_family"),
-            "P_H": ("point", "hyperplane"),
-            "H_P": ("hyperplane", "point"),
-            "P_l": ("point", "line"),
-            "H_U": ("hyperplane", "four_space"),
-        }[self.kind]
-        dims = {"hyperplane": 5, "point": 0, "line": 1, "four_space": 4}
-        for name in need:
+        side, family = _SHAPES[self.kind]
+        base = _SIDES[side][0]
+        incidence = [a for a in family if a and a != base] if isinstance(family, tuple) else []
+        for name in [base] + ([family] if isinstance(family, str) else incidence):
             val = getattr(self, name)
             if val is None:
                 raise ValueError("%s requires anchor %r" % (self.kind, name))
-            if name in dims:
+            if name in _ANCHOR_DIMS:
                 if (val.n, val.q) != (6, q):
                     raise ValueError("anchor %r lives in PG(%d,%d), expected PG(6,%d)"
                                      % (name, val.n, val.q, q))
-                if val.d != dims[name]:
+                if val.d != _ANCHOR_DIMS[name]:
                     raise ValueError("anchor %r must have dimension %d, got %d"
-                                     % (name, dims[name], val.d))
-        if self.kind == "H_E":
-            for e in self.plane_family:
-                if e.d != 2 or not self.hyperplane.contains(e):
-                    raise ValueError("plane family members must be planes inside the hyperplane")
-        if self.kind == "P_S":
-            for t in self.solid_family:
-                if t.d != 3 or not t.contains(self.point):
-                    raise ValueError("solid family members must be solids through the point")
-        if self.kind in ("P_H", "H_P") and not self.hyperplane.contains(self.point):
-            raise ValueError("point must lie in the hyperplane")
-        if self.kind == "P_l" and not self.line.contains(self.point):
-            raise ValueError("point must lie on the line")
-        if self.kind == "H_U" and not self.hyperplane.contains(self.four_space):
-            raise ValueError("4-space must lie in the hyperplane")
+                                     % (name, _ANCHOR_DIMS[name], val.d))
+        shape = self._shape()
+        if any(x.d != shape.d for x in shape.given or ()):
+            raise ValueError("%s members must have dimension %d" % (family, shape.d))
+        # every family anchor lies in the hyperplane, or passes through the point
+        named = [("the " + a.replace("_", "-"), getattr(self, a)) for a in incidence]
+        named += [("%s member %d" % (family, i), x) for i, x in enumerate(shape.given or ())]
+        for label, x in named:
+            if shape.on_h and not shape.base.contains(x):
+                raise ValueError("%s must lie inside the hyperplane" % label)
+            if not shape.on_h and not x.contains(shape.base):
+                raise ValueError("the point must lie in %s" % label)
 
     def member(self, plane: Subspace, solid: Subspace) -> bool:
         """Generic (slow) membership predicate; the vectorized builder and
         the enumerating counter both have to agree with this."""
-        k = self.kind
-        if k == "H_empty":
-            return self.hyperplane.contains(solid)
-        if k == "P_empty":
-            return plane.contains(self.point)
-        if k == "H_E":
-            return self.hyperplane.contains(solid) or plane in self.plane_family
-        if k == "P_S":
-            return plane.contains(self.point) or solid in self.solid_family
-        if k == "P_H":
-            return plane.contains(self.point) or (
-                solid.contains(self.point) and self.hyperplane.contains(solid))
-        if k == "H_P":
-            return self.hyperplane.contains(solid) or (
-                plane.contains(self.point) and self.hyperplane.contains(plane))
-        if k == "P_l":
-            return plane.contains(self.point) or solid.contains(self.line)
-        if k == "H_U":
-            return self.hyperplane.contains(solid) or self.four_space.contains(plane)
-        raise AssertionError(k)
+        on_h, base, _, given, contains, within = self._shape()
+        if (base.contains(solid) if on_h else plane.contains(base)):
+            return True
+        x = plane if on_h else solid
+        if given is not None:
+            return x in given
+        return ((contains is None or x.contains(contains))
+                and (within is None or within.contains(x)))
 
     def anchors(self) -> dict[str, Subspace]:
-        out = {}
-        for name in ("hyperplane", "point", "line", "four_space"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
+        return {a: getattr(self, a) for a in _ANCHOR_DIMS if getattr(self, a) is not None}
 
     def expected_size(self, q: int) -> int:
-        """Closed-form cardinality of the family."""
-        k = self.kind
-        if k == "H_empty":
-            return lambda_family_size(0, q)
-        if k == "P_empty":
-            return s_count(-1, 0, 2, 6, q) * s_count(-1, 2, 3, 6, q)
-        m = {
-            "H_E": lambda: len(self.plane_family),
-            "P_S": lambda: len(self.solid_family),
-            "P_H": lambda: s_count(-1, 0, 3, 5, q),
-            "H_P": lambda: s_count(-1, 0, 2, 5, q),
-            "P_l": lambda: s_count(-1, 1, 3, 6, q),
-            "H_U": lambda: s_count(-1, -1, 2, 4, q),
-        }[k]()
+        """Closed-form cardinality s(3,5) s(3) + m q^3, m the family size:
+        for an incidence family, the d-spaces through one anchor inside
+        another.  P_empty has m = 0 by duality: s(0,2,6) s(2,3,6) =
+        s(3,5) s(3)."""
+        side, family = _SHAPES[self.kind]
+        if isinstance(family, tuple):
+            contains, within = family
+            m = s_count(-1, _ANCHOR_DIMS.get(contains, -1), _SIDES[side][1],
+                        _ANCHOR_DIMS.get(within, 6), q)
+        else:
+            m = len(getattr(self, family)) if family else 0
         return lambda_family_size(m, q)
 
 
@@ -161,61 +176,32 @@ class LambdaSpec:
 # Vectorized construction over the q=2 universe
 
 
-def _plane_family_mask(universe: FlagUniverse, family: Sequence[Subspace]) -> np.ndarray:
-    """Flags whose plane is in the family, matched by point set (a plane's
-    point set determines the plane)."""
-    _, first = np.unique(universe.plane_gid, return_index=True)
-    planes = universe.plane_bits.take(first, axis=1)  # column g: plane id g
-    fam = point_bitsets(family, universe.n, universe.q)
-    gids = [g for i in range(fam.shape[1])
-            for g in np.flatnonzero((planes == fam[:, i:i + 1]).all(axis=0))]
-    return np.isin(universe.plane_gid, np.asarray(sorted(gids), dtype=np.int32))
-
-
 def build_lambda(spec: LambdaSpec, universe: FlagUniverse) -> FlagSet:
     """Materialize the family as a flag set of the q=2 universe."""
     spec.validate(universe.q)
     universe._need_masks()
-    k = spec.kind
+    shape = spec._shape()
     planes, solids = universe.plane_bits, universe.solid_bits
-
-    def solid_in(sub: Subspace) -> np.ndarray:
-        return subset(solids, point_words(sub))
-
-    def plane_in(sub: Subspace) -> np.ndarray:
-        return subset(planes, point_words(sub))
-
-    def plane_on(pt: Subspace) -> np.ndarray:
-        return superset(planes, point_words(pt))
-
-    def solid_on(sub: Subspace) -> np.ndarray:
-        return superset(solids, point_words(sub))
-
-    if k == "H_empty":
-        mask = solid_in(spec.hyperplane)
-    elif k == "P_empty":
-        mask = plane_on(spec.point)
-    elif k == "H_E":
-        mask = solid_in(spec.hyperplane) | _plane_family_mask(universe, spec.plane_family)
-    elif k == "P_S":
-        s_ords = sorted(universe.solid_codec.rank(t.rows) for t in spec.solid_family)
-        flag_solid = np.repeat(np.arange(universe.n_solids),
-                               universe.planes_per_solid)
-        mask = plane_on(spec.point) | np.isin(flag_solid, np.asarray(s_ords))
-    elif k == "P_H":
-        mask = plane_on(spec.point) | (solid_on(spec.point) & solid_in(spec.hyperplane))
-    elif k == "H_P":
-        mask = solid_in(spec.hyperplane) | (plane_on(spec.point) & plane_in(spec.hyperplane))
-    elif k == "P_l":
-        mask = plane_on(spec.point) | solid_on(spec.line)
-    elif k == "H_U":
-        mask = solid_in(spec.hyperplane) | plane_in(spec.four_space)
-    else:  # pragma: no cover
-        raise AssertionError(k)
-
-    meta: dict = {"kind": k}
-    meta.update(spec.anchors())
-    return FlagSet(universe=universe, mask=mask, meta=meta)
+    if shape.on_h:
+        base, bits = subset(solids, point_words(shape.base)), planes
+    else:
+        base, bits = superset(planes, point_words(shape.base)), solids
+    if shape.given is None:
+        fam = np.ones(universe.flag_count, dtype=bool)
+        if shape.contains is not None:
+            fam &= superset(bits, point_words(shape.contains))
+        if shape.within is not None:
+            fam &= subset(bits, point_words(shape.within))
+    else:
+        # a plane or solid is determined by its point set: match the given
+        # members against the distinct ones, then spread to their flags
+        ids = (universe.plane_gid if shape.on_h
+               else np.arange(universe.flag_count) // universe.planes_per_solid)
+        distinct = bits[:, np.unique(ids, return_index=True)[1]]
+        words = point_bitsets(shape.given, universe.n, universe.q)
+        fam = (distinct[:, :, None] == words[:, None, :]).all(axis=0).any(axis=1)[ids]
+    return FlagSet(universe=universe, mask=base | fam,
+                   meta={"kind": spec.kind, **spec.anchors()})
 
 
 # ---------------------------------------------------------------------------
@@ -225,63 +211,29 @@ def build_lambda(spec: LambdaSpec, universe: FlagUniverse) -> FlagSet:
 def count_lambda(spec: LambdaSpec, q: int) -> int:
     """Cardinality of the family by direct constrained enumeration.
 
-    Solids are enumerated one by one; the planes inside a fixed solid are
-    parametrized once by the local RREF patterns of its coordinate frame
-    (the same parametrization the flag universe uses), so each flag is
-    counted exactly once.
+    On side H the base is counted solid by solid, with the planes inside a
+    solid parametrized once by the local RREF patterns of its coordinate
+    frame (the same parametrization the flag universe uses); on side P,
+    plane by plane.  Each family member then adds its flags outside the
+    base, so each flag is counted once.
     """
     spec.validate(q)
-    k = spec.kind
+    on_h, base, d, given, contains, within = spec._shape()
+    if given is None:
+        given = enumerate_subspaces(6, q, d, contains=contains, within=within)
     planes_per_solid = sum(1 for _ in enumerate_subspaces(3, q, 2))
-
-    def solids_within(h: Subspace) -> int:
-        return sum(1 for _ in enumerate_subspaces(6, q, 3, within=h))
-
-    def solids_on_plane_outside(e: Subspace, h: Subspace) -> int:
-        return sum(1 for t in enumerate_subspaces(6, q, 3, contains=e)
-                   if not h.contains(t))
-
-    def planes_in_solid_missing_point(t: Subspace, p: Subspace) -> int:
-        return sum(1 for e in enumerate_subspaces(6, q, 2, within=t)
-                   if not e.contains(p))
-
-    def planes_on_point_total(p: Subspace) -> int:
-        total = 0
-        for e in enumerate_subspaces(6, q, 2, contains=p):
-            total += sum(1 for _ in enumerate_subspaces(6, q, 3, contains=e))
-        return total
-
-    if k == "H_empty":
-        return solids_within(spec.hyperplane) * planes_per_solid
-    if k == "H_E":
-        extra = sum(solids_on_plane_outside(e, spec.hyperplane)
-                    for e in spec.plane_family)
-        return solids_within(spec.hyperplane) * planes_per_solid + extra
-    if k == "P_empty":
-        return planes_on_point_total(spec.point)
-    if k == "P_S":
-        extra = sum(planes_in_solid_missing_point(t, spec.point)
-                    for t in spec.solid_family)
-        return planes_on_point_total(spec.point) + extra
-    if k == "P_H":
-        extra = sum(planes_in_solid_missing_point(t, spec.point)
-                    for t in enumerate_subspaces(6, q, 3, contains=spec.point,
-                                                 within=spec.hyperplane))
-        return planes_on_point_total(spec.point) + extra
-    if k == "H_P":
-        extra = sum(solids_on_plane_outside(e, spec.hyperplane)
-                    for e in enumerate_subspaces(6, q, 2, contains=spec.point,
-                                                 within=spec.hyperplane))
-        return solids_within(spec.hyperplane) * planes_per_solid + extra
-    if k == "P_l":
-        extra = sum(planes_in_solid_missing_point(t, spec.point)
-                    for t in enumerate_subspaces(6, q, 3, contains=spec.line))
-        return planes_on_point_total(spec.point) + extra
-    if k == "H_U":
-        extra = sum(solids_on_plane_outside(e, spec.hyperplane)
-                    for e in enumerate_subspaces(6, q, 2, within=spec.four_space))
-        return solids_within(spec.hyperplane) * planes_per_solid + extra
-    raise AssertionError(k)
+    if on_h:
+        total = planes_per_solid * sum(1 for _ in enumerate_subspaces(6, q, 3, within=base))
+        # each member plane adds its solids outside the hyperplane
+        extra = (1 for x in given for t in enumerate_subspaces(6, q, 3, contains=x)
+                 if not base.contains(t))
+    else:
+        total = sum(1 for e in enumerate_subspaces(6, q, 2, contains=base)
+                    for _ in enumerate_subspaces(6, q, 3, contains=e))
+        # each member solid adds its planes missing the point
+        extra = (1 for x in given for e in enumerate_subspaces(6, q, 2, within=x)
+                 if not e.contains(base))
+    return total + sum(extra)
 
 
 # ---------------------------------------------------------------------------

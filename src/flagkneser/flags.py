@@ -278,16 +278,21 @@ def adjacency_scan(fset: FlagSet, f: Flag | int) -> tuple[int, int | None]:
 
 
 def save_flagset(fset: FlagSet, path: str) -> None:
+    """Write the set; a meta key must be one word and a value's text one
+    line without outer whitespace, so that load_flagset reads it back."""
+    header = ["# flagkneser flag set", "q %d" % fset.universe.q]
+    for key, val in sorted(fset.meta.items()):
+        text = subspace_to_text(val) if isinstance(val, Subspace) else str(val)
+        if key.split() != [key]:
+            raise ValueError("meta key %r must be one word" % key)
+        if text != text.strip() or "\n" in text or "\r" in text:
+            raise ValueError("meta %r: value %r must be one line without "
+                             "outer whitespace" % (key, text))
+        tag = ("kind" if key == "kind" else
+               "anchor " + key if isinstance(val, Subspace) else "meta " + key)
+        header.append("%s %s" % (tag, text))
     with open(path, "w") as fh:
-        fh.write("# flagkneser flag set\n")
-        fh.write("q %d\n" % fset.universe.q)
-        for key, val in sorted(fset.meta.items()):
-            if key == "kind":
-                fh.write("kind %s\n" % val)
-            elif isinstance(val, Subspace):
-                fh.write("anchor %s %s\n" % (key, subspace_to_text(val)))
-            else:
-                fh.write("meta %s %s\n" % (key, val))
+        fh.write("\n".join(header) + "\n")
         ords = fset.ordinals()
         fh.write("count %d\n" % len(ords))
         for o in ords:

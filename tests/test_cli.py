@@ -209,11 +209,16 @@ def test_export_induced_and_determinism(tmp_path):
     assert p_line.split()[2] == "600"
 
 
-def test_export_refuses_full_without_confirm(tmp_path, capsys):
+def test_export_refuses_full_without_confirm(tmp_path, monkeypatch, capsys):
+    def no_build(q):
+        raise AssertionError("universe built for a refused export")
+
+    monkeypatch.setattr(cli, "build_universe", no_build)
     code = run(["export", "--q", "2", "--out", str(tmp_path / "g.dimacs")])
     assert code == 2
     err = capsys.readouterr().err
     assert "--confirm-size" in err
+    assert "177165 vertices, 2902671360 edges" in err
     assert not (tmp_path / "g.dimacs").exists()
 
 

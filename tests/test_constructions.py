@@ -83,12 +83,17 @@ def test_lambda_ps_reaches_independence_number(solid_kind, uni2, frame2):
 
 def test_member_predicate_agrees_with_mask(uni2, frame2):
     rng = np.random.default_rng(17)
-    for kind in ("P_H", "H_E", "P_l", "H_empty"):
+    for kind in LAMBDA_KINDS:
         spec = _spec(kind, frame2)
-        fset = build_lambda(spec, uni2)
-        for t in map(int, rng.integers(0, uni2.flag_count, 60)):
+        mask = build_lambda(spec, uni2).mask
+        base = build_lambda(_spec(kind[0] + "_empty", frame2), uni2).mask
+        # the least member, least nonmember and least member outside the
+        # base, then a random sample
+        picks = [np.flatnonzero(m)[:1] for m in (mask, ~mask, mask & ~base)]
+        picks.append(rng.integers(0, uni2.flag_count, 60))
+        for t in map(int, np.concatenate(picks)):
             f = uni2.flag(t)
-            assert spec.member(f.plane, f.solid) == (t in fset)
+            assert spec.member(f.plane, f.solid) == bool(mask[t]), (kind, t)
 
 
 @pytest.mark.parametrize("kind,q,expected", [
@@ -177,6 +182,28 @@ def test_lambda_spec_validation_errors(frame2):
     with pytest.raises(ValueError, match="inside the hyperplane"):
         LambdaSpec(kind="H_E", hyperplane=frame2["hyperplane"],
                    plane_family=(bad_plane,)).validate(2)
+    # 4-space outside the hyperplane, point off the line
+    bad_four = Subspace.from_vectors(6, 2, [(0, 1, 0, 0, 0, 0, 0),
+                                            (0, 0, 1, 0, 0, 0, 0),
+                                            (0, 0, 0, 1, 0, 0, 0),
+                                            (0, 0, 0, 0, 1, 0, 0),
+                                            (0, 0, 0, 0, 0, 0, 1)])
+    with pytest.raises(ValueError, match="inside the hyperplane"):
+        LambdaSpec(kind="H_U", hyperplane=frame2["hyperplane"],
+                   four_space=bad_four).validate(2)
+    with pytest.raises(ValueError, match="lie in the line"):
+        LambdaSpec(kind="P_l", point=off, line=frame2["line"]).validate(2)
+    # a plane where the family holds solids
+    with pytest.raises(ValueError, match="dimension 3"):
+        LambdaSpec(kind="P_S", point=frame2["point"],
+                   solid_family=(frame2["plane"],)).validate(2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_p_empty_size_by_duality(q, frame2):
+    """P_empty is the m = 0 family: s(0,2,6) s(2,3,6) = s(3,5) s(3)."""
+    spec = LambdaSpec(kind="P_empty", point=frame2["point"])
+    assert spec.expected_size(q) == s(0, 2, 6, q=q) * s(2, 3, 6, q=q)
 
 
 def test_coloring_scheme_structure(frame2):

@@ -2,6 +2,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flagkneser.counting import gaussian, universe_size_formula
 from flagkneser.flags import (Flag, FlagSet, FlagUniverse, adjacency_scan,
@@ -161,6 +162,59 @@ def test_save_load_roundtrip(tmp_path, uni2):
     assert list(loaded.ordinals()) == [3, 77, 4096]
     assert loaded.meta.get("kind") == "sample"
     assert loaded.universe.q == 2
+
+
+@pytest.mark.parametrize("meta", [{"note": "a\nb"}, {"my key": "v"},
+                                  {"note": " padded "}, {"": "v"},
+                                  {"kind": "a\rb"}])
+def test_save_rejects_meta_it_cannot_read_back(tmp_path, uni2, meta):
+    path = tmp_path / "bad.flags"
+    with pytest.raises(ValueError):
+        save_flagset(FlagSet.from_ordinals(uni2, [1], meta), str(path))
+    assert not path.exists()
+
+
+_ANCHORS = {"point": _unit(6, 2, [0]), "line": _unit(6, 2, [1, 5]),
+            "hyperplane": _unit(6, 2, range(6)), "empty": _unit(6, 2, [])}
+_KEYS = st.text(min_size=1, max_size=8).filter(
+    lambda k: k.split() == [k] and k != "kind" and k not in _ANCHORS)
+_VALUES = st.text(max_size=12).filter(
+    lambda v: v == v.strip() and "\n" not in v and "\r" not in v)
+
+
+@given(ordinals=st.sets(st.integers(0, 177164), max_size=12),
+       kind=_VALUES, anchors=st.sets(st.sampled_from(sorted(_ANCHORS))),
+       text_meta=st.dictionaries(_KEYS, _VALUES, max_size=3))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_save_load_round_trip_property(tmp_path, uni2, ordinals, kind,
+                                       anchors, text_meta):
+    meta = dict(text_meta, kind=kind, **{a: _ANCHORS[a] for a in anchors})
+    path = tmp_path / "prop.flags"
+    save_flagset(FlagSet.from_ordinals(uni2, ordinals, meta), str(path))
+    loaded = load_flagset(str(path), uni2)
+    assert list(loaded.ordinals()) == sorted(ordinals)
+    assert loaded.meta == meta
+
+
+_TAGS = ("q", "kind", "anchor", "meta", "count")
+_HEADER = st.one_of(
+    st.sampled_from(["q 2", "q 3", "count 0", "count 2", "anchor p 0;1,0,0,0,0,0,0"]),
+    st.tuples(st.sampled_from(_TAGS), st.text(max_size=20)).map(" ".join),
+    st.text(max_size=20))
+_BODY = st.one_of(st.integers(-3, 177167).map(str), st.text(max_size=8))
+
+
+@given(header=st.lists(_HEADER, max_size=6), body=st.lists(_BODY, max_size=4))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_raises_only_value_error(tmp_path, uni2, header, body):
+    path = tmp_path / "fuzz.flags"
+    path.write_text("\n".join(header + body) + "\n", encoding="utf-8")
+    try:
+        load_flagset(str(path), uni2)
+    except ValueError:
+        pass
 
 
 def test_load_errors_cite_line(tmp_path):

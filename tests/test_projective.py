@@ -37,6 +37,27 @@ def test_rref_is_idempotent_and_spans(case):
         assert all(r[k][p] == 0 for k in range(len(r)) if k != i)
 
 
+@st.composite
+def subspaces(draw):
+    """A subspace of PG(6,q), q in {2, 3, 4}, of each dimension -1..6: random
+    rows, then unit vectors, kept while they raise the rank."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    d = draw(st.integers(-1, 6))
+    vec = st.lists(st.integers(0, q - 1), min_size=7, max_size=7)
+    rows = []
+    for v in draw(st.lists(vec, max_size=d + 1)) + [
+            [int(j == i) for j in range(7)] for i in range(7)]:
+        if len(rows) <= d and Subspace.from_vectors(6, q, rows + [v]).d == len(rows):
+            rows.append(v)
+    return Subspace.from_vectors(6, q, rows)
+
+
+@given(subspaces())
+@settings(max_examples=60, deadline=None)
+def test_subspace_text_round_trip(sub):
+    assert subspace_from_text(subspace_to_text(sub), 6, sub.q) == sub
+
+
 def test_rref_canonical_within_span():
     # two different bases of one subspace reduce to the same matrix
     fld = build_field(3)
