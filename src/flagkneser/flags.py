@@ -14,9 +14,12 @@ Flag ordinals run through solids in canonical order and, inside each solid,
 through its planes in canonical local order.  At q = 2 the universe carries
 the plane and the solid of every flag as word-major point bitsets (see
 linalg: a (2, 177165) uint64 array each, row k holding points
-64k..64k+63), which is what makes whole-graph scans cheap.  Full
-materialization is limited to q in {2, 3}; at q = 3 per-flag data is
-produced on demand instead of being held in memory.
+64k..64k+63), which is what makes whole-graph scans cheap.  It also
+stores the duality (E, S) -> (S^perp, E^perp) as one int32 permutation of
+the ordinals, built on first use from the orthogonal complements of the
+distinct planes and solids.  Full materialization is limited to q in
+{2, 3}; at q = 3 per-flag data, the dual included, is produced on demand
+instead of being held in memory.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from .counting import universe_size_formula
 from .galois import build_field
 from .linalg import disjoint
 from .projective import (PatternCodec, Subspace, dualize, local_coords,
-                         point_bitset, point_indexer, rref_patterns,
-                         subspace_from_text, subspace_to_text)
+                         perp_bitsets, point_bitset, point_indexer,
+                         rref_patterns, subspace_from_text, subspace_to_text)
 
 N_AMBIENT = 6
 MATERIALIZABLE_Q = (2, 3)
@@ -122,10 +125,13 @@ class FlagUniverse:
 
     # -- generic single-flag interface ------------------------------------
 
-    def flag(self, ordinal: int) -> Flag:
+    def _check_ordinal(self, ordinal: int) -> None:
         if not (0 <= ordinal < self.flag_count):
             raise IndexError("flag ordinal %d out of range 0..%d"
                              % (ordinal, self.flag_count - 1))
+
+    def flag(self, ordinal: int) -> Flag:
+        self._check_ordinal(ordinal)
         s_ord, loc = divmod(ordinal, self.planes_per_solid)
         solid_rows = self.solid_codec.unrank(s_ord)
         solid = Subspace(self.n, self.q, solid_rows)
@@ -148,7 +154,11 @@ class FlagUniverse:
                 + self.local_plane_codec.rank(coords))
 
     def dual_ordinal(self, ordinal: int) -> int:
-        return self.ordinal_of(dualize_flag(self.flag(ordinal)))
+        """Ordinal of the dual flag (S^perp, E^perp) of flag (E, S)."""
+        if not self.has_masks:
+            return self.ordinal_of(dualize_flag(self.flag(ordinal)))
+        self._check_ordinal(ordinal)  # the array lookup would wrap -1
+        return int(self.dual_permutation[ordinal])
 
     # -- q = 2 materialized arrays -----------------------------------------
 
@@ -176,6 +186,36 @@ class FlagUniverse:
         self.plane_bits = plane_bits.reshape(nwords, self.flag_count)
         self.plane_gid = _first_occurrence_ids(self.plane_bits)
         self.solid_bits = np.repeat(solid_bits, pps, axis=1)
+
+    @functools.cached_property
+    def dual_permutation(self) -> np.ndarray:
+        """int32 array: the dual ordinal of every flag, built on first use.
+
+        The dual of (E, S) is (S^perp, E^perp).  perp_bitsets of the
+        distinct solids gives the dual planes, of the distinct planes the
+        dual solids; each is looked up among the distinct columns of the
+        other kind, and the pair (dual solid, dual plane id) among the
+        flags through one sorted key.
+        """
+        self._need_masks()
+        # allocated before the scratch arrays, so that freeing them can
+        # return the top of the heap
+        perm = np.empty(self.flag_count, dtype=np.int32)
+        n, q, pps = self.n, self.q, self.planes_per_solid
+        solids = self.solid_bits[:, ::pps]  # column k: solid ordinal k
+        _, first = np.unique(self.plane_gid, return_index=True)
+        n_planes = len(first)
+        planes = self.plane_bits.take(first, axis=1)  # column g: plane id g
+        dual_solid = _column_index(solids, perp_bitsets(planes, n, q))
+        dual_plane = _column_index(planes, perp_bitsets(solids, n, q))
+        # int32 keys: n_solids * n_planes is 11811^2 < 2^31
+        s_ord = np.arange(self.flag_count, dtype=np.int32) // pps
+        key = s_ord * np.int32(n_planes) + self.plane_gid
+        order = np.argsort(key).astype(np.int32)
+        dual_key = dual_solid[self.plane_gid] * np.int32(n_planes)
+        dual_key += dual_plane[s_ord]
+        return np.take(order, np.searchsorted(key, dual_key, sorter=order),
+                       out=perm)
 
     def _need_masks(self) -> None:
         if not self.has_masks:
@@ -208,6 +248,13 @@ def _first_occurrence_ids(bits: np.ndarray) -> np.ndarray:
     ids = np.empty(bits.shape[1], dtype=np.int32)
     ids[order] = rank[np.cumsum(new) - 1]
     return ids
+
+
+def _column_index(ref: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """int32 index in ref, whose columns are distinct, of each query column
+    (every query column must occur in ref)."""
+    ids = _first_occurrence_ids(np.concatenate([ref, query], axis=1))
+    return ids[ref.shape[1]:]
 
 
 @functools.lru_cache(maxsize=None)

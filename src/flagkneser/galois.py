@@ -61,20 +61,14 @@ class FieldTable:
         return out
 
 
-def _prime_power(q: int) -> tuple[int, int] | None:
-    """Return (p, e) with q = p^e, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e, m = 0, q
-            while m % p == 0:
-                m //= p
-                e += 1
-            return (p, e) if m == 1 else None
-        p += 1
-    return (q, 1)  # q itself is prime
+def _prime_power(q: int) -> tuple[int, int]:
+    """Return (p, e) with q = p^e, for a prime power q."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = 0
+    while q > 1:
+        q //= p
+        e += 1
+    return p, e
 
 
 def _digits(code: int, p: int, e: int) -> list[int]:
@@ -116,17 +110,16 @@ def _poly_mul_mod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) 
 def build_field(q: int) -> FieldTable:
     """Build (and cache) the arithmetic tables for GF(q).
 
-    Raises ValueError when q is not a prime power or lies outside the
-    supported range 2..16.
+    Raises ValueError when q is not one of SUPPORTED_ORDERS, the prime
+    powers 2..16.
     """
-    pe = _prime_power(q)
-    if pe is None:
-        raise ValueError("q=%d is not a prime power" % q)
+    # the supported list comes first: _prime_power trial-divides up to
+    # sqrt(q), which never ends for a large prime q
     if q not in SUPPORTED_ORDERS:
         raise ValueError(
             "q=%d is outside the supported orders %s" % (q, list(SUPPORTED_ORDERS))
         )
-    p, e = pe
+    p, e = _prime_power(q)
     modulus = _MODULUS[(p, e)]
 
     if e == 1:

@@ -90,17 +90,48 @@ def _member_arrays(fset: FlagSet):
             uni.solid_bits.take(ords, axis=1))
 
 
+def _independent_by_planes(gids: np.ndarray, planes: np.ndarray,
+                           solids: np.ndarray) -> bool:
+    """The C & C^T test of check_independent on member plane ids and
+    word-major plane and solid bitsets."""
+    order = np.argsort(gids, kind="stable")
+    starts = np.flatnonzero(np.diff(gids[order], prepend=-1))
+    m = len(starts)
+    group_planes = planes.take(order[starts], axis=1)
+    group_solids = solids.take(order, axis=1)
+    packed = np.zeros((m, (m + 7) // 8), dtype=np.uint8)
+    for a in range(m):
+        row = np.logical_or.reduceat(disjoint(group_planes[:, a], group_solids),
+                                     starts)
+        # C[b, a] of the earlier rows b, read from their packed bits
+        earlier = (packed[:a, a >> 3] & (0x80 >> (a & 7))) != 0
+        if np.any(row[:a] & earlier):
+            return False
+        packed[a] = np.packbits(row)
+    return True
+
+
 def check_independent(fset: FlagSet, subject: str = "flag set") -> VerificationReport:
-    """No two members are adjacent.  Fail witness: least ordinal pair."""
+    """No two members are adjacent.  Fail witness: least ordinal pair.
+
+    Members (E, S) and (E', S') are adjacent iff E misses S' and E' misses
+    S, so the test runs over the distinct member planes E_1..E_m: C[a, b]
+    says that E_a misses some member solid on E_b, and the set is
+    independent iff C & C^T is empty.  Row a is one disjoint() of E_a
+    against the member solids and one logical_or.reduceat over the plane
+    groups; rows are kept bit-packed and filled in order until one
+    conflicts with an earlier row, so a dependent set stops early.  Only a
+    failing set pays for the least_pair scan that names its least pair.
+    """
     uni, ords, planes, solids = _member_arrays(fset)
     w = len(planes)
 
     def run():
+        if _independent_by_planes(uni.plane_gid[ords], planes, solids):
+            return True, None
         # each column: a member's plane words over its solid words
         pair = least_pair(np.concatenate([planes, solids]),
                           lambda a, b: adjacent_bits(a[:w], a[w:], b[:w], b[w:]))
-        if pair is None:
-            return True, None
         return False, {"adjacent_pair": [int(ords[i]) for i in pair]}
 
     report = VerificationReport(subject=subject, q=uni.q,

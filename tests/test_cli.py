@@ -293,6 +293,10 @@ def test_version_flag(capsys):
 FLAG_FILES = {
     "empty.flags": "# flagkneser flag set\nq 2\ncount 0\n",
     "last.flags": "# flagkneser flag set\nq 2\ncount 1\n177164\n",
+    # 2^61 - 1 is prime: trial division before the supported-order check
+    # would run for hours at the anchor line
+    "huge_q.flags": "# flagkneser flag set\nq 2305843009213693951\n"
+                    "anchor point 0;1,0,0,0,0,0,0\ncount 0\n",
 }
 
 BAD_INPUTS = [
@@ -310,6 +314,7 @@ BAD_INPUTS = [
     ["verify", "last.flags", "--xi-bound", "--flag", "999999"],
     # -1 must not wrap round to the last flag, which is a member here
     ["verify", "last.flags", "--xi-bound", "--flag", "-1"],
+    ["verify", "huge_q.flags"],
 ]
 
 
@@ -321,7 +326,8 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "flagkneser.cli", *argv],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr

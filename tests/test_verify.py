@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagkneser.constructions import (LambdaSpec, build_coloring_scheme,
                                       build_ekr_plane_family, build_lambda,
                                       realize_coloring,
                                       trivial_coloring_scheme)
-from flagkneser.flags import FlagSet
+from flagkneser.flags import FlagSet, adjacent_bits
+from flagkneser.linalg import least_pair
 from flagkneser.projective import Subspace, enumerate_subspaces
 from flagkneser.verify import (PreconditionError, check_coloring,
                                check_disjoint_plane_meeting_solid,
@@ -42,6 +44,77 @@ def test_doctored_set_fails_with_least_witness(uni2):
     rep = check_independent(bad)
     assert not rep.passed
     assert rep.checks[0].witness == {"adjacent_pair": [0, j]}
+
+
+@pytest.fixture(scope="module")
+def mi_classes(uni2, frame2):
+    scheme = build_coloring_scheme(frame2["point"], frame2["line"],
+                                   frame2["plane"], frame2["four_space"],
+                                   frame2["second_point"])
+    return realize_coloring(scheme.classes, uni2)
+
+
+def _least_adjacent_pair(uni, ords):
+    """The least adjacent member pair by a plain scan over all pairs."""
+    w = len(uni.plane_bits)
+    bits = np.concatenate([uni.plane_bits[:, ords], uni.solid_bits[:, ords]])
+    pair = least_pair(bits, lambda a, b: adjacent_bits(a[:w], a[w:],
+                                                       b[:w], b[w:]))
+    return None if pair is None else [int(ords[k]) for k in pair]
+
+
+def _assert_matches_scan(uni, ords):
+    """check_independent gives the plain scan's verdict and least pair."""
+    ords = np.array(sorted(ords), dtype=np.int64)
+    rep = check_independent(FlagSet.from_ordinals(uni, ords))
+    want = _least_adjacent_pair(uni, ords)
+    assert rep.passed == (want is None)
+    assert rep.checks[0].witness == (None if want is None
+                                     else {"adjacent_pair": want})
+    return rep
+
+
+_ORDINAL = st.integers(0, 177164)
+
+
+@pytest.mark.parametrize("shape", ["small", "random", "one_plane"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_factored_independence_matches_least_pair_scan(uni2, shape, data):
+    if shape == "small":  # sizes 0, 1 and 2
+        ords = data.draw(st.sets(_ORDINAL, max_size=2))
+    elif shape == "random":
+        ords = data.draw(st.sets(_ORDINAL, min_size=3, max_size=12))
+    else:  # several solids on one plane, and a few more flags
+        gid = uni2.plane_gid[data.draw(_ORDINAL)]
+        on_plane = np.flatnonzero(uni2.plane_gid == gid).tolist()
+        ords = (data.draw(st.sets(st.sampled_from(on_plane), min_size=2))
+                | data.draw(st.sets(_ORDINAL, max_size=4)))
+    _assert_matches_scan(uni2, ords)
+
+
+@pytest.mark.parametrize("add_adjacent", [False, True])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_factored_independence_on_mi_classes(uni2, mi_classes, add_adjacent,
+                                             data):
+    cls = mi_classes[data.draw(st.integers(0, len(mi_classes) - 1))]
+    ords = set(cls.ordinals().tolist())
+    if add_adjacent:
+        member = data.draw(st.sampled_from(sorted(ords)))
+        ords.add(data.draw(st.sampled_from(
+            np.flatnonzero(uni2.adjacent_mask(member))[:50].tolist())))
+    assert _assert_matches_scan(uni2, ords).passed != add_adjacent
+
+
+def test_full_universe_fails_at_once_with_least_witness(uni2):
+    full = FlagSet(uni2, np.ones(uni2.flag_count, dtype=bool))
+    rep = check_independent(full)
+    first = int(np.flatnonzero(uni2.adjacent_mask(0))[0])
+    assert rep.checks[0].witness == {"adjacent_pair": [0, first]}
+    # the plane-factored test stops at its first conflicting row; filling
+    # all 11811 rows over 177165 members takes about 9 s on 2 cores
+    assert rep.checks[0].ms < 3000
 
 
 def test_same_solid_flags_are_independent_but_not_maximal(uni2):
