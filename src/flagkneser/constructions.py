@@ -12,8 +12,8 @@ s(3,5) s(3) + m q^3, where m is the family size.
 
 Families are materialized against the q=2 universe as boolean masks;
 count_lambda() counts the same sets for q in {2,3} by direct constrained
-enumeration without touching the universe, which is what the formula
-cross-checks use.
+enumeration on subspace basis arrays without touching the universe, which
+is what the formula cross-checks use.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ import numpy as np
 
 from .counting import lambda_family_size, s_count
 from .flags import FlagSet, FlagUniverse
-from .linalg import subset, superset
-from .projective import (Subspace, bit_indices, enumerate_subspaces,
-                         point_bitset, point_bitsets, point_indexer,
-                         point_words, span)
+from .linalg import batch_complements, field_matmul, subset, superset
+from .projective import (Subspace, basis_bitsets, bit_indices,
+                         enumerate_subspaces, point_bitset, point_bitsets,
+                         point_indexer, point_words, span, subspace_array)
 
 # kind -> (side, family).  The family is None when empty, the name of a
 # given tuple, or a (contains, within) pair of anchor names: every member
@@ -211,29 +211,40 @@ def build_lambda(spec: LambdaSpec, universe: FlagUniverse) -> FlagSet:
 def count_lambda(spec: LambdaSpec, q: int) -> int:
     """Cardinality of the family by direct constrained enumeration.
 
-    On side H the base is counted solid by solid, with the planes inside a
-    solid parametrized once by the local RREF patterns of its coordinate
-    frame (the same parametrization the flag universe uses); on side P,
-    plane by plane.  Each family member then adds its flags outside the
-    base, so each flag is counted once.
+    The subspaces come as basis arrays from subspace_array.  On side H each
+    solid of the hyperplane carries the planes of the local RREF patterns
+    of its coordinate frame (the parametrization the flag universe uses);
+    on side P each plane through the point lies in the solids it spans with
+    the points of a complement.  Each family member then adds its flags
+    outside the base, found by a subset or superset test on the point
+    bitsets of all of them at once, so each flag is counted once.
     """
     spec.validate(q)
     on_h, base, d, given, contains, within = spec._shape()
+    n = 6
     if given is None:
-        given = enumerate_subspaces(6, q, d, contains=contains, within=within)
-    planes_per_solid = sum(1 for _ in enumerate_subspaces(3, q, 2))
-    if on_h:
-        total = planes_per_solid * sum(1 for _ in enumerate_subspaces(6, q, 3, within=base))
-        # each member plane adds its solids outside the hyperplane
-        extra = (1 for x in given for t in enumerate_subspaces(6, q, 3, contains=x)
-                 if not base.contains(t))
+        members = subspace_array(n, q, d, contains=contains, within=within)
     else:
-        total = sum(1 for e in enumerate_subspaces(6, q, 2, contains=base)
-                    for _ in enumerate_subspaces(6, q, 3, contains=e))
-        # each member solid adds its planes missing the point
-        extra = (1 for x in given for e in enumerate_subspaces(6, q, 2, within=x)
-                 if not e.contains(base))
-    return total + sum(extra)
+        members = np.array([x.rows for x in given], dtype=np.int64).reshape(-1, d + 1, n + 1)
+    local_planes = subspace_array(3, q, 2)  # (40, 3, 4) at q=3
+    local_points = subspace_array(3, q, 0)[:, 0]  # (40, 4)
+    if on_h:
+        total = len(local_planes) * len(subspace_array(n, q, 3, within=base))
+        # each member plane x adds the solids <x, v> outside the hyperplane,
+        # v over the points of a complement of x
+        tops = field_matmul(local_points, batch_complements(members, q), q)
+        solids = np.concatenate(
+            [np.broadcast_to(members[:, None], tops.shape[:2] + members.shape[1:]),
+             tops[:, :, None]], axis=2)
+        bits = basis_bitsets(solids.reshape(-1, 4, n + 1), n, q)
+        extra = np.count_nonzero(~subset(bits, point_words(base)))
+    else:
+        total = len(subspace_array(n, q, 2, contains=base)) * len(local_points)
+        # each member solid adds its planes that miss the point
+        planes = field_matmul(local_planes, members[:, None], q)
+        bits = basis_bitsets(planes.reshape(-1, 3, n + 1), n, q)
+        extra = np.count_nonzero(~superset(bits, point_words(base)))
+    return total + int(extra)
 
 
 # ---------------------------------------------------------------------------

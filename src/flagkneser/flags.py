@@ -25,7 +25,6 @@ instead of being held in memory.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -35,14 +34,15 @@ from . import linalg
 from .counting import universe_size_formula
 from .galois import build_field
 from .linalg import disjoint
-from .projective import (PatternCodec, Subspace, dualize, local_coords,
-                         perp_bitsets, point_bitset, point_indexer,
-                         rref_patterns, subspace_from_text, subspace_to_text)
+from .projective import (PatternCodec, Subspace, basis_bitsets, dualize,
+                         local_coords, perp_bitsets, point_bitset,
+                         point_indexer, subspace_array, subspace_from_text,
+                         subspace_to_text)
 
 N_AMBIENT = 6
 MATERIALIZABLE_Q = (2, 3)
-# solids per batch_point_bitsets call in the q=2 build (bounds its scratch)
-_SOLID_CHUNK = 512
+# solids per plane batch in the q=2 build (bounds its scratch)
+_SOLID_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,8 @@ class FlagUniverse:
     """All plane-solid flags of PG(6,q) in canonical order."""
 
     def __init__(self, q: int):
+        # a q that is no field order is refused as such, before any count
+        self.field = build_field(q)
         if q not in MATERIALIZABLE_Q:
             raise ValueError(
                 "full flag enumeration is limited to q in %s; q=%d has %d flags "
@@ -111,7 +113,6 @@ class FlagUniverse:
                 % (list(MATERIALIZABLE_Q), q, universe_size_formula(q)))
         self.q = q
         self.n = N_AMBIENT
-        self.field = build_field(q)
         self.solid_codec = PatternCodec(self.n + 1, 4, q)
         self.local_plane_codec = PatternCodec(4, 3, q)
         self.n_solids = self.solid_codec.total
@@ -166,23 +167,19 @@ class FlagUniverse:
         """Per-flag word-major point bitsets of planes and solids, and plane
         ids numbered in order of first occurrence."""
         n, q, pps = self.n, self.q, self.planes_per_solid
-        idx = point_indexer(n, q)
-        codes = idx.point_codes()
-        solids = rref_patterns(n + 1, 4, q)
+        solids = subspace_array(n, q, 3)
         patterns = np.array(self._local_patterns, dtype=np.int64)
-        nwords = (idx.count + 63) // 64
+        nwords = (point_indexer(n, q).count + 63) // 64
         plane_bits = np.empty((nwords, self.n_solids, pps), dtype=np.uint64)
         solid_bits = np.empty((nwords, self.n_solids), dtype=np.uint64)
         for a in range(0, self.n_solids, _SOLID_CHUNK):
-            chunk = np.array(list(itertools.islice(solids, _SOLID_CHUNK)),
-                             dtype=np.int64)
-            solid_bits[:, a:a + len(chunk)] = linalg.batch_point_bitsets(
-                chunk, q, codes, idx.count)
-            for loc, pat in enumerate(patterns):
-                # the plane with local pattern `pat` in every solid of the chunk
-                planes = np.einsum("ij,sjm->sim", pat, chunk) % q
-                plane_bits[:, a:a + len(chunk), loc] = linalg.batch_point_bitsets(
-                    planes, q, codes, idx.count)
+            chunk = solids[a:a + _SOLID_CHUNK]
+            solid_bits[:, a:a + len(chunk)] = basis_bitsets(chunk, n, q)
+            # the plane with local pattern t in solid s is row (s, t)
+            planes = linalg.field_matmul(patterns, chunk[:, None], q)
+            plane_bits[:, a:a + len(chunk)] = basis_bitsets(
+                planes.reshape(-1, 3, n + 1), n, q).reshape(nwords, len(chunk), pps)
+        del solids, chunk, planes  # freed before the id pass, which peaks
         self.plane_bits = plane_bits.reshape(nwords, self.flag_count)
         self.plane_gid = _first_occurrence_ids(self.plane_bits)
         self.solid_bits = np.repeat(solid_bits, pps, axis=1)

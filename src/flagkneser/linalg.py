@@ -7,23 +7,31 @@ routines are exact integer work.
 Point sets of subspaces of PG(n,q) have one array layout: a C-contiguous
 uint64 array of shape (W, N), word-major, whose row k holds points
 64k..64k+63 of N subspaces, W = ceil(#points / 64).  One subspace is a (W,)
-column.  batch_point_bitsets builds such arrays for prime q; the kernels
-disjoint, subset, superset and popcount take two arrays that broadcast over
-their trailing axes, compare them word by word and AND the results;
-least_pair scans the column pairs of one array for the least one a kernel
-flags.
+column.  batch_point_bitsets builds such arrays from integer basis arrays
+over any supported field; the kernels disjoint, subset, superset and
+popcount take two arrays that broadcast over their trailing axes, compare
+them word by word and AND the results; least_pair scans the column pairs of
+one array for the least one a kernel flags.
+
+Integer arrays of element codes are multiplied by field_matmul and reduced
+by batch_rref, a batch at a time; prime q uses plain integer arithmetic
+mod q, the extension fields the FieldTable tables.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .galois import FieldTable
+from .galois import FieldTable, build_field
 
 Row = tuple[int, ...]
 Matrix = tuple[Row, ...]
+
+# vectors per pass of batch_point_bitsets (bounds its scratch arrays)
+_BITSET_CHUNK = 1 << 15
 
 
 def rref(rows: Iterable[Sequence[int]], fld: FieldTable) -> Matrix:
@@ -112,8 +120,72 @@ def nullspace(rows: Matrix, fld: FieldTable, m: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Word-major point bitsets (batches at prime q; the extension fields never
-# reach the enumeration layer)
+# Batched arithmetic on integer arrays of element codes
+
+
+@functools.lru_cache(maxsize=None)
+def field_arrays(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """add, mul, neg and inv of GF(q) as int64 lookup arrays."""
+    fld = build_field(q)
+    return tuple(np.array(t, dtype=np.int64)
+                 for t in (fld.add, fld.mul, fld.neg, fld.inv))
+
+
+def field_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a @ b over GF(q) with numpy matmul broadcasting; int64 codes.
+
+    At prime q the product runs in float64, where BLAS makes it several
+    times faster than integer matmul and every sum of products is an
+    integer far below 2^53, so floor reduces it mod q exactly.
+    """
+    if build_field(q).e == 1:
+        x = np.matmul(a, b, dtype=np.float64)
+        t = np.floor(x / q)
+        t *= q
+        x -= t
+        return x.astype(np.int64)
+    add, mul = field_arrays(q)[:2]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                   + (a.shape[-2], b.shape[-1]), dtype=np.int64)
+    for j in range(a.shape[-1]):
+        out = add[out, mul[a[..., :, j:j + 1], b[..., j:j + 1, :]]]
+    return out
+
+
+def batch_rref(mats: np.ndarray, q: int) -> np.ndarray:
+    """Row-reduce a (B, r, m) batch over GF(q); row i of every matrix is
+    its RREF row i, zero rows (rank below r) last.  Agrees with rref."""
+    add, mul, neg, inv = field_arrays(q)
+    a = np.array(mats, dtype=np.int64)
+    rows = np.arange(a.shape[1])
+    nxt = np.zeros(len(a), dtype=np.int64)  # next pivot row of each matrix
+    for c in range(a.shape[2]):
+        cand = (a[:, :, c] != 0) & (rows >= nxt[:, None])
+        b = np.flatnonzero(cand.any(axis=1))
+        if not len(b):
+            continue
+        piv, tgt = cand[b].argmax(axis=1), nxt[b]
+        a[b, tgt], a[b, piv] = a[b, piv], a[b, tgt]
+        prow = mul[inv[a[b, tgt, c]][:, None], a[b, tgt]]
+        # clear column c everywhere; the pivot row is then overwritten
+        a[b] = add[a[b], neg[mul[a[b, :, c][:, :, None], prow[:, None, :]]]]
+        a[b, tgt] = prow
+        nxt[b] += 1
+    return a
+
+
+def batch_complements(mats: np.ndarray, q: int) -> np.ndarray:
+    """(B, m - r, m) bases of complements of the row spaces of a (B, r, m)
+    full-rank batch: the unit vectors off the pivot columns of each RREF."""
+    red = batch_rref(mats, q)
+    n, r, m = red.shape
+    free = np.ones((n, m), dtype=bool)
+    free[np.arange(n)[:, None], (red != 0).argmax(axis=2)] = False
+    return np.eye(m, dtype=np.int64)[np.nonzero(free)[1].reshape(n, m - r)]
+
+
+# ---------------------------------------------------------------------------
+# Word-major point bitsets
 
 
 def coefficient_reps(r: int, q: int) -> np.ndarray:
@@ -139,34 +211,28 @@ def coefficient_reps(r: int, q: int) -> np.ndarray:
 
 def batch_point_bitsets(mats: np.ndarray, q: int, point_codes: np.ndarray,
                         n_points: int) -> np.ndarray:
-    """Point bitsets for a batch of full-rank r x m matrices, prime q.
+    """Point bitsets for a batch of full-rank r x m matrices over GF(q).
 
     mats: int array (N, r, m); any basis of each row space will do, RREF is
-    not needed.  point_codes: lookup from base-q encoding of a normalized
-    vector to its point index (size q^m).  Returns the word-major (W, N)
-    uint64 array with W = ceil(n_points / 64).
+    not needed.  point_codes: lookup from the base-q encoding of every
+    nonzero vector to its point index (size q^m), so the vectors the
+    coefficient representatives produce are looked up as they are, without
+    scaling.  Returns the word-major (W, N) uint64 array with
+    W = ceil(n_points / 64).
     """
     if mats.ndim != 3:
         raise ValueError("expected a (N, r, m) batch")
     n, r, m = mats.shape
     coeffs = coefficient_reps(r, q)
-    pts = np.einsum("pr,nrm->npm", coeffs, mats.astype(np.int64)) % q
-    # scale every vector so its last nonzero coordinate is 1
-    nz = pts != 0
-    last = (m - 1) - np.argmax(nz[:, :, ::-1], axis=2)
-    val = np.take_along_axis(pts, last[:, :, None], axis=2)[:, :, 0]
-    inv_t = np.zeros(q, dtype=np.int64)
-    for a in range(1, q):
-        inv_t[a] = pow(a, q - 2, q)
-    pts = (pts * inv_t[val][:, :, None]) % q
-    codes = pts @ (q ** np.arange(m, dtype=np.int64))
-    idx = point_codes[codes]
-    nwords = (n_points + 63) // 64
-    bits = np.zeros((nwords, n), dtype=np.uint64)
-    cols = np.arange(n)
-    for p in range(idx.shape[1]):
-        pt = idx[:, p]
-        bits[pt >> 6, cols] |= np.uint64(1) << (pt & 63).astype(np.uint64)
+    powers = q ** np.arange(m, dtype=np.int64)
+    bits = np.zeros(((n_points + 63) // 64, n), dtype=np.uint64)
+    step = max(1, _BITSET_CHUNK // len(coeffs))
+    for a in range(0, n, step):
+        chunk = mats[a:a + step]
+        idx = point_codes[field_matmul(coeffs, chunk, q) @ powers]
+        cols = np.arange(a, a + len(chunk))
+        for pt in idx.T:
+            bits[pt >> 6, cols] |= np.uint64(1) << (pt & 63).astype(np.uint64)
     return bits
 
 

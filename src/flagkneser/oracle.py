@@ -3,8 +3,9 @@
 Everything here counts by enumeration and bitset filtering, never through
 the closed-form layer, so the two routes stay independent: the formulas in
 `counting` are the claims, the functions here are the checks.  Enumerations
-are batched into numpy bitset arrays, which keeps even the 30k-subspace
-sweeps at q=3 under a second after the first (cached) build.
+come from projective.subspace_array as integer basis arrays and are turned
+into numpy bitset arrays in bounded batches, which keeps even the
+30k-subspace sweeps at q=3 well under a second.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .counting import (complement_count, gaussian,
 from .constructions import build_line_meeting_plane_family
 from .galois import build_field
 from .linalg import disjoint, least_pair, mat_from_combo, popcount, superset
-from .projective import (Subspace, enumerate_subspaces, intersect_trivially,
-                         meet, point_bitsets, point_words, rref_patterns, span,
+from .projective import (Subspace, basis_bitsets, intersect_trivially, meet,
+                         point_bitsets, point_words, span, subspace_array,
                          subspace_to_text)
 
 MAX_ENUMERATED = 3_000_000
@@ -74,8 +75,7 @@ def _all_d_space_bits(n: int, q: int, d: int) -> np.ndarray:
         raise ValueError(
             "PG(%d,%d) has %d %d-spaces, above the enumeration cutoff %d"
             % (n, q, total, d, MAX_ENUMERATED))
-    subs = [Subspace(n, q, pat) for pat in rref_patterns(n + 1, d + 1, q)]
-    return point_bitsets(subs, n, q)
+    return basis_bitsets(subspace_array(n, q, d), n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +191,15 @@ def count_solids_meeting_three_planes(q: int,
     cfg = config if config is not None else canonical_three_planes_config(q)
     cfg.validate()
     n = 6
-    solids = list(enumerate_subspaces(n, q, 3, contains=cfg.outside_point))
-    bits = point_bitsets(solids, n, q)
-    keep = np.ones(len(solids), dtype=bool)
+    bits = basis_bitsets(subspace_array(n, q, 3, contains=cfg.outside_point), n, q)
+    keep = np.ones(bits.shape[1], dtype=bool)
     for e in cfg.planes:
         keep &= ~disjoint(bits, point_words(e))
     count = int(np.count_nonzero(keep))
     bound = solids_meeting_three_planes_bound(q)
     return _result("solids_meeting_three_planes", q, cfg.to_params(),
                    count, bound, "<=",
-                   details={"solids_through_point": len(solids)})
+                   details={"solids_through_point": bits.shape[1]})
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +265,7 @@ def count_planes_meeting_two_solids(q: int,
     cfg.validate()
     uu = cfg.u
     n = 6
-    planes = list(enumerate_subspaces(n, q, 2, contains=cfg.point))
-    bits = point_bitsets(planes, n, q)
+    bits = basis_bitsets(subspace_array(n, q, 2, contains=cfg.point), n, q)
     keep = ~disjoint(bits, point_words(cfg.solid1)) \
         & ~disjoint(bits, point_words(cfg.solid2))
 

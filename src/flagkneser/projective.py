@@ -7,8 +7,15 @@ subspaces are equal objects.  The empty subspace has d = -1 and no rows.
 Points of PG(n,q) carry a pinned order: representatives are normalized so
 the last nonzero coordinate is 1, then sorted lexicographically by code
 vector.  point_bitset() is an integer whose bit k is point k in this order;
-point_bitsets() gives many subspaces at once in the word-major uint64
-layout that the kernels in linalg work on.
+point_bitsets() and basis_bitsets() give many subspaces at once in the
+word-major uint64 layout that the kernels in linalg work on, looking every
+nonzero vector up directly in PointIndexer.point_codes().
+
+Subspaces under constraints come in two forms with one order, the
+canonical order of rref_patterns: enumerate_subspaces() streams Subspace
+objects and is the scalar reference, and subspace_array() returns the
+bases of the same subspaces as one integer array, which is what the
+counting and oracle layers work on.
 """
 
 from __future__ import annotations
@@ -123,8 +130,8 @@ class PointIndexer:
         self.vectors = vecs
         self.index = {v: k for k, v in enumerate(vecs)}
         self.count = len(vecs)
-        # base-q code of every normalized representative -> index, for the
-        # vectorized paths (kept small: only built for prime q on demand)
+        # base-q code of every nonzero vector -> index, for the vectorized
+        # paths (built on first use)
         self._codes: np.ndarray | None = None
 
     def normalize(self, v: Sequence[int]) -> tuple[int, ...]:
@@ -139,13 +146,16 @@ class PointIndexer:
         return self.index[self.normalize(v)]
 
     def point_codes(self) -> np.ndarray:
-        """Lookup array: base-q encoding (LSB = coordinate 0) -> point index."""
+        """Lookup array: base-q encoding (LSB = coordinate 0) of every
+        vector -> index of its point; every nonzero scalar multiple of a
+        representative maps to it, and the zero vector to -1."""
         if self._codes is None:
-            m = self.n + 1
-            table = np.full(self.q ** m, -1, dtype=np.int64)
-            powers = [self.q ** i for i in range(m)]
-            for k, v in enumerate(self.vectors):
-                table[sum(c * p for c, p in zip(v, powers))] = k
+            mul = linalg.field_arrays(self.q)[1]
+            reps = np.array(self.vectors, dtype=np.int64)
+            powers = self.q ** np.arange(self.n + 1, dtype=np.int64)
+            table = np.full(self.q ** (self.n + 1), -1, dtype=np.int64)
+            for scalar in range(1, self.q):
+                table[mul[scalar][reps] @ powers] = np.arange(self.count)
             self._codes = table
         return self._codes
 
@@ -171,22 +181,17 @@ def point_bitset(a: Subspace) -> int:
 
 def point_bitsets(subs: Sequence[Subspace], n: int, q: int) -> np.ndarray:
     """Word-major (W, len(subs)) uint64 point bitsets of equal-dimension
-    subspaces of PG(n,q): bit j of row k is point 64k + j.
+    subspaces of PG(n,q): bit j of row k is point 64k + j."""
+    if not subs or subs[0].d < 0:
+        return np.zeros(((point_indexer(n, q).count + 63) // 64, len(subs)),
+                        dtype=np.uint64)
+    return basis_bitsets(np.array([sub.rows for sub in subs], dtype=np.int64), n, q)
 
-    Prime q goes through linalg.batch_point_bitsets; the extension fields
-    take point_bitset one subspace at a time.
-    """
+
+def basis_bitsets(bases: np.ndarray, n: int, q: int) -> np.ndarray:
+    """point_bitsets of a (B, r, n+1) integer array of bases, r >= 1."""
     idx = point_indexer(n, q)
-    if build_field(q).e == 1 and subs and subs[0].d >= 0:
-        mats = np.array([sub.rows for sub in subs], dtype=np.int64)
-        return linalg.batch_point_bitsets(mats, q, idx.point_codes(), idx.count)
-    nwords = (idx.count + 63) // 64
-    out = np.zeros((nwords, len(subs)), dtype=np.uint64)
-    for i, sub in enumerate(subs):
-        bits = point_bitset(sub)
-        out[:, i] = [(bits >> (64 * k)) & 0xFFFFFFFFFFFFFFFF
-                     for k in range(nwords)]
-    return out
+    return linalg.batch_point_bitsets(bases, q, idx.point_codes(), idx.count)
 
 
 def point_words(a: Subspace) -> np.ndarray:
@@ -264,6 +269,27 @@ def rref_patterns(m: int, r: int, q: int) -> Iterator[tuple[tuple[int, ...], ...
             yield tuple(tuple(row) for row in base)
 
 
+@functools.lru_cache(maxsize=None)
+def _pattern_array(m: int, r: int, q: int) -> np.ndarray:
+    """rref_patterns(m, r, q), 0 <= r <= m, as one read-only int8 (B, r, m)
+    array: per pivot tuple, the free cells run through np.indices, whose
+    row-major order is the lexicographic order of itertools.product."""
+    blocks = []
+    for pivots in itertools.combinations(range(m), r):
+        cells = [(i, c) for i in range(r) for c in range(pivots[i] + 1, m)
+                 if c not in pivots]
+        block = np.zeros((q ** len(cells), r, m), dtype=np.int8)
+        block[:, np.arange(r), np.array(pivots, dtype=np.intp)] = 1
+        if cells:
+            rows, cols = zip(*cells)
+            grid = np.indices((q,) * len(cells), dtype=np.int8)
+            block[:, rows, cols] = grid.reshape(len(cells), -1).T
+        blocks.append(block)
+    out = np.concatenate(blocks)
+    out.flags.writeable = False
+    return out
+
+
 class PatternCodec:
     """Rank/unrank canonical RREF patterns (m columns, rank r) in the
     rref_patterns order, so subspace ordinals never need a lookup table."""
@@ -339,6 +365,21 @@ def _superspace_patterns(m: int, base: tuple[tuple[int, ...], ...], r: int, q: i
         yield linalg.rref(rows, fld)
 
 
+def _constraints(n: int, q: int, d: int, contains: Subspace | None,
+                 within: Subspace | None) -> tuple[Subspace, Subspace]:
+    """Check d and the ambient of the constraints; (within, contains) with
+    the whole space and the empty subspace standing in for None."""
+    if not (-1 <= d <= n):
+        raise ValueError("d=%d outside -1..%d" % (d, n))
+    w = within if within is not None else Subspace.full(n, q)
+    k = contains if contains is not None else Subspace.empty(n, q)
+    for s in (w, k):
+        if (s.n, s.q) != (n, q):
+            raise ValueError("constraint lives in PG(%d,%d), not PG(%d,%d)"
+                             % (s.n, s.q, n, q))
+    return w, k
+
+
 def enumerate_subspaces(n: int, q: int, d: int, *,
                         contains: Subspace | None = None,
                         within: Subspace | None = None,
@@ -351,15 +392,8 @@ def enumerate_subspaces(n: int, q: int, d: int, *,
     stream follows the canonical order induced by rref_patterns, mapped
     through the basis of `within` when that constraint is present.
     """
-    if not (-1 <= d <= n):
-        raise ValueError("d=%d outside -1..%d" % (d, n))
+    w, k = _constraints(n, q, d, contains, within)
     fld = build_field(q)
-    w = within if within is not None else Subspace.full(n, q)
-    k = contains if contains is not None else Subspace.empty(n, q)
-    for s in (w, k):
-        if (s.n, s.q) != (n, q):
-            raise ValueError("constraint lives in PG(%d,%d), not PG(%d,%d)"
-                             % (s.n, s.q, n, q))
     if skew_to is not None and (skew_to.n, skew_to.q) != (n, q):
         raise ValueError("skew_to lives in the wrong ambient space")
     if not w.contains(k):
@@ -382,6 +416,36 @@ def enumerate_subspaces(n: int, q: int, d: int, *,
         if skew_to is not None and not intersect_trivially(sub, skew_to):
             continue
         yield sub
+
+
+def subspace_array(n: int, q: int, d: int, *,
+                   contains: Subspace | None = None,
+                   within: Subspace | None = None) -> np.ndarray:
+    """Bases of the d-subspaces of PG(n,q) through `contains` and inside
+    `within`, as an int64 (B, d+1, n+1) array in enumerate_subspaces order.
+
+    Row block b spans the b-th subspace enumerate_subspaces yields; it is
+    a basis, not its RREF.  Within W the subspaces through K are K plus a
+    subspace of the complement spanned by the rows of W on the non-pivot
+    columns of K's local RREF, so the bases are K's rows followed by the
+    rref_patterns of that complement mapped through those rows, one matmul
+    for all of them.  Contradictory constraints give a (0, d+1, n+1) array.
+    """
+    w, k = _constraints(n, q, d, contains, within)
+    if not w.contains(k) or d < k.d or d > w.d:
+        return np.zeros((0, d + 1, n + 1), dtype=np.int64)
+    k_local = linalg.rref([local_coords(row, w) for row in k.rows], build_field(q))
+    pivots = {next(j for j, x in enumerate(row) if x) for row in k_local}
+    free = [j for j in range(w.d + 1) if j not in pivots]
+    pats = _pattern_array(len(free), d - k.d, q)
+    out = np.zeros((len(pats), d + 1, n + 1), dtype=np.int64)
+    out[:, :k.d + 1] = np.array(k.rows, dtype=np.int64).reshape(-1, n + 1)
+    if w.d == n:  # the rows of W are unit vectors: place the columns
+        out[:, k.d + 1:, free] = pats
+    else:
+        comp = np.array([w.rows[j] for j in free], dtype=np.int64).reshape(-1, n + 1)
+        out[:, k.d + 1:] = linalg.field_matmul(pats, comp, q)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,8 @@ FLAG_FILES = {
     # would run for hours at the anchor line
     "huge_q.flags": "# flagkneser flag set\nq 2305843009213693951\n"
                     "anchor point 0;1,0,0,0,0,0,0\ncount 0\n",
+    # no field order: refused as such, not with a flag count for q=6
+    "q6.flags": "# flagkneser flag set\nq 6\ncount 0\n",
 }
 
 BAD_INPUTS = [
@@ -315,6 +317,7 @@ BAD_INPUTS = [
     # -1 must not wrap round to the last flag, which is a member here
     ["verify", "last.flags", "--xi-bound", "--flag", "-1"],
     ["verify", "huge_q.flags"],
+    ["verify", "q6.flags"],
 ]
 
 

@@ -115,6 +115,30 @@ def test_count_lambda_q3(kind, q, expected):
     assert spec.expected_size(q) == expected
 
 
+def _moved_frame(frame, q, seed):
+    """The frame under a seeded random collineation x -> xG, so that no
+    anchor is spanned by unit vectors."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = rng.integers(0, q, size=(7, 7))
+        if Subspace.from_vectors(6, q, g.tolist()).d == 6:
+            break
+    return {name: Subspace.from_vectors(6, q, (np.array(sub.rows) @ g % q).tolist())
+            for name, sub in frame.items()}
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["canonical", "moved"])
+@pytest.mark.parametrize("kind", LAMBDA_KINDS)
+def test_count_lambda_q3_every_kind(kind, moved, frame3):
+    """Every kind at q=3 by enumeration, against the closed form: 473110
+    flags, or 440440 for the empty families.  H_E and P_S take the
+    point_pencil and hyperplane_full families of _spec."""
+    frame = _moved_frame(frame3, 3, 7) if moved else frame3
+    spec = _spec(kind, frame)
+    assert count_lambda(spec, 3) == spec.expected_size(3)
+    assert spec.expected_size(3) == (440440 if kind.endswith("empty") else 473110)
+
+
 def test_count_lambda_q3_four_space_family():
     frame = canonical_frame(3)
     fam = build_ekr_plane_family("subspace_full", within=frame["hyperplane"],

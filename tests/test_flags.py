@@ -54,6 +54,11 @@ def test_universe_rejects_large_q():
         build_universe(4)
     with pytest.raises(ValueError):
         build_universe(5)
+    # a q that is no field order has no flag count to report
+    for q in (6, 2 ** 61 - 1):
+        with pytest.raises(ValueError, match="outside the supported orders") as err:
+            build_universe(q)
+        assert "flags" not in str(err.value)
 
 
 def test_flag_ordinal_roundtrip(uni2):

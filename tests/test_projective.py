@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flagkneser import linalg
 from flagkneser.counting import gaussian, s_count
@@ -10,8 +10,8 @@ from flagkneser.galois import build_field
 from flagkneser.projective import (PatternCodec, Subspace, dualize,
                                    enumerate_subspaces, intersect_trivially,
                                    meet, point_bitset, point_indexer,
-                                   rref_patterns, span, subspace_from_text,
-                                   subspace_to_text)
+                                   rref_patterns, span, subspace_array,
+                                   subspace_from_text, subspace_to_text)
 
 matrices = st.integers(2, 4).flatmap(
     lambda q: st.tuples(
@@ -210,3 +210,126 @@ def test_batch_point_bitsets_agree_with_scalar_path():
     for k, sub in enumerate(subs):
         assert sum(int(w) << (64 * i)
                    for i, w in enumerate(bits[:, k])) == point_bitset(sub)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_point_codes_cover_every_nonzero_vector(q):
+    """The code of lambda*v maps to the point of v for every nonzero v and
+    every lambda in GF(q)*; the zero vector maps to -1."""
+    n = 3
+    idx = point_indexer(n, q)
+    codes = idx.point_codes()
+    fld = build_field(q)
+    assert codes.shape == (q ** (n + 1),) and codes[0] == -1
+    for v in itertools.product(range(q), repeat=n + 1):
+        if not any(v):
+            continue
+        k = idx.index_of(v)
+        for lam in range(1, q):
+            w = [fld.mul[lam][c] for c in v]
+            assert codes[sum(c * q ** i for i, c in enumerate(w))] == k
+
+
+def _combos_of(draw, rows, q, dim):
+    """A subspace of dimension dim spanned by random combinations of rows
+    (independent rows of one ambient space), topped up from rows itself."""
+    fld = build_field(q)
+    n = len(rows[0]) - 1
+    coeffs = st.lists(st.integers(0, q - 1), min_size=len(rows), max_size=len(rows))
+    picked = []
+    for v in [linalg.mat_from_combo(c, rows, fld) for c in
+              draw(st.lists(coeffs, max_size=dim + 1))] + list(rows):
+        if len(picked) <= dim and Subspace.from_vectors(n, q, picked + [v]).d == len(picked):
+            picked.append(v)
+    return Subspace.from_vectors(n, q, picked)
+
+
+@st.composite
+def constraint_cases(draw):
+    """(n, q, d, K, W): W random in PG(n,q), n <= 4, q in {2, 3}.  Mostly K
+    inside W and dim K <= d <= dim W; otherwise K and d anywhere, so K may
+    miss W."""
+    q = draw(st.sampled_from((2, 3)))
+    n = 5 - draw(st.integers(1, 4))
+    full = Subspace.full(n, q).rows
+    w = _combos_of(draw, full, q, n - draw(st.integers(0, n)))
+    if draw(st.integers(0, 3)):
+        k = _combos_of(draw, w.rows, q, draw(st.integers(-1, w.d)))
+        gap = w.d - k.d  # the simplest draw is the middle, the largest stream
+        return n, q, k.d + (gap // 2 + draw(st.integers(0, gap))) % (gap + 1), k, w
+    k = _combos_of(draw, full, q, draw(st.integers(-1, n)))
+    return n, q, draw(st.integers(-1, n)), k, w
+
+
+def _same_stream(n, q, d, contains, within):
+    arr = subspace_array(n, q, d, contains=contains, within=within)
+    ref = list(enumerate_subspaces(n, q, d, contains=contains, within=within))
+    assert arr.dtype == np.int64 and arr.shape == (len(ref), d + 1, n + 1)
+    # each row block is a basis of the subspace the stream yields there
+    assert [Subspace.from_vectors(n, q, block) for block in arr] == ref
+    return ref
+
+
+@given(constraint_cases())
+@settings(max_examples=150, deadline=None)
+def test_subspace_array_follows_enumerate_subspaces(case):
+    n, q, d, k, w = case
+    ref = _same_stream(n, q, d, k, w)
+    if not w.contains(k):
+        assert ref == []
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_subspace_array_edge_cases(q):
+    n = 4
+    full = Subspace.full(n, q)
+    empty = Subspace.empty(n, q)
+    w = Subspace.from_vectors(n, q, [(1, 2 % q, 0, 1, 0), (0, 1, 1, 0, 0),
+                                     (0, 0, 0, 1, 1)])
+    k = Subspace.from_vectors(n, q, [linalg.mat_from_combo((1, 0, 1), w.rows,
+                                                           build_field(q))])
+    assert w.contains(k) and k.d == 0
+    for d in range(-1, n + 1):
+        _same_stream(n, q, d, empty, w)     # K empty
+        _same_stream(n, q, d, k, full)      # W full
+        _same_stream(n, q, d, None, None)   # neither
+    for d in range(-1, n + 1):                        # K = W
+        assert len(_same_stream(n, q, d, w, w)) == (d == w.d)
+    assert len(_same_stream(n, q, k.d, k, w)) == 1   # d = dim K
+    outside = Subspace.from_vectors(n, q, [(0, 0, 0, 0, 1)])
+    assert not w.contains(outside)
+    for d in range(0, n + 1):                         # K not inside W
+        assert subspace_array(n, q, d, contains=outside, within=w).shape == (0, d + 1, n + 1)
+    with pytest.raises(ValueError):
+        subspace_array(n, q, n + 1)
+
+
+matrix_batches = st.sampled_from((2, 3, 4)).flatmap(
+    lambda q: st.tuples(
+        st.just(q),
+        st.integers(1, 4).flatmap(lambda r: st.lists(
+            st.lists(st.lists(st.integers(0, q - 1), min_size=5, max_size=5),
+                     min_size=r, max_size=r), min_size=1, max_size=6))))
+
+
+@given(matrix_batches)
+@settings(max_examples=100, deadline=None)
+def test_batched_arithmetic_matches_row_routines(case):
+    q, mats = case
+    fld = build_field(q)
+    arr = np.array(mats, dtype=np.int64)
+    red = linalg.batch_rref(arr, q)
+    for got, rows in zip(red, mats):
+        want = linalg.rref(rows, fld)
+        assert [tuple(r) for r in got[:len(want)]] == list(want)
+        assert not got[len(want):].any()
+    coeffs = np.array(mats[0], dtype=np.int64)[:, :len(mats[0])]
+    prod = linalg.field_matmul(coeffs.T[:2], arr, q)
+    for got, rows in zip(prod, mats):
+        assert [tuple(r) for r in got] == [
+            linalg.mat_from_combo(c, tuple(map(tuple, rows)), fld) for c in coeffs.T[:2]]
+    full = [m for m in mats if linalg.rank(m, fld) == len(m)]
+    if full:
+        comp = linalg.batch_complements(np.array(full, dtype=np.int64), q)
+        for rows, extra in zip(full, comp):
+            assert linalg.rank(list(rows) + extra.tolist(), fld) == 5
