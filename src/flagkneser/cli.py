@@ -187,6 +187,11 @@ def cmd_construct(args, run: _Run) -> int:
         "expected": expected,
         "match": fset.cardinality == expected,
     }
+    # the given families of H_E and P_S are named, so that two of them
+    # never share a report
+    family = {"H_E": "ekr", "P_S": "solid_family"}.get(spec.kind)
+    if family:
+        report[family] = getattr(args, family)
     params = {"kind": args.kind, "canonical": args.canonical,
               "ekr": args.ekr, "solid_family": args.solid_family}
     save_flagset(fset, args.out)

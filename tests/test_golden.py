@@ -22,9 +22,9 @@ from flagkneser.cli import main
 GOLDEN_OUTPUTS = {
     "g.dimacs": (0, "48058546ca549a6edbcf21c83d03592d6d13ef0e125e8b35af0f89ced7a4282e"),
     "he.flags": (0, "76b8a339211a939e0e82623da22494135c426aec152c01eb450cb0bc4b65c863"),
-    "he.json": (0, "d2ae56bbb10369d1423a1a4e5982361537a20f5ea5b44e031253e3cc05ba53d1"),
+    "he.json": (0, "a5fe507a8bccf955cc643ce363ecc0854a40d858f6dd57d88302ab1dafacfa85"),
     "he_full.flags": (0, "07116f7d7844ff9fec771e48f53022c5e744cf1c2db06ead39e4a30517937881"),
-    "he_full.json": (0, "d2ae56bbb10369d1423a1a4e5982361537a20f5ea5b44e031253e3cc05ba53d1"),
+    "he_full.json": (0, "1fcdaebc1a48164d011d5452c09c6d6599d96d9eb6721c32d8e23b37b719a40f"),
     "he_traces.json": (0, "2e4d62944e4e41517f98818259162f41c5ec408359326344d519208ff5a2a88b"),
     "hempty.flags": (0, "d3497a370ea1d34337e84bb014931d432bf95ec5cab175faac9873c7191e334d"),
     "hempty.json": (0, "505618fc98eb2d77aa8606626bf2e338cd6d7c3a0040a86b13d5e012abeba932"),
@@ -43,9 +43,9 @@ GOLDEN_OUTPUTS = {
     "pl_minus.json": (1, "44d78e0cc1db6266cd024c6526ae14316f6576b3c39092dc6f4c6a2bc58efdee"),
     "pl_plus.json": (1, "648476766d2a61cea0a2f9ae77c96e447dee8761f8a693a9d1cd1478fe290ea0"),
     "ps.flags": (0, "f6e040b4b4b09e4fda390566bba70fe10507c3164a35cd3cfb82d9a923bac752"),
-    "ps.json": (0, "96e7d691dfc20892ca46b19b46c72067c22aa9a5ae66033a520bf8d8886ebf25"),
+    "ps.json": (0, "49fc4d02df33e08d3722a225b890b1eb11cb518a74a61e3264716a6c601d2591"),
     "ps_hyp.flags": (0, "8672e8a6c44ac74275bf38844b2819f75d2b5cb6c91985581bd8fbad6a42c143"),
-    "ps_hyp.json": (0, "96e7d691dfc20892ca46b19b46c72067c22aa9a5ae66033a520bf8d8886ebf25"),
+    "ps_hyp.json": (0, "b914423255259c1df5a9139a1789e0e8aba2f4a31bbd5ef2993e80145421a051"),
     "skew3.json": (0, "30c3e163bb22063e87c05f5e1d00e6e3cd216c8db7a4e67bcfaaa4d4528ff14b"),
     "skew4.json": (0, "5055fb2f3d92226e751e96c278bbf712f258f5ce95ad157aed811fd33b4335b4"),
 }
@@ -141,6 +141,9 @@ def _run_script(tmp_path, capsys) -> dict:
 def test_golden_cli_outputs(tmp_path, capsys):
     got = _run_script(tmp_path, capsys)
     assert got == GOLDEN_OUTPUTS, got
+    # the reports of two given families of one kind name them apart
+    assert got["he.json"] != got["he_full.json"]
+    assert got["ps.json"] != got["ps_hyp.json"]
 
 
 def test_golden_universe_arrays(uni2):
