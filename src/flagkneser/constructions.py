@@ -233,9 +233,8 @@ def count_lambda(spec: LambdaSpec, q: int) -> int:
         # each member plane x adds the solids <x, v> outside the hyperplane,
         # v over the points of a complement of x
         tops = field_matmul(local_points, batch_complements(members, q), q)
-        solids = np.concatenate(
-            [np.broadcast_to(members[:, None], tops.shape[:2] + members.shape[1:]),
-             tops[:, :, None]], axis=2)
+        solids = np.concatenate([np.repeat(members[:, None], len(local_points), axis=1),
+                                 tops[:, :, None]], axis=2)
         bits = basis_bitsets(solids.reshape(-1, 4, n + 1), n, q)
         extra = np.count_nonzero(~subset(bits, point_words(base)))
     else:
