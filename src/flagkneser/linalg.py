@@ -230,9 +230,10 @@ def batch_point_bitsets(mats: np.ndarray, q: int, point_codes: np.ndarray,
     for a in range(0, n, step):
         chunk = mats[a:a + step]
         idx = point_codes[field_matmul(coeffs, chunk, q) @ powers]
-        cols = np.arange(a, a + len(chunk))
-        for pt in idx.T:
-            bits[pt >> 6, cols] |= np.uint64(1) << (pt & 63).astype(np.uint64)
+        # point p of column c is bit p & 63 of word (p >> 6, c)
+        at = (idx >> 6) * n + np.arange(a, a + len(chunk))[:, None]
+        np.bitwise_or.at(bits.reshape(-1), at.ravel(),
+                         (np.uint64(1) << (idx & 63).astype(np.uint64)).ravel())
     return bits
 
 
