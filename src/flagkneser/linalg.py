@@ -132,18 +132,9 @@ def field_arrays(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
 
 def field_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a @ b over GF(q) with numpy matmul broadcasting; int64 codes.
-
-    At prime q the product runs in float64, where BLAS makes it several
-    times faster than integer matmul and every sum of products is an
-    integer far below 2^53, so floor reduces it mod q exactly.
-    """
+    """a @ b over GF(q) with numpy matmul broadcasting; int64 codes."""
     if build_field(q).e == 1:
-        x = np.matmul(a, b, dtype=np.float64)
-        t = np.floor(x / q)
-        t *= q
-        x -= t
-        return x.astype(np.int64)
+        return np.matmul(a, b, dtype=np.int64) % q
     add, mul = field_arrays(q)[:2]
     out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
                    + (a.shape[-2], b.shape[-1]), dtype=np.int64)

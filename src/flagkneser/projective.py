@@ -269,11 +269,12 @@ def rref_patterns(m: int, r: int, q: int) -> Iterator[tuple[tuple[int, ...], ...
             yield tuple(tuple(row) for row in base)
 
 
-@functools.lru_cache(maxsize=None)
 def _pattern_array(m: int, r: int, q: int) -> np.ndarray:
-    """rref_patterns(m, r, q), 0 <= r <= m, as one read-only int8 (B, r, m)
-    array: per pivot tuple, the free cells run through np.indices, whose
-    row-major order is the lexicographic order of itertools.product."""
+    """rref_patterns(m, r, q), 0 <= r <= m, as one int8 (B, r, m) array: per
+    pivot tuple, the free cells run through np.indices, whose row-major
+    order is the lexicographic order of itertools.product.  Built on each
+    call: 33880 patterns take about a millisecond, and a cache would hold
+    them for the life of the process."""
     blocks = []
     for pivots in itertools.combinations(range(m), r):
         cells = [(i, c) for i in range(r) for c in range(pivots[i] + 1, m)
@@ -285,9 +286,7 @@ def _pattern_array(m: int, r: int, q: int) -> np.ndarray:
             grid = np.indices((q,) * len(cells), dtype=np.int8)
             block[:, rows, cols] = grid.reshape(len(cells), -1).T
         blocks.append(block)
-    out = np.concatenate(blocks)
-    out.flags.writeable = False
-    return out
+    return np.concatenate(blocks)
 
 
 class PatternCodec:
