@@ -126,12 +126,86 @@ def test_same_solid_flags_are_independent_but_not_maximal(uni2):
     assert rep.checks[0].witness == {"extending_flag": 3}
 
 
-def test_proper_subset_of_maximal_set_is_not_maximal(uni2, lam_pl):
+@pytest.fixture(scope="module")
+def pl_cover(uni2, lam_pl):
+    """How many members of Λ(P,l) each flag is adjacent to: a plain sum of
+    adjacent_mask over the 11005 members (about 10 s on 2 cores)."""
+    cover = np.zeros(uni2.flag_count, dtype=np.int32)
+    for o in lam_pl.ordinals():
+        cover += uni2.adjacent_mask(int(o))
+    return cover
+
+
+def _least_uncovered(uni, ords, cover=None, base=()):
+    """The least non-member adjacent to no member, or None: the non-members
+    minus the OR of adjacent_mask over the members.  `cover` may hold the
+    sum of adjacent_mask over the member set `base`; the flags that `ords`
+    adds to or drops from `base` are counted one by one."""
+    ords, base = set(map(int, ords)), set(map(int, base))
+    outside = np.ones(uni.flag_count, dtype=bool)
+    outside[list(ords)] = False
+    if not outside.any():
+        return None
+    cover = (np.zeros(uni.flag_count, dtype=np.int32) if cover is None
+             else cover.copy())
+    for o in ords - base:
+        cover += uni.adjacent_mask(o)
+    for o in base - ords:
+        cover -= uni.adjacent_mask(o)
+    free = np.flatnonzero(outside & (cover == 0))
+    return int(free[0]) if free.size else None
+
+
+def _assert_maximal_matches_cover(uni, ords, cover=None, base=()):
+    """check_maximal gives the plain reference's verdict and witness."""
+    rep = check_maximal(FlagSet.from_ordinals(uni, sorted(ords)))
+    want = _least_uncovered(uni, ords, cover, base)
+    assert rep.passed == (want is None)
+    assert rep.checks[0].witness == (None if want is None
+                                     else {"extending_flag": want})
+
+
+def test_proper_subset_of_maximal_set_is_not_maximal(uni2, lam_pl, pl_cover):
     ords = lam_pl.ordinals()
-    sub = FlagSet.from_ordinals(uni2, ords[:-10])
-    rep = check_maximal(sub)
+    rep = check_maximal(FlagSet.from_ordinals(uni2, ords[:-10]))
     assert not rep.passed
-    assert rep.checks[0].witness["extending_flag"] in set(map(int, ords[-10:]))
+    want = _least_uncovered(uni2, ords[:-10], pl_cover, base=ords)
+    assert rep.checks[0].witness == {"extending_flag": want}
+
+
+@pytest.mark.parametrize("shape", ["small", "minus", "plus_adjacent"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_maximal_matches_plain_cover(uni2, lam_pl, pl_cover, shape, data):
+    ords = lam_pl.ordinals().tolist()
+    if shape == "small":  # 0 to 30 seeded flags anywhere
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        k = data.draw(st.integers(0, 30))
+        _assert_maximal_matches_cover(
+            uni2, rng.choice(uni2.flag_count, k, replace=False).tolist())
+    elif shape == "minus":  # Λ(P,l) without k of its members
+        drop = data.draw(st.sets(st.sampled_from(ords), min_size=1,
+                                 max_size=30))
+        _assert_maximal_matches_cover(uni2, set(ords) - drop, pl_cover, ords)
+    else:  # Λ(P,l) and one flag adjacent to a member
+        member = data.draw(st.sampled_from(ords))
+        extra = data.draw(st.sampled_from(
+            np.flatnonzero(uni2.adjacent_mask(member)).tolist()))
+        _assert_maximal_matches_cover(uni2, set(ords) | {extra}, pl_cover,
+                                      ords)
+
+
+def test_maximal_on_edge_sets(uni2):
+    empty = check_maximal(FlagSet.from_ordinals(uni2, []))
+    assert empty.checks[0].witness == {"extending_flag": 0}
+    assert _least_uncovered(uni2, []) == 0
+    # one flag adjacent to flag 0: its witness is not 0, so the scan must
+    # visit that one member
+    _assert_maximal_matches_cover(
+        uni2, [int(np.flatnonzero(uni2.adjacent_mask(0))[0])])
+    full = FlagSet(uni2, np.ones(uni2.flag_count, dtype=bool))
+    assert check_maximal(full).passed
+    assert _least_uncovered(uni2, range(uni2.flag_count)) is None
 
 
 def test_max_flags_per_solid(uni2, lam_pl):
