@@ -24,9 +24,8 @@ from .counting import (REGISTRY, chromatic_lower_poly, chromatic_upper_poly,
 from .flags import (Flag, FlagSet, FlagUniverse, adjacency_scan, adjacent,
                     build_universe, dualize_flag, export_dimacs,
                     general_position, load_flagset, save_flagset)
-from .constructions import (LAMBDA_KINDS, ColoringScheme, LambdaSpec,
-                            build_coloring_scheme, build_ekr_plane_family,
-                            build_intersecting_solid_family, build_lambda,
+from .constructions import (GIVEN_FAMILIES, LAMBDA_KINDS, ColoringScheme,
+                            LambdaSpec, build_coloring_scheme, build_lambda,
                             build_line_meeting_plane_family, canonical_frame,
                             count_lambda, realize_coloring,
                             trivial_coloring_scheme)

@@ -23,9 +23,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .constructions import (LAMBDA_KINDS, LambdaSpec, build_coloring_scheme,
-                            build_ekr_plane_family,
-                            build_intersecting_solid_family, build_lambda,
+from .constructions import (GIVEN_FAMILIES, LAMBDA_KINDS, LambdaSpec,
+                            build_coloring_scheme, build_lambda,
                             canonical_frame, realize_coloring,
                             trivial_coloring_scheme)
 from .counting import REGISTRY, formulas_report, universe_size_formula
@@ -125,51 +124,33 @@ def cmd_count(args, run: _Run) -> int:
 # construct
 
 
+def _family_names(kind: str) -> list[str]:
+    """The names of the given families of H_E or P_S."""
+    return [name for name, k in GIVEN_FAMILIES.items() if k[0] == kind[0]]
+
+
 def _spec_from_args(args, q: int) -> LambdaSpec:
     frame = canonical_frame(q)
-    n = 6
 
-    def anchor(name: str, fallback: str | None = None) -> Subspace | None:
-        text = getattr(args, name, None)
+    def anchor(name: str) -> Subspace | None:
+        text = getattr(args, name)
         if text is not None:
-            return _parse_subspace(text, n, q, name.replace("_", " "))
-        if args.canonical and fallback is not None:
-            return frame[fallback]
-        return None
+            return _parse_subspace(text, 6, q, name.replace("_", " "))
+        return frame[name] if args.canonical else None
 
-    hyperplane = anchor("hyperplane", "hyperplane")
-    point = anchor("point", "point")
-    line = anchor("line", "line")
-    four_space = anchor("four_space", "four_space")
-
-    plane_family = None
-    solid_family = None
-    if args.kind == "H_E":
-        if args.ekr is None:
-            raise ValueError("--kind H_E needs --ekr {point_pencil,subspace_full}")
-        if hyperplane is None:
-            raise ValueError("--kind H_E needs --hyperplane or --canonical")
-        if args.ekr == "point_pencil":
-            plane_family = build_ekr_plane_family(
-                "point_pencil", within=hyperplane, point=point)
-        else:
-            plane_family = build_ekr_plane_family(
-                "subspace_full", within=hyperplane, four_space=four_space)
-    if args.kind == "P_S":
-        if args.solid_family is None:
-            raise ValueError("--kind P_S needs --solid-family "
-                             "{hyperplane_full,line_star}")
-        if point is None:
-            raise ValueError("--kind P_S needs --point or --canonical")
-        if args.solid_family == "hyperplane_full":
-            solid_family = build_intersecting_solid_family(
-                "hyperplane_full", point=point, hyperplane=hyperplane)
-        else:
-            solid_family = build_intersecting_solid_family(
-                "line_star", point=point, line=line)
-    return LambdaSpec(kind=args.kind, hyperplane=hyperplane, point=point,
-                      line=line, four_space=four_space,
-                      plane_family=plane_family, solid_family=solid_family)
+    anchors = {a: anchor(a) for a in ("hyperplane", "point", "line", "four_space")}
+    given = {"H_E": ("ekr", "plane_family"), "P_S": ("solid_family", "solid_family")}
+    if args.kind in given:
+        option, field = given[args.kind]
+        name, flag = getattr(args, option), "--" + option.replace("_", "-")
+        if name is None:
+            raise ValueError("--kind %s needs %s {%s}"
+                             % (args.kind, flag, ",".join(_family_names(args.kind))))
+        try:
+            anchors[field] = LambdaSpec(kind=GIVEN_FAMILIES[name], **anchors).members(q)
+        except ValueError as exc:
+            raise ValueError("%s %s: %s" % (flag, name, exc)) from None
+    return LambdaSpec(kind=args.kind, **anchors)
 
 
 def cmd_construct(args, run: _Run) -> int:
@@ -312,12 +293,6 @@ def cmd_color(args, run: _Run) -> int:
 # oracle
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return max(1, int(os.environ.get("FLAGKNESER_THREADS", "1")))
-
-
 def _sweep(fn, configs, threads: int):
     """Run fn over configs, optionally on a thread pool; result order
     follows the config order regardless of thread count."""
@@ -347,7 +322,7 @@ def cmd_oracle(args, run: _Run) -> int:
                     for _ in range(args.sweeps)]
         results.extend(_sweep(
             lambda c: oracle_mod.count_solids_meeting_three_planes(q, c),
-            configs, _threads(args)))
+            configs, args.threads))
     elif args.oracle == "planes-two-solids":
         us = (args.u,) if args.u else (1, 2)
         configs = [oracle_mod.canonical_two_solids_config(q, u) for u in us]
@@ -356,7 +331,7 @@ def cmd_oracle(args, run: _Run) -> int:
                         for _ in range(args.sweeps)]
         results.extend(_sweep(
             lambda c: oracle_mod.count_planes_meeting_two_solids(q, c),
-            configs, _threads(args)))
+            configs, args.threads))
     elif args.oracle == "line-meeting-family":
         kinds = (args.family,) if args.family else ("line_star", "solid_full")
         for kind in kinds:
@@ -461,10 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point")
     p.add_argument("--line")
     p.add_argument("--four-space", dest="four_space")
-    p.add_argument("--ekr", choices=("point_pencil", "subspace_full"),
+    p.add_argument("--ekr", choices=_family_names("H_E"),
                    help="plane family kind for H_E")
     p.add_argument("--solid-family", dest="solid_family",
-                   choices=("hyperplane_full", "line_star"),
+                   choices=_family_names("P_S"),
                    help="solid family kind for P_S")
     p.add_argument("--report", default=None,
                    help="also write a JSON size report here")
@@ -511,9 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--k", type=int, default=-1)
     p.add_argument("--l", type=int, default=-1)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for config sweeps (default "
-                        "$FLAGKNESER_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for config sweeps (default 1)")
     common(p, "oracle_report.json")
     p.set_defaults(fn=cmd_oracle)
 

@@ -7,7 +7,10 @@ flag whose plane passes through the point P plus every flag whose solid is
 in a family S of solids through P.  The family is given (H_E, P_S), empty
 (H_empty, P_empty), or fixed by incidence: the planes of H through a point
 (H_P) or inside a 4-space (H_U), the solids through P inside a hyperplane
-(P_H) or through a line (P_l).  Every family has cardinality
+(P_H) or through a line (P_l).  The given families the CLI names are the
+members of incidence kinds (GIVEN_FAMILIES): the planes through a point or
+inside a 4-space of H are those of H_P and H_U, the solids of a hyperplane
+or through a line those of P_H and P_l.  Every family has cardinality
 s(3,5) s(3) + m q^3, where m is the family size.
 
 Families are materialized against the q=2 universe as boolean masks;
@@ -26,9 +29,9 @@ import numpy as np
 from .counting import lambda_family_size, s_count
 from .flags import FlagSet, FlagUniverse
 from .linalg import batch_complements, field_matmul, subset, superset
-from .projective import (Subspace, basis_bitsets, bit_indices,
-                         enumerate_subspaces, point_bitset, point_bitsets,
-                         point_indexer, point_words, span, subspace_array)
+from .projective import (Subspace, basis_bitsets, enumerate_subspaces,
+                         point_bitsets, point_indexer, point_words, span,
+                         subspace_array)
 
 # kind -> (side, family).  The family is None when empty, the name of a
 # given tuple, or a (contains, within) pair of anchor names: every member
@@ -44,6 +47,10 @@ _SHAPES = {
     "H_U": ("H", (None, "four_space")),
 }
 LAMBDA_KINDS = tuple(_SHAPES)
+# the given families of H_E (planes) and P_S (solids) by name, each the
+# member list of an incidence kind: LambdaSpec(kind=...).members(q)
+GIVEN_FAMILIES = {"point_pencil": "H_P", "subspace_full": "H_U",
+                  "hyperplane_full": "P_H", "line_star": "P_l"}
 _SIDES = {"H": ("hyperplane", 2), "P": ("point", 3)}  # base anchor, member dim
 _ANCHOR_DIMS = {"hyperplane": 5, "point": 0, "line": 1, "four_space": 4}  # anchors() order
 
@@ -141,6 +148,16 @@ class LambdaSpec:
                 raise ValueError("%s must lie inside the hyperplane" % label)
             if not shape.on_h and not x.contains(shape.base):
                 raise ValueError("the point must lie in %s" % label)
+
+    def members(self, q: int) -> tuple[Subspace, ...]:
+        """The family's planes (side H) or solids (side P), in the
+        enumerate_subspaces order for an incidence family."""
+        self.validate(q)
+        shape = self._shape()
+        if shape.given is not None:
+            return shape.given
+        return tuple(enumerate_subspaces(6, q, shape.d, contains=shape.contains,
+                                         within=shape.within))
 
     def member(self, plane: Subspace, solid: Subspace) -> bool:
         """Generic (slow) membership predicate; the vectorized builder and
@@ -247,46 +264,7 @@ def count_lambda(spec: LambdaSpec, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Extremal plane and solid families
-
-
-def build_ekr_plane_family(kind: str, *, within: Subspace,
-                           point: Subspace | None = None,
-                           four_space: Subspace | None = None) -> tuple[Subspace, ...]:
-    """A largest pairwise-intersecting family of planes of the 5-space
-    `within`: all planes through a point, or all planes of a 4-space."""
-    if within.d != 5:
-        raise ValueError("the family lives inside a 5-space")
-    n, q = within.n, within.q
-    if kind == "point_pencil":
-        if point is None or point.d != 0 or not within.contains(point):
-            raise ValueError("point_pencil needs a point of the 5-space")
-        return tuple(enumerate_subspaces(n, q, 2, contains=point, within=within))
-    if kind == "subspace_full":
-        if four_space is None or four_space.d != 4 or not within.contains(four_space):
-            raise ValueError("subspace_full needs a 4-space inside the 5-space")
-        return tuple(enumerate_subspaces(n, q, 2, within=four_space))
-    raise ValueError("kind must be point_pencil or subspace_full, got %r" % kind)
-
-
-def build_intersecting_solid_family(kind: str, *, point: Subspace,
-                                    hyperplane: Subspace | None = None,
-                                    line: Subspace | None = None) -> tuple[Subspace, ...]:
-    """Dual counterpart: solids through `point` pairwise meeting in at
-    least a line: all solids of a hyperplane on the point, or all solids
-    through a line on the point."""
-    if point.d != 0:
-        raise ValueError("anchor must be a point")
-    n, q = point.n, point.q
-    if kind == "hyperplane_full":
-        if hyperplane is None or hyperplane.d != n - 1 or not hyperplane.contains(point):
-            raise ValueError("hyperplane_full needs a hyperplane through the point")
-        return tuple(enumerate_subspaces(n, q, 3, contains=point, within=hyperplane))
-    if kind == "line_star":
-        if line is None or line.d != 1 or not line.contains(point):
-            raise ValueError("line_star needs a line through the point")
-        return tuple(enumerate_subspaces(n, q, 3, contains=line))
-    raise ValueError("kind must be hyperplane_full or line_star, got %r" % kind)
+# Extremal plane families of PG(n,q)
 
 
 def build_line_meeting_plane_family(kind: str, n: int, q: int, *,
@@ -335,8 +313,11 @@ class ColoringScheme:
     cover_sets: tuple[tuple[int, ...], ...]  # point indices of M_1..M_q
 
 
-def _points_of(sub: Subspace) -> list[int]:
-    return sorted(bit_indices(point_bitset(sub)))
+def _points_of(words: np.ndarray) -> list[int]:
+    """The points of a (W,) word column in ascending order: bit j of word
+    k is point 64k + j."""
+    bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return np.flatnonzero(bits).tolist()
 
 
 def build_coloring_scheme(point: Subspace, line: Subspace, plane: Subspace,
@@ -372,15 +353,15 @@ def build_coloring_scheme(point: Subspace, line: Subspace, plane: Subspace,
     planes_i = members_without(line, second_point, 2, span(plane, second_point))
     solids_i = members_without(plane, second_point, 3, four_space)
 
-    l_bits = point_bitset(line)
-    e_bits = point_bitset(plane)
+    l_bits = point_words(line)
+    e_bits = point_words(plane)
     m_sets = []
     for li, ei, si in zip(lines_i, planes_i, solids_i):
-        bits = point_bitset(li) | (point_bitset(ei) & ~l_bits) | (point_bitset(si) & ~e_bits)
-        m_sets.append(tuple(sorted(bit_indices(bits))))
+        bits = point_words(li) | (point_words(ei) & ~l_bits) | (point_words(si) & ~e_bits)
+        m_sets.append(tuple(_points_of(bits)))
 
     q_points = [Subspace.from_vectors(n, q, [v]) for v in
-                (idx.vectors[k] for k in _points_of(pq_line))
+                (idx.vectors[k] for k in _points_of(point_words(pq_line)))
                 if not point.contains_point(v)]
     if len(q_points) != q:
         raise AssertionError("expected %d auxiliary points" % q)
@@ -410,7 +391,7 @@ def trivial_coloring_scheme(four_space: Subspace) -> tuple[LambdaSpec, ...]:
     return tuple(
         LambdaSpec(kind="P_empty",
                    point=Subspace.from_vectors(n, q, [idx.vectors[k]]))
-        for k in _points_of(four_space))
+        for k in _points_of(point_words(four_space)))
 
 
 def realize_coloring(classes: Iterable[LambdaSpec],

@@ -13,9 +13,10 @@ nonzero vector up directly in PointIndexer.point_codes().
 
 Subspaces under constraints come in two forms with one order, the
 canonical order of rref_patterns: enumerate_subspaces() streams Subspace
-objects and is the scalar reference, and subspace_array() returns the
-bases of the same subspaces as one integer array, which is what the
-counting and oracle layers work on.
+objects, is the scalar reference and lists the members of a Lambda family
+or a coloring scheme, and subspace_array() returns the bases of the same
+subspaces as one integer array, which is what the counting and oracle
+layers work on.
 """
 
 from __future__ import annotations
@@ -221,13 +222,6 @@ def perp_bitsets(bits: np.ndarray, n: int, q: int) -> np.ndarray:
     return out
 
 
-def bit_indices(bits: int) -> Iterator[int]:
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 @functools.lru_cache(maxsize=None)
 def _coeff_reps(r: int, q: int) -> tuple[tuple[int, ...], ...]:
     """Coefficient vectors with last nonzero entry 1 (one per point)."""
@@ -381,25 +375,17 @@ def _constraints(n: int, q: int, d: int, contains: Subspace | None,
 
 def enumerate_subspaces(n: int, q: int, d: int, *,
                         contains: Subspace | None = None,
-                        within: Subspace | None = None,
-                        skew_to: Subspace | None = None) -> Iterator[Subspace]:
-    """Stream the d-subspaces of PG(n,q) meeting the given constraints.
+                        within: Subspace | None = None) -> Iterator[Subspace]:
+    """Stream the d-subspaces of PG(n,q) through `contains` and inside
+    `within`.
 
-    Constraints: contains (a fixed subspace to include), within (a fixed
-    subspace to stay inside), skew_to (a fixed subspace to avoid entirely).
     Contradictory constraints yield an empty stream, not an error.  The
     stream follows the canonical order induced by rref_patterns, mapped
     through the basis of `within` when that constraint is present.
     """
     w, k = _constraints(n, q, d, contains, within)
     fld = build_field(q)
-    if skew_to is not None and (skew_to.n, skew_to.q) != (n, q):
-        raise ValueError("skew_to lives in the wrong ambient space")
-    if not w.contains(k):
-        return
-    if d < k.d or d > w.d:
-        return
-    if skew_to is not None and k.d >= 0 and not intersect_trivially(k, skew_to):
+    if not w.contains(k) or d < k.d or d > w.d:
         return
 
     m = w.d + 1
@@ -411,10 +397,7 @@ def enumerate_subspaces(n: int, q: int, d: int, *,
         else:
             rows = linalg.rref(
                 [linalg.mat_from_combo(prow, w.rows, fld) for prow in pat], fld)
-        sub = Subspace(n, q, rows)
-        if skew_to is not None and not intersect_trivially(sub, skew_to):
-            continue
-        yield sub
+        yield Subspace(n, q, rows)
 
 
 def subspace_array(n: int, q: int, d: int, *,

@@ -8,10 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from flagkneser.constructions import (LambdaSpec, build_coloring_scheme,
-                                      build_ekr_plane_family,
-                                      build_intersecting_solid_family,
-                                      build_lambda, canonical_frame,
+from flagkneser.constructions import (GIVEN_FAMILIES, LambdaSpec,
+                                      build_coloring_scheme, build_lambda,
+                                      canonical_frame,
                                       count_lambda, realize_coloring,
                                       trivial_coloring_scheme)
 from flagkneser.counting import (chromatic_lower_poly, ekr_planes_max,
@@ -53,14 +52,14 @@ def _report(num, label, problems, t0):
 def families(uni2, frame2):
     """All constructed families at q=2, keyed by a short label."""
     fr = frame2
-    pencil = build_ekr_plane_family("point_pencil", within=fr["hyperplane"],
-                                    point=fr["point"])
-    full = build_ekr_plane_family("subspace_full", within=fr["hyperplane"],
-                                  four_space=fr["four_space"])
-    hyp_solids = build_intersecting_solid_family(
-        "hyperplane_full", point=fr["point"], hyperplane=fr["hyperplane"])
-    star_solids = build_intersecting_solid_family(
-        "line_star", point=fr["point"], line=fr["line"])
+    pencil = LambdaSpec(kind="H_P", hyperplane=fr["hyperplane"],
+                        point=fr["point"]).members(2)
+    full = LambdaSpec(kind="H_U", hyperplane=fr["hyperplane"],
+                      four_space=fr["four_space"]).members(2)
+    hyp_solids = LambdaSpec(kind="P_H", point=fr["point"],
+                            hyperplane=fr["hyperplane"]).members(2)
+    star_solids = LambdaSpec(kind="P_l", point=fr["point"],
+                             line=fr["line"]).members(2)
     specs = {
         "P_H": LambdaSpec(kind="P_H", point=fr["point"],
                           hyperplane=fr["hyperplane"]),
@@ -111,7 +110,8 @@ def test_criterion_02_hyperplane_family_sizes(frame3):
         expected = lambda_family_size(ekr_planes_max(q), q)
         for kind, kw in (("point_pencil", {"point": fr["point"]}),
                          ("subspace_full", {"four_space": fr["four_space"]})):
-            fam = build_ekr_plane_family(kind, within=fr["hyperplane"], **kw)
+            fam = LambdaSpec(kind=GIVEN_FAMILIES[kind],
+                             hyperplane=fr["hyperplane"], **kw).members(q)
             spec = LambdaSpec(kind="H_E", hyperplane=fr["hyperplane"],
                               plane_family=fam)
             got = count_lambda(spec, q)

@@ -318,6 +318,15 @@ BAD_INPUTS = [
     ["verify", "last.flags", "--xi-bound", "--flag", "-1"],
     ["verify", "huge_q.flags"],
     ["verify", "q6.flags"],
+    # a given family is checked as its incidence kind: the 4-space of H_U,
+    # the line of P_l through the point
+    ["construct", "--kind", "H_E", "--q", "2", "--ekr", "subspace_full",
+     "--hyperplane", "5;1,0,0,0,0,0,0;0,1,0,0,0,0,0;0,0,1,0,0,0,0;"
+                     "0,0,0,1,0,0,0;0,0,0,0,1,0,0;0,0,0,0,0,1,0"],
+    ["construct", "--kind", "P_S", "--q", "2", "--solid-family", "line_star",
+     "--point", "0;1,0,0,0,0,0,0"],
+    ["construct", "--kind", "P_S", "--q", "2", "--solid-family", "line_star",
+     "--point", "0;1,0,0,0,0,0,0", "--line", "1;0,1,0,0,0,0,0;0,0,1,0,0,0,0"],
 ]
 
 

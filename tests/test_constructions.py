@@ -3,10 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from flagkneser.constructions import (LAMBDA_KINDS, LambdaSpec,
-                                      build_coloring_scheme,
-                                      build_ekr_plane_family,
-                                      build_intersecting_solid_family,
+from flagkneser.constructions import (GIVEN_FAMILIES, LAMBDA_KINDS,
+                                      LambdaSpec, build_coloring_scheme,
                                       build_lambda,
                                       build_line_meeting_plane_family,
                                       canonical_frame, count_lambda,
@@ -18,21 +16,25 @@ from flagkneser.projective import (Subspace, enumerate_subspaces,
                                    span)
 
 
+_ANCHORS = ("hyperplane", "point", "line", "four_space")
+
+
+def _given(name, frame):
+    """The given family `name` over the frame: the members of its
+    incidence kind."""
+    spec = LambdaSpec(kind=GIVEN_FAMILIES[name], **{a: frame[a] for a in _ANCHORS})
+    return spec.members(frame["point"].q)
+
+
 def _spec(kind, frame, ekr=None, solid_kind=None):
     """Assemble a LambdaSpec over the canonical frame."""
     plane_family = None
     solid_family = None
     if kind == "H_E":
-        plane_family = build_ekr_plane_family(
-            ekr or "point_pencil", within=frame["hyperplane"],
-            point=frame["point"], four_space=frame["four_space"])
+        plane_family = _given(ekr or "point_pencil", frame)
     if kind == "P_S":
-        solid_family = build_intersecting_solid_family(
-            solid_kind or "hyperplane_full", point=frame["point"],
-            hyperplane=frame["hyperplane"], line=frame["line"])
-    return LambdaSpec(kind=kind, hyperplane=frame.get("hyperplane"),
-                      point=frame.get("point"), line=frame.get("line"),
-                      four_space=frame.get("four_space"),
+        solid_family = _given(solid_kind or "hyperplane_full", frame)
+    return LambdaSpec(kind=kind, **{a: frame.get(a) for a in _ANCHORS},
                       plane_family=plane_family, solid_family=solid_family)
 
 
@@ -81,6 +83,30 @@ def test_lambda_ps_reaches_independence_number(solid_kind, uni2, frame2):
     assert build_lambda(spec, uni2).cardinality == 11005
 
 
+def _given_and_incidence(name, frame):
+    """The H_E or P_S spec of the given family `name`, and the spec of the
+    incidence kind whose members it lists."""
+    kind = GIVEN_FAMILIES[name]
+    given = (_spec("H_E", frame, ekr=name) if kind[0] == "H"
+             else _spec("P_S", frame, solid_kind=name))
+    return given, _spec(kind, frame)
+
+
+@pytest.mark.parametrize("name", GIVEN_FAMILIES)
+def test_given_family_builds_its_incidence_kind(name, uni2, frame2):
+    given, incidence = _given_and_incidence(name, frame2)
+    assert given.members(2) == incidence.members(2)
+    assert np.array_equal(build_lambda(given, uni2).mask,
+                          build_lambda(incidence, uni2).mask)
+    assert _spec(incidence.kind[0] + "_empty", frame2).members(2) == ()
+
+
+@pytest.mark.parametrize("name", GIVEN_FAMILIES)
+def test_given_family_counts_as_its_incidence_kind_q3(name, frame3):
+    given, incidence = _given_and_incidence(name, frame3)
+    assert count_lambda(given, 3) == count_lambda(incidence, 3) == 473110
+
+
 def test_member_predicate_agrees_with_mask(uni2, frame2):
     rng = np.random.default_rng(17)
     for kind in LAMBDA_KINDS:
@@ -104,8 +130,7 @@ def test_count_lambda_q3(kind, q, expected):
     """Enumerated family sizes at q=3 without materializing the universe."""
     frame = canonical_frame(q)
     if kind == "H_E":
-        fam = build_ekr_plane_family("point_pencil", within=frame["hyperplane"],
-                                     point=frame["point"])
+        fam = _given("point_pencil", frame)
         assert len(fam) == ekr_planes_max(3) == 1210
         spec = LambdaSpec(kind="H_E", hyperplane=frame["hyperplane"],
                           plane_family=fam)
@@ -141,8 +166,7 @@ def test_count_lambda_q3_every_kind(kind, moved, frame3):
 
 def test_count_lambda_q3_four_space_family():
     frame = canonical_frame(3)
-    fam = build_ekr_plane_family("subspace_full", within=frame["hyperplane"],
-                                 four_space=frame["four_space"])
+    fam = _given("subspace_full", frame)
     assert len(fam) == 1210
     spec = LambdaSpec(kind="H_E", hyperplane=frame["hyperplane"],
                       plane_family=fam)
@@ -151,9 +175,7 @@ def test_count_lambda_q3_four_space_family():
 
 def test_ekr_families_pairwise_intersect(frame2):
     for kind in ("point_pencil", "subspace_full"):
-        fam = build_ekr_plane_family(kind, within=frame2["hyperplane"],
-                                     point=frame2["point"],
-                                     four_space=frame2["four_space"])
+        fam = _given(kind, frame2)
         assert len(fam) == 155
         bits = [point_bitset(e) for e in fam]
         for i in range(0, len(fam), 9):
@@ -163,9 +185,7 @@ def test_ekr_families_pairwise_intersect(frame2):
 
 def test_intersecting_solid_families(frame2):
     for kind in ("hyperplane_full", "line_star"):
-        fam = build_intersecting_solid_family(kind, point=frame2["point"],
-                                              hyperplane=frame2["hyperplane"],
-                                              line=frame2["line"])
+        fam = _given(kind, frame2)
         assert len(fam) == 155
         for t in fam:
             assert t.contains(frame2["point"])

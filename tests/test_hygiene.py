@@ -1,6 +1,8 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+every module-level function or class is used somewhere.
 
-`__init__.py` is left out: its imports are the package's public names.
+`__init__.py` is left out of the import gate: its imports are the
+package's public names, which the definition gate counts as used.
 """
 import ast
 import pathlib
@@ -47,3 +49,52 @@ def test_gate_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    """Names and attribute names that a node refers to, annotations included."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation:
+            used |= _annotation_names(sub.annotation)
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub.returns:
+            used |= _annotation_names(sub.returns)
+    return used
+
+
+def dead_definitions(sources: dict[str, str], init_source: str) -> list[str]:
+    """Module-level functions and classes of `sources` (module name ->
+    source) that `init_source` does not import and that no module refers
+    to outside their own definition."""
+    exported = {alias.asname or alias.name for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined = {}
+    used = set()
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            own = node.name if isinstance(node, _DEFS) else None
+            if own:
+                defined[own] = "%s.%s (line %d)" % (module, own, node.lineno)
+            used |= _used_names(node) - {own}
+    return sorted(label for name, label in defined.items()
+                  if name not in exported and name not in used)
+
+
+def test_gate_finds_a_dead_definition():
+    sources = {"a": "def api():\n    return helper()\n\n"
+                    "def helper():\n    return helper\n\n"
+                    "def dead():\n    return dead()\n",
+               "b": "class Used:\n    pass\n\nx: 'Used' = None\n"}
+    assert dead_definitions(sources, "from .a import api\n") == ["a.dead (line 7)"]
+
+
+def test_no_dead_definitions():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert dead_definitions(sources, (SRC / "__init__.py").read_text()) == []

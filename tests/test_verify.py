@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagkneser.constructions import (LambdaSpec, build_coloring_scheme,
-                                      build_ekr_plane_family, build_lambda,
-                                      realize_coloring,
+                                      build_lambda, realize_coloring,
                                       trivial_coloring_scheme)
 from flagkneser.flags import FlagSet, adjacent_bits
 from flagkneser.linalg import least_pair
@@ -25,8 +24,8 @@ def lam_pl(uni2, frame2):
 
 @pytest.fixture(scope="module")
 def lam_he(uni2, frame2):
-    fam = build_ekr_plane_family("point_pencil", within=frame2["hyperplane"],
-                                 point=frame2["point"])
+    fam = LambdaSpec(kind="H_P", hyperplane=frame2["hyperplane"],
+                     point=frame2["point"]).members(2)
     return build_lambda(LambdaSpec(kind="H_E", hyperplane=frame2["hyperplane"],
                                    plane_family=fam), uni2)
 
