@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -37,30 +36,6 @@ ORACLE_NAMES = ("skew-count", "solids-three-planes", "planes-two-solids",
                 "line-meeting-family", "complement-count")
 
 
-@dataclass
-class RunManifest:
-    command: str
-    q: int | None
-    parameters: dict
-    seed: int | None
-    tool_version: str
-    started: str
-    elapsed_s: float
-    outputs: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "q": self.q,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "started": self.started,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "outputs": self.outputs,
-        }
-
-
 class _Run:
     """One command run: its clock starts when main() starts, it collects
     the outputs, and finish() writes the manifest."""
@@ -77,15 +52,16 @@ class _Run:
 
     def finish(self, command: str, q: int | None, parameters: dict,
                seed: int | None, manifest_path: str | None) -> None:
-        manifest = RunManifest(
-            command=command, q=q, parameters=parameters, seed=seed,
-            tool_version=__version__, started=self.started,
-            elapsed_s=time.perf_counter() - self._t0, outputs=self.outputs)
+        manifest = {
+            "command": command, "q": q, "parameters": parameters, "seed": seed,
+            "tool_version": __version__, "started": self.started,
+            "elapsed_s": round(time.perf_counter() - self._t0, 3),
+            "outputs": self.outputs,
+        }
         path = manifest_path or \
             (self.outputs[0] if self.outputs else command) + ".manifest.json"
         with open(path, "w") as fh:
-            json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_dumps(manifest))
 
 
 def _json_dumps(obj) -> str:

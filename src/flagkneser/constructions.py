@@ -13,23 +13,28 @@ inside a 4-space of H are those of H_P and H_U, the solids of a hyperplane
 or through a line those of P_H and P_l.  Every family has cardinality
 s(3,5) s(3) + m q^3, where m is the family size.
 
+The polarity (E, S) -> (S^perp, E^perp) maps each side onto the other:
+LambdaSpec.dual() is the spec of the image family, with H_empty, H_E, H_P
+and H_U swapped for P_empty, P_S, P_H and P_l.
+
 Families are materialized against the q=2 universe as boolean masks;
 count_lambda() counts the same sets for q in {2,3} by direct constrained
 enumeration on subspace basis arrays without touching the universe, which
-is what the formula cross-checks use.
+is what the formula cross-checks use.  It enumerates side P only and
+reaches side H through LambdaSpec.dual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .counting import lambda_family_size, s_count
 from .flags import FlagSet, FlagUniverse
-from .linalg import batch_complements, field_matmul, subset, superset
-from .projective import (Subspace, basis_bitsets, enumerate_subspaces,
+from .linalg import field_matmul, subset, superset
+from .projective import (Subspace, basis_bitsets, dualize, enumerate_subspaces,
                          point_bitsets, point_indexer, point_words, span,
                          subspace_array)
 
@@ -53,6 +58,12 @@ GIVEN_FAMILIES = {"point_pencil": "H_P", "subspace_full": "H_U",
                   "hyperplane_full": "P_H", "line_star": "P_l"}
 _SIDES = {"H": ("hyperplane", 2), "P": ("point", 3)}  # base anchor, member dim
 _ANCHOR_DIMS = {"hyperplane": 5, "point": 0, "line": 1, "four_space": 4}  # anchors() order
+# the polarity (E, S) -> (S^perp, E^perp) swaps the sides: the kinds and
+# the LambdaSpec anchor fields in dual pairs, both ways round
+_DUAL = {a: b for x, y in [("H_empty", "P_empty"), ("H_E", "P_S"), ("H_P", "P_H"),
+                           ("H_U", "P_l"), ("hyperplane", "point"),
+                           ("four_space", "line"), ("plane_family", "solid_family")]
+         for a, b in ((x, y), (y, x))}
 
 
 def unit_span(n: int, q: int, count: int) -> Subspace:
@@ -171,6 +182,20 @@ class LambdaSpec:
         return ((contains is None or x.contains(contains))
                 and (within is None or within.contains(x)))
 
+    def dual(self) -> "LambdaSpec":
+        """The spec of the dual family, the image of this one under the
+        polarity (E, S) -> (S^perp, E^perp): the kind moves to the other
+        side, and every anchor that is set is dualized into its partner
+        (hyperplane and point, four_space and line, plane_family and
+        solid_family).  An involution."""
+        out = {}
+        for f in fields(self)[1:]:  # the anchors, after kind
+            val = getattr(self, f.name)
+            if val is not None:
+                out[_DUAL[f.name]] = (tuple(map(dualize, val)) if isinstance(val, tuple)
+                                      else dualize(val))
+        return LambdaSpec(kind=_DUAL[self.kind], **out)
+
     def anchors(self) -> dict[str, Subspace]:
         return {a: getattr(self, a) for a in _ANCHOR_DIMS if getattr(self, a) is not None}
 
@@ -228,39 +253,29 @@ def build_lambda(spec: LambdaSpec, universe: FlagUniverse) -> FlagSet:
 def count_lambda(spec: LambdaSpec, q: int) -> int:
     """Cardinality of the family by direct constrained enumeration.
 
-    The subspaces come as basis arrays from subspace_array.  On side H each
-    solid of the hyperplane carries the planes of the local RREF patterns
-    of its coordinate frame (the parametrization the flag universe uses);
-    on side P each plane through the point lies in the solids it spans with
-    the points of a complement.  Each family member then adds its flags
-    outside the base, found by a subset or superset test on the point
-    bitsets of all of them at once, so each flag is counted once.
+    Only side P is enumerated: a side-H spec is replaced by its dual
+    (LambdaSpec.dual), whose family is the image under the polarity, a
+    bijection on flags.  Every flag whose plane passes through the point
+    is a member, s(3) solids per plane; the member solids come as basis
+    arrays from subspace_array, and each adds its planes that miss the
+    point, found by one superset test on the point bitsets of all of them
+    at once, so each flag is counted once.
     """
     spec.validate(q)
-    on_h, base, d, given, contains, within = spec._shape()
+    if _SHAPES[spec.kind][0] == "H":
+        spec = spec.dual()
+    _, point, d, given, contains, within = spec._shape()
     n = 6
     if given is None:
         members = subspace_array(n, q, d, contains=contains, within=within)
     else:
         members = np.array([x.rows for x in given], dtype=np.int64).reshape(-1, d + 1, n + 1)
-    local_planes = subspace_array(3, q, 2)  # (40, 3, 4) at q=3
-    local_points = subspace_array(3, q, 0)[:, 0]  # (40, 4)
-    if on_h:
-        total = len(local_planes) * len(subspace_array(n, q, 3, within=base))
-        # each member plane x adds the solids <x, v> outside the hyperplane,
-        # v over the points of a complement of x
-        tops = field_matmul(local_points, batch_complements(members, q), q)
-        solids = np.concatenate([np.repeat(members[:, None], len(local_points), axis=1),
-                                 tops[:, :, None]], axis=2)
-        bits = basis_bitsets(solids.reshape(-1, 4, n + 1), n, q)
-        extra = np.count_nonzero(~subset(bits, point_words(base)))
-    else:
-        total = len(subspace_array(n, q, 2, contains=base)) * len(local_points)
-        # each member solid adds its planes that miss the point
-        planes = field_matmul(local_planes, members[:, None], q)
-        bits = basis_bitsets(planes.reshape(-1, 3, n + 1), n, q)
-        extra = np.count_nonzero(~superset(bits, point_words(base)))
-    return total + int(extra)
+    # the solids through a plane are the points of the quotient PG(3,q)
+    total = len(subspace_array(n, q, 2, contains=point)) * len(subspace_array(3, q, 0))
+    # the planes of each member: those of PG(3,q) mapped through its basis
+    planes = field_matmul(subspace_array(3, q, 2), members[:, None], q)
+    bits = basis_bitsets(planes.reshape(-1, 3, n + 1), n, q)
+    return total + int(np.count_nonzero(~superset(bits, point_words(point))))
 
 
 # ---------------------------------------------------------------------------

@@ -191,79 +191,75 @@ class FormulaEntry:
     fn: Callable[..., int]
 
 
-def _entry(name: str, params: tuple[str, ...], anchor: str, fn: Callable[..., int]) -> FormulaEntry:
-    return FormulaEntry(name=name, params=params, anchor=anchor, fn=fn)
-
-
 REGISTRY: dict[str, FormulaEntry] = {
     e.name: e
     for e in (
-        _entry("gaussian", ("n", "d"),
-               "[n d]_q, number of d-dimensional subspaces of GF(q)^n",
-               lambda q, n, d: gaussian(n, d, q)),
-        _entry("subspace_count", ("l", "k", "d", "n"),
-               "q^((l+1)(d-k)) [n-k-l-1, d-k]_q: d-spaces of PG(n,q) through a "
-               "fixed k-space and skew to a fixed disjoint l-space",
-               lambda q, l, k, d, n: s_count(l, k, d, n, q)),
-        _entry("universe_size", (),
-               "[7 4]_q [4 3]_q, the number of plane-solid flags of PG(6,q)",
-               lambda q: universe_size_formula(q)),
-        _entry("independence_number", (),
-               "[6 4]_q [4 3]_q + [5 3]_q q^3, the maximum number of pairwise "
-               "non-adjacent plane-solid flags of PG(6,q)",
-               lambda q: independence_number_formula(q)),
-        _entry("independence_number_expanded", (),
-               "q^11+2q^10+5q^9+7q^8+10q^7+11q^6+11q^5+9q^4+7q^3+4q^2+2q+1, the "
-               "expanded form of independence_number",
-               lambda q: independence_number_expanded(q)),
-        _entry("lambda_family_size", ("m",),
-               "s(3,5) s(3) + m q^3: flags with solid in a hyperplane H plus "
-               "flags on m chosen planes of H",
-               lambda q, m: lambda_family_size(m, q)),
-        _entry("ekr_planes_max", (),
-               "s(1,4) = [5 2]_q, the largest pairwise-intersecting family of "
-               "planes of PG(5,q)",
-               lambda q: ekr_planes_max(q)),
-        _entry("line_meeting_planes_max", ("n",),
-               "s(n-2): the largest family of planes of PG(n,q), n >= 5, "
-               "pairwise meeting in a line",
-               lambda q, n: line_meeting_planes_max(n, q)),
-        _entry("plane_disjoint_solid_meeting_bound", ("xi",),
-               "s(2) s(1,4) xi bounds the flags whose plane misses a fixed "
-               "plane E while their solid meets E, given <= xi flags per solid",
-               lambda q, xi: plane_disjoint_solid_meeting_bound(xi, q)),
-        _entry("solids_meeting_three_planes_bound", (),
-               "3q^6+6q^5+7q^4+4q^3+2q^2+q+1 bounds the solids through a point "
-               "P2 meeting three planes that pairwise intersect exactly in a "
-               "common point P1, with P2 outside the span of any two",
-               lambda q: solids_meeting_three_planes_bound(q)),
-        _entry("planes_meeting_two_solids_bound", (),
-               "2q^6+2q^5+3q^4+2q^3+2q^2+q+1 bounds the planes through a point "
-               "P meeting two solids disjoint from P that share at most a line",
-               lambda q: planes_meeting_two_solids_bound(q)),
-        _entry("planes_meeting_two_solids_exact", ("u",),
-               "(s(3)-s(u))^2 + s(0,1,u+1)(s(1,2,6)-s(1,2,u+1)) + s(0,2,u+1), "
-               "the exact count behind planes_meeting_two_solids_bound",
-               lambda q, u: planes_meeting_two_solids_exact(u, q)),
-        _entry("chromatic_lower", (),
-               "q^4-q^2+2q+1, lower estimate for the chromatic number",
-               lambda q: chromatic_lower_poly(q)),
-        _entry("chromatic_upper", (),
-               "q^4+q^3+q^2+1, class count of the point-line coloring",
-               lambda q: chromatic_upper_poly(q)),
-        _entry("chromatic_upper_trivial", (),
-               "s(4) = q^4+q^3+q^2+q+1, class count of the one-point coloring",
-               lambda q: chromatic_upper_trivial(q)),
-        _entry("type3_independence", (),
-               "s(3,5), the largest co-clique of the solid Kneser graph of PG(6,q)",
-               lambda q: type3_independence(q)),
-        _entry("type3_second_largest", (),
-               "q^6+2q^5+3q^4+3q^3+2q^2+q+1, second-largest maximal co-clique "
-               "of the solid Kneser graph (recorded, not verified here)",
-               lambda q: type3_second_largest(q)),
-        _entry("complement_count", ("d", "n"),
-               "q^((d+1)(n-d)), the number of complements of a d-subspace in PG(n,q)",
-               lambda q, d, n: complement_count(d, n, q)),
+        FormulaEntry("gaussian", ("n", "d"),
+                     "[n d]_q, number of d-dimensional subspaces of GF(q)^n",
+                     lambda q, n, d: gaussian(n, d, q)),
+        FormulaEntry("subspace_count", ("l", "k", "d", "n"),
+                     "q^((l+1)(d-k)) [n-k-l-1, d-k]_q: d-spaces of PG(n,q) through a "
+                     "fixed k-space and skew to a fixed disjoint l-space",
+                     lambda q, l, k, d, n: s_count(l, k, d, n, q)),
+        FormulaEntry("universe_size", (),
+                     "[7 4]_q [4 3]_q, the number of plane-solid flags of PG(6,q)",
+                     lambda q: universe_size_formula(q)),
+        FormulaEntry("independence_number", (),
+                     "[6 4]_q [4 3]_q + [5 3]_q q^3, the maximum number of pairwise "
+                     "non-adjacent plane-solid flags of PG(6,q)",
+                     lambda q: independence_number_formula(q)),
+        FormulaEntry("independence_number_expanded", (),
+                     "q^11+2q^10+5q^9+7q^8+10q^7+11q^6+11q^5+9q^4+7q^3+4q^2+2q+1, the "
+                     "expanded form of independence_number",
+                     lambda q: independence_number_expanded(q)),
+        FormulaEntry("lambda_family_size", ("m",),
+                     "s(3,5) s(3) + m q^3: flags with solid in a hyperplane H plus "
+                     "flags on m chosen planes of H",
+                     lambda q, m: lambda_family_size(m, q)),
+        FormulaEntry("ekr_planes_max", (),
+                     "s(1,4) = [5 2]_q, the largest pairwise-intersecting family of "
+                     "planes of PG(5,q)",
+                     lambda q: ekr_planes_max(q)),
+        FormulaEntry("line_meeting_planes_max", ("n",),
+                     "s(n-2): the largest family of planes of PG(n,q), n >= 5, "
+                     "pairwise meeting in a line",
+                     lambda q, n: line_meeting_planes_max(n, q)),
+        FormulaEntry("plane_disjoint_solid_meeting_bound", ("xi",),
+                     "s(2) s(1,4) xi bounds the flags whose plane misses a fixed "
+                     "plane E while their solid meets E, given <= xi flags per solid",
+                     lambda q, xi: plane_disjoint_solid_meeting_bound(xi, q)),
+        FormulaEntry("solids_meeting_three_planes_bound", (),
+                     "3q^6+6q^5+7q^4+4q^3+2q^2+q+1 bounds the solids through a point "
+                     "P2 meeting three planes that pairwise intersect exactly in a "
+                     "common point P1, with P2 outside the span of any two",
+                     lambda q: solids_meeting_three_planes_bound(q)),
+        FormulaEntry("planes_meeting_two_solids_bound", (),
+                     "2q^6+2q^5+3q^4+2q^3+2q^2+q+1 bounds the planes through a point "
+                     "P meeting two solids disjoint from P that share at most a line",
+                     lambda q: planes_meeting_two_solids_bound(q)),
+        FormulaEntry("planes_meeting_two_solids_exact", ("u",),
+                     "(s(3)-s(u))^2 + s(0,1,u+1)(s(1,2,6)-s(1,2,u+1)) + s(0,2,u+1), "
+                     "the exact count behind planes_meeting_two_solids_bound",
+                     lambda q, u: planes_meeting_two_solids_exact(u, q)),
+        FormulaEntry("chromatic_lower", (),
+                     "q^4-q^2+2q+1, lower estimate for the chromatic number",
+                     lambda q: chromatic_lower_poly(q)),
+        FormulaEntry("chromatic_upper", (),
+                     "q^4+q^3+q^2+1, class count of the point-line coloring",
+                     lambda q: chromatic_upper_poly(q)),
+        FormulaEntry("chromatic_upper_trivial", (),
+                     "s(4) = q^4+q^3+q^2+q+1, class count of the one-point coloring",
+                     lambda q: chromatic_upper_trivial(q)),
+        FormulaEntry("type3_independence", (),
+                     "s(3,5), the largest co-clique of the solid Kneser graph of PG(6,q)",
+                     lambda q: type3_independence(q)),
+        FormulaEntry("type3_second_largest", (),
+                     "q^6+2q^5+3q^4+3q^3+2q^2+q+1, second-largest maximal co-clique "
+                     "of the solid Kneser graph (recorded, not verified here)",
+                     lambda q: type3_second_largest(q)),
+        FormulaEntry("complement_count", ("d", "n"),
+                     "q^((d+1)(n-d)), the number of complements of a d-subspace in PG(n,q)",
+                     lambda q, d, n: complement_count(d, n, q)),
     )
 }
 

@@ -13,9 +13,9 @@ popcount take two arrays that broadcast over their trailing axes, compare
 them word by word and AND the results; least_pair scans the column pairs of
 one array for the least one a kernel flags.
 
-Integer arrays of element codes are multiplied by field_matmul and reduced
-by batch_rref, a batch at a time; prime q uses plain integer arithmetic
-mod q, the extension fields the FieldTable tables.
+Integer arrays of element codes are multiplied by field_matmul, a batch at
+a time; prime q uses plain integer arithmetic mod q, the extension fields
+the FieldTable tables.
 """
 
 from __future__ import annotations
@@ -124,55 +124,22 @@ def nullspace(rows: Matrix, fld: FieldTable, m: int) -> Matrix:
 
 
 @functools.lru_cache(maxsize=None)
-def field_arrays(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """add, mul, neg and inv of GF(q) as int64 lookup arrays."""
+def field_arrays(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """add and mul of GF(q) as int64 lookup arrays."""
     fld = build_field(q)
-    return tuple(np.array(t, dtype=np.int64)
-                 for t in (fld.add, fld.mul, fld.neg, fld.inv))
+    return np.array(fld.add, dtype=np.int64), np.array(fld.mul, dtype=np.int64)
 
 
 def field_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """a @ b over GF(q) with numpy matmul broadcasting; int64 codes."""
     if build_field(q).e == 1:
         return np.matmul(a, b, dtype=np.int64) % q
-    add, mul = field_arrays(q)[:2]
+    add, mul = field_arrays(q)
     out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
                    + (a.shape[-2], b.shape[-1]), dtype=np.int64)
     for j in range(a.shape[-1]):
         out = add[out, mul[a[..., :, j:j + 1], b[..., j:j + 1, :]]]
     return out
-
-
-def batch_rref(mats: np.ndarray, q: int) -> np.ndarray:
-    """Row-reduce a (B, r, m) batch over GF(q); row i of every matrix is
-    its RREF row i, zero rows (rank below r) last.  Agrees with rref."""
-    add, mul, neg, inv = field_arrays(q)
-    a = np.array(mats, dtype=np.int64)
-    rows = np.arange(a.shape[1])
-    nxt = np.zeros(len(a), dtype=np.int64)  # next pivot row of each matrix
-    for c in range(a.shape[2]):
-        cand = (a[:, :, c] != 0) & (rows >= nxt[:, None])
-        b = np.flatnonzero(cand.any(axis=1))
-        if not len(b):
-            continue
-        piv, tgt = cand[b].argmax(axis=1), nxt[b]
-        a[b, tgt], a[b, piv] = a[b, piv], a[b, tgt]
-        prow = mul[inv[a[b, tgt, c]][:, None], a[b, tgt]]
-        # clear column c everywhere; the pivot row is then overwritten
-        a[b] = add[a[b], neg[mul[a[b, :, c][:, :, None], prow[:, None, :]]]]
-        a[b, tgt] = prow
-        nxt[b] += 1
-    return a
-
-
-def batch_complements(mats: np.ndarray, q: int) -> np.ndarray:
-    """(B, m - r, m) bases of complements of the row spaces of a (B, r, m)
-    full-rank batch: the unit vectors off the pivot columns of each RREF."""
-    red = batch_rref(mats, q)
-    n, r, m = red.shape
-    free = np.ones((n, m), dtype=bool)
-    free[np.arange(n)[:, None], (red != 0).argmax(axis=2)] = False
-    return np.eye(m, dtype=np.int64)[np.nonzero(free)[1].reshape(n, m - r)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ into numpy bitset arrays in bounded batches, which keeps even the
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -42,16 +42,7 @@ class OracleResult:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "q": self.q,
-            "parameters": self.parameters,
-            "count": self.count,
-            "expected": self.expected,
-            "relation": self.relation,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _result(name: str, q: int, parameters: dict, count: int, expected: int,
@@ -66,15 +57,23 @@ def _result(name: str, q: int, parameters: dict, count: int, expected: int,
 # Batched enumeration
 
 
+def _check_cutoff(n: int, q: int, d: int, contains: Subspace | None = None) -> None:
+    """Refuse, before it starts, an enumeration of the d-spaces of PG(n,q)
+    through `contains` (all of them when None) above MAX_ENUMERATED."""
+    k = contains.d if contains is not None else -1
+    total = gaussian(n - k, d - k, q)
+    if total > MAX_ENUMERATED:
+        raise ValueError(
+            "PG(%d,%d) has %d %d-spaces%s, above the enumeration cutoff %d"
+            % (n, q, total, d, " through a %d-space" % k if k >= 0 else "",
+               MAX_ENUMERATED))
+
+
 @functools.lru_cache(maxsize=64)
 def _all_d_space_bits(n: int, q: int, d: int) -> np.ndarray:
     """Word-major point bitsets of every d-space of PG(n,q), rref_patterns
     order."""
-    total = gaussian(n + 1, d + 1, q)
-    if total > MAX_ENUMERATED:
-        raise ValueError(
-            "PG(%d,%d) has %d %d-spaces, above the enumeration cutoff %d"
-            % (n, q, total, d, MAX_ENUMERATED))
+    _check_cutoff(n, q, d)
     return basis_bitsets(subspace_array(n, q, d), n, q)
 
 
@@ -191,6 +190,7 @@ def count_solids_meeting_three_planes(q: int,
     cfg = config if config is not None else canonical_three_planes_config(q)
     cfg.validate()
     n = 6
+    _check_cutoff(n, q, 3, cfg.outside_point)
     bits = basis_bitsets(subspace_array(n, q, 3, contains=cfg.outside_point), n, q)
     keep = np.ones(bits.shape[1], dtype=bool)
     for e in cfg.planes:
@@ -265,6 +265,7 @@ def count_planes_meeting_two_solids(q: int,
     cfg.validate()
     uu = cfg.u
     n = 6
+    _check_cutoff(n, q, 2, cfg.point)
     bits = basis_bitsets(subspace_array(n, q, 2, contains=cfg.point), n, q)
     keep = ~disjoint(bits, point_words(cfg.solid1)) \
         & ~disjoint(bits, point_words(cfg.solid2))
@@ -384,37 +385,25 @@ def skew_count_grid(q: int, n_max: int = 5, samples: int = 10,
 # Seeded random configurations
 
 
-def random_subspace(n: int, q: int, d: int,
-                    rng: np.random.Generator) -> Subspace:
-    """A uniform-ish random d-space: random spanning vectors, retried until
-    they are independent.  Distribution is uniform over d-spaces because
-    every d-space has the same number of ordered bases."""
+def random_subspace(n: int, q: int, d: int, rng: np.random.Generator, *,
+                    contains: Subspace | None = None,
+                    within: Subspace | None = None) -> Subspace:
+    """A random d-space through `contains` (K) inside `within` (W, K inside
+    W): K's rows plus d - dim K random combinations of W's rows (random
+    vectors when W is the whole space), retried until the rank is right.
+    The distribution is uniform because every d-space through K in W is
+    reached by the same number of tuples of combinations."""
     if d < 0:
         return Subspace.empty(n, q)
+    fld = build_field(q)
+    head = list(contains.rows) if contains is not None else []
+    width = len(within.rows) if within is not None else n + 1
     while True:
-        vecs = [tuple(int(c) for c in rng.integers(0, q, size=n + 1))
-                for _ in range(d + 1)]
-        sub = Subspace.from_vectors(n, q, vecs)
-        if sub.d == d:
-            return sub
-
-
-def _random_within(w: Subspace, d: int, rng: np.random.Generator) -> Subspace:
-    fld = build_field(w.q)
-    while True:
-        vecs = [mat_from_combo([int(c) for c in rng.integers(0, w.q, size=len(w.rows))],
-                               w.rows, fld)
-                for _ in range(d + 1)]
-        sub = Subspace.from_vectors(w.n, w.q, vecs)
-        if sub.d == d:
-            return sub
-
-
-def _random_through(k: Subspace, d: int, rng: np.random.Generator) -> Subspace:
-    while True:
-        extra = [tuple(int(c) for c in rng.integers(0, k.q, size=k.n + 1))
-                 for _ in range(d - k.d)]
-        sub = Subspace.from_vectors(k.n, k.q, list(k.rows) + extra)
+        combos = [tuple(int(c) for c in rng.integers(0, q, size=width))
+                  for _ in range(d + 1 - len(head))]
+        if within is not None:
+            combos = [mat_from_combo(c, within.rows, fld) for c in combos]
+        sub = Subspace.from_vectors(n, q, head + combos)
         if sub.d == d:
             return sub
 
@@ -437,7 +426,7 @@ def sample_three_planes_config(q: int,
     p1 = random_subspace(n, q, 0, rng)
     planes: list[Subspace] = []
     while len(planes) < 3:
-        e = _random_through(p1, 2, rng)
+        e = random_subspace(n, q, 2, rng, contains=p1)
         if all(span(e, f).d == 4 for f in planes):
             planes.append(e)
     spans = [span(planes[i], planes[j])
@@ -459,9 +448,7 @@ def sample_two_solids_config(q: int, u: int,
         if u == 2:
             # u=2 needs the point and both solids inside a common hyperplane
             h = random_subspace(n, q, 5, rng)
-            s1 = _random_within(h, 3, rng)
-            s2 = _random_within(h, 3, rng)
-            p = _random_within(h, 0, rng)
+            s1, s2, p = (random_subspace(n, q, d, rng, within=h) for d in (3, 3, 0))
         else:
             s1 = random_subspace(n, q, 3, rng)
             s2 = random_subspace(n, q, 3, rng)

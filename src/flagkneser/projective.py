@@ -174,7 +174,7 @@ def point_bitset(a: Subspace) -> int:
         return 0
     fld = a.field
     bits = 0
-    for combo in _coeff_reps(a.d + 1, a.q):
+    for combo in linalg.coefficient_reps(a.d + 1, a.q).tolist():
         v = linalg.mat_from_combo(combo, a.rows, fld)
         bits |= 1 << idx.index_of(v)
     return bits
@@ -220,16 +220,6 @@ def perp_bitsets(bits: np.ndarray, n: int, q: int) -> np.ndarray:
         inside = linalg.subset(bits, perps[:, x])
         out[x >> 6] |= inside.astype(np.uint64) << np.uint64(x & 63)
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _coeff_reps(r: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """Coefficient vectors with last nonzero entry 1 (one per point)."""
-    out = []
-    for last in range(r):
-        for head in itertools.product(range(q), repeat=last):
-            out.append(head + (1,) + (0,) * (r - last - 1))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

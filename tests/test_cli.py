@@ -310,6 +310,10 @@ BAD_INPUTS = [
     ["count", "--q", "6"],
     ["oracle", "skew-count", "--q", "6"],
     ["oracle", "complement-count", "--q", "2", "--n", "3", "--d", "7"],
+    # 6865251 planes and 48177200 solids through a point: refused before
+    # enumerating
+    ["oracle", "planes-two-solids", "--q", "7"],
+    ["oracle", "solids-three-planes", "--q", "7"],
     ["export", "--q", "2", "--format", "graphml"],
     ["verify", "missing.flags"],
     ["verify", "empty.flags", "--xi-bound"],

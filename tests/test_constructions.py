@@ -61,6 +61,20 @@ def test_lambda_build_count_and_formula_agree(kind, uni2, frame2):
     assert count_lambda(spec, 2) == fset.cardinality
 
 
+@pytest.mark.parametrize("kind", LAMBDA_KINDS)
+def test_dual_spec_builds_the_dual_family(kind, uni2, frame2):
+    """LambdaSpec.dual is an involution onto the other side, and its family
+    is the image of the spec's family under the polarity, flag for flag."""
+    spec = _spec(kind, frame2)
+    dual = spec.dual()
+    assert dual.dual() == spec
+    assert dual.kind[0] != kind[0]
+    mask = build_lambda(spec, uni2).mask
+    image = np.zeros_like(mask)
+    image[uni2.dual_permutation[mask]] = True
+    assert np.array_equal(build_lambda(dual, uni2).mask, image)
+
+
 @pytest.mark.parametrize("kind,size", [
     ("P_H", 11005), ("H_P", 11005), ("P_l", 11005), ("H_U", 11005),
     ("H_empty", 9765), ("P_empty", 9765),
