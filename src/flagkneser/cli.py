@@ -6,7 +6,10 @@ parameters, seed, tool version and the wall time from the start of main();
 reports are byte-stable for fixed (command, parameters, seed, version).
 Exit code is 0 iff every check in the run passed, 1 when a check failed,
 and 2 on usage, configuration or precondition errors: main() turns every
-ValueError into one line on stderr and exit code 2.
+ValueError into one line on stderr and exit code 2.  An output path that
+cannot be written (a directory, a missing parent directory, or no write
+permission) is refused the same way before any work, and an OSError from
+reading or writing a file also exits 2 with one line.
 """
 
 from __future__ import annotations
@@ -62,6 +65,22 @@ class _Run:
             (self.outputs[0] if self.outputs else command) + ".manifest.json"
         with open(path, "w") as fh:
             fh.write(_json_dumps(manifest))
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output path that is a directory, whose
+    parent directory is missing, or that may not be written; the manifest
+    defaults to <out>.manifest.json."""
+    paths = [args.out, getattr(args, "report", None),
+             args.manifest or args.out + ".manifest.json"]
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise ValueError("cannot write %s: it is a directory" % path)
+        if not os.path.isdir(parent):
+            raise ValueError("cannot write %s: no directory %s" % (path, parent))
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise ValueError("cannot write %s: permission denied" % path)
 
 
 def _json_dumps(obj) -> str:
@@ -166,11 +185,7 @@ def cmd_construct(args, run: _Run) -> int:
 
 
 def cmd_verify(args, run: _Run) -> int:
-    try:
-        fset = load_flagset(args.flagset)
-    except OSError as exc:
-        print("cannot load %s: %s" % (args.flagset, exc), file=sys.stderr)
-        return 2
+    fset = load_flagset(args.flagset)
     q = fset.universe.q
     subject = os.path.basename(args.flagset)
     checks = []
@@ -483,11 +498,15 @@ def main(argv=None) -> int:
     run = _Run()
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.fn(args, run)
     except ValueError as exc:
         label = ("precondition failed"
                  if isinstance(exc, verify_mod.PreconditionError) else "error")
         print("%s: %s" % (label, exc), file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 2
 
 

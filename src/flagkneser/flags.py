@@ -7,8 +7,12 @@ equivalent to the two disjointness conditions
 
     plane(f) `meets` solid(g) == empty  and  plane(g) `meets` solid(f) == empty,
 
-which adjacent_bits() states once for point bitsets and every vectorized
-scan uses; general_position() itself follows the four-pair definition.
+which adjacent_bits() states once for point bitsets and the per-flag
+scans use; general_position() itself follows the four-pair definition.
+The DIMACS export factors the same conditions through one table of the
+distinct planes and solids: D[p, s] says that plane p misses solid s, and
+flags i, j are adjacent iff D[pid_i, sid_j] and D[pid_j, sid_i], read 64
+rows at a time as one uint64 word per column.
 
 Flag ordinals run through solids in canonical order and, inside each solid,
 through its planes in canonical local order.  At q = 2 the universe carries
@@ -43,6 +47,10 @@ N_AMBIENT = 6
 MATERIALIZABLE_Q = (2, 3)
 # solids per plane batch in the q=2 build (bounds its scratch)
 _SOLID_CHUNK = 128
+# rows per chunk of the export's disjointness tables (bounds their scratch)
+_ROW_CHUNK = 64
+# word c of an export block keeps the bits of rows r < c
+_BELOW = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -200,9 +208,8 @@ class FlagUniverse:
         perm = np.empty(self.flag_count, dtype=np.int32)
         n, q, pps = self.n, self.q, self.planes_per_solid
         solids = self.solid_bits[:, ::pps]  # column k: solid ordinal k
-        _, first = np.unique(self.plane_gid, return_index=True)
-        n_planes = len(first)
-        planes = self.plane_bits.take(first, axis=1)  # column g: plane id g
+        planes = _distinct_columns(self.plane_bits, self.plane_gid)
+        n_planes = planes.shape[1]
         dual_solid = _column_index(solids, perp_bitsets(planes, n, q))
         dual_plane = _column_index(planes, perp_bitsets(solids, n, q))
         # int32 keys: n_solids * n_planes is 11811^2 < 2^31
@@ -245,6 +252,12 @@ def _first_occurrence_ids(bits: np.ndarray) -> np.ndarray:
     ids = np.empty(bits.shape[1], dtype=np.int32)
     ids[order] = rank[np.cumsum(new) - 1]
     return ids
+
+
+def _distinct_columns(bits: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Column g: the first column of bits with id g (ids as numbered by
+    _first_occurrence_ids)."""
+    return bits.take(np.unique(ids, return_index=True)[1], axis=1)
 
 
 def _column_index(ref: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -398,15 +411,68 @@ def load_flagset(path: str, universe: FlagUniverse | None = None) -> FlagSet:
 # DIMACS export
 
 
+def _disjointness_table(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Bool array D[p, s]: point set column p of rows misses column s of
+    cols.  Filled a chunk of rows at a time, which bounds the broadcast's
+    uint64 scratch."""
+    table = np.empty((rows.shape[1], cols.shape[1]), dtype=bool)
+    for a in range(0, rows.shape[1], _ROW_CHUNK):
+        table[a:a + _ROW_CHUNK] = disjoint(rows[:, a:a + _ROW_CHUNK, None],
+                                           cols[:, None, :])
+    return table
+
+
+def _row_words(rows: np.ndarray) -> np.ndarray:
+    """One uint64 word per column of a bool array of at most 64 rows: bit r
+    of word c is rows[r, c]."""
+    cols = np.zeros((rows.shape[1], 64), dtype=bool)
+    cols[:, :len(rows)] = rows.T
+    return np.packbits(cols, axis=1, bitorder="little").view("<u8")[:, 0]
+
+
+def _adjacency_words(planes: np.ndarray, solids: np.ndarray):
+    """Adjacency among the flag columns of planes and solids, 64 rows at a
+    time: returns blocks(), whose generator yields (a, words) for a = 0,
+    64, ..., where bit r of words[c] says that flags a + r and a + c are
+    adjacent, kept for c > r only.
+
+    Flags (E, S) and (E', S') are adjacent iff E misses S' and E' misses
+    S.  So each block is read off the disjointness table D of the distinct
+    planes and solids, built once here: for rows i and columns j it is
+    D[pid_i, sid_j] & D[pid_j, sid_i], gathered a word of 64 rows at a
+    time.
+    """
+    pid = _first_occurrence_ids(planes)
+    sid = _first_occurrence_ids(solids)
+    distinct_planes = _distinct_columns(planes, pid)
+    distinct_solids = _distinct_columns(solids, sid)
+    table = _disjointness_table(distinct_planes, distinct_solids)
+    # D transposed, for rows gathered by solid id: disjointness is
+    # symmetric, and filling it again is faster than a transposing copy
+    table_t = _disjointness_table(distinct_solids, distinct_planes)
+    nv = planes.shape[1]
+
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        for a in range(0, nv, 64):
+            b = min(a + 64, nv)
+            words = _row_words(table[pid[a:b]]).take(sid[a:])
+            words &= _row_words(table_t[sid[a:b]]).take(pid[a:])
+            words[:b - a] &= _BELOW[:b - a]
+            yield a, words
+    return blocks
+
+
 def export_dimacs(universe: FlagUniverse, path: str, *,
                   max_vertices: int | None = None) -> dict:
     """Write the Kneser graph (or the subgraph induced by the first
     max_vertices flags) in DIMACS edge format.
 
     Vertex v is flag ordinal v-1; edges are emitted with i < j, sorted by
-    (i, j).  One pass counts the edges for the exact header, a second
-    writes them a row at a time, and the written count is checked against
-    the header.  Returns a summary dict with vertices, edges and path.
+    (i, j).  Adjacency comes 64 rows at a time from the plane-solid
+    disjointness table of the exported flags (_adjacency_words).
+    One pass over the blocks counts the edges for the exact header, a
+    second writes them, and the written count is checked against the
+    header.  Returns a summary dict with vertices, edges and path.
     """
     universe._need_masks()
     n_all = universe.flag_count
@@ -414,15 +480,10 @@ def export_dimacs(universe: FlagUniverse, path: str, *,
     if nv < 1:
         raise ValueError("need at least one vertex")
 
-    planes = universe.plane_bits[:, :nv]
-    solids = universe.solid_bits[:, :nv]
-
-    def row_after(i: int) -> np.ndarray:
-        return adjacent_bits(planes[:, i], solids[:, i],
-                             planes[:, i + 1:], solids[:, i + 1:])
-
-    n_edges = sum(int(np.count_nonzero(row_after(i))) for i in range(nv))
-    labels = ["%d\n" % (k + 1) for k in range(nv)]
+    blocks = _adjacency_words(universe.plane_bits[:, :nv],
+                              universe.solid_bits[:, :nv])
+    n_edges = sum(int(np.bitwise_count(words).sum()) for _, words in blocks())
+    labels = np.array(["%d\n" % (k + 1) for k in range(nv)], dtype=object)
     written = 0
     with open(path, "w") as fh:
         fh.write("c plane-solid flag Kneser graph of PG(6,%d)\n" % universe.q)
@@ -430,12 +491,19 @@ def export_dimacs(universe: FlagUniverse, path: str, *,
         if nv < n_all:
             fh.write("c induced subgraph on the first %d of %d flags\n" % (nv, n_all))
         fh.write("p edge %d %d\n" % (nv, n_edges))
-        for i in range(nv):
-            js = np.flatnonzero(row_after(i)) + (i + 1)
-            if js.size:
-                head = "e %d " % (i + 1)
-                fh.write(head + head.join([labels[j] for j in js.tolist()]))
-                written += js.size
+        for a, words in blocks():
+            w = len(words)
+            # row r of the block is bit r of every word
+            rows = np.unpackbits(words.view(np.uint8).reshape(w, 8).T.copy(),
+                                 axis=0, bitorder="little").view(bool)
+            cells = np.flatnonzero(rows)
+            js = labels[cells % w + a].tolist()
+            ends = np.searchsorted(cells, np.arange(1, 65) * w).tolist()
+            for r, (start, end) in enumerate(zip([0] + ends, ends)):
+                if end > start:
+                    head = "e %d " % (a + r + 1)
+                    fh.write(head + head.join(js[start:end]))
+                    written += end - start
     if written != n_edges:
         raise AssertionError("streamed %d edges but header says %d" % (written, n_edges))
     return {"vertices": nv, "edges": n_edges, "path": path}

@@ -13,6 +13,7 @@ default; pass include_timing=True to keep them).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -212,21 +213,33 @@ def max_flags_per_solid(fset: FlagSet) -> int:
 
 @dataclass
 class PlaneEntry:
-    plane: Subspace
+    flag_ordinal: int       # the least member flag on the plane
     hull_dim: int           # dimension of the span of the member solids on it
     members: int
     is_quotient_subspace: bool
     saturated: bool         # every solid on the plane occurs
+    universe: FlagUniverse = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def plane(self) -> Subspace:
+        """Built on first use: the checks name a plane only in a witness."""
+        return self.universe.flag(self.flag_ordinal).plane
 
 
 @dataclass
 class SolidEntry:
-    solid: Subspace
     ordinal: int            # solid ordinal in the universe's canonical order
     base_dim: int           # dimension of the meet of the member planes in it
     members: int
     is_pencil: bool
     saturated: bool         # every plane of the solid occurs
+    universe: FlagUniverse = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def solid(self) -> Subspace:
+        """Built on first use, like PlaneEntry.plane."""
+        uni = self.universe
+        return Subspace(uni.n, uni.q, uni.solid_codec.unrank(self.ordinal))
 
 
 @dataclass
@@ -283,9 +296,8 @@ def saturation_profile(fset: FlagSet) -> SaturationProfile:
     firsts, s_sizes, bases = _group_reduce(np.bitwise_and, planes, ords // pps)
     base_dims, pencils = _group_size_test(bases, s_sizes, q)
     solid_entries = [
-        SolidEntry(solid=Subspace(uni.n, q, uni.solid_codec.unrank(s_ord)),
-                   ordinal=s_ord, base_dim=d, members=size, is_pencil=ok,
-                   saturated=size == pps)
+        SolidEntry(ordinal=s_ord, base_dim=d, members=size, is_pencil=ok,
+                   saturated=size == pps, universe=uni)
         for s_ord, d, size, ok in zip((ords[firsts] // pps).tolist(),
                                       base_dims.tolist(), s_sizes.tolist(),
                                       pencils.tolist())]
@@ -296,9 +308,9 @@ def saturation_profile(fset: FlagSet) -> SaturationProfile:
                                              p_sizes, q)
     solids_on_plane = s(2, 3, 6, q=q)
     plane_entries = [
-        PlaneEntry(plane=uni.flag(o).plane, hull_dim=uni.n - 1 - d,
-                   members=size, is_quotient_subspace=ok,
-                   saturated=size == solids_on_plane)
+        PlaneEntry(flag_ordinal=o, hull_dim=uni.n - 1 - d, members=size,
+                   is_quotient_subspace=ok, saturated=size == solids_on_plane,
+                   universe=uni)
         for o, d, size, ok in zip(ords[firsts].tolist(), perp_dims.tolist(),
                                   p_sizes.tolist(), quotients.tolist())]
     return SaturationProfile(q=q, plane_entries=plane_entries,

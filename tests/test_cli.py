@@ -264,6 +264,46 @@ def test_export_rejects_zero_vertices_before_building(tmp_path, monkeypatch,
     assert "at least one vertex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["dir", "missing/g.dimacs"])
+def test_unwritable_output_is_refused_before_building(tmp_path, monkeypatch,
+                                                      capsys, out):
+    def no_build(q):
+        raise AssertionError("universe built for an unwritable output")
+
+    (tmp_path / "dir").mkdir()
+    monkeypatch.setattr(cli, "build_universe", no_build)
+    code = run(["export", "--q", "2", "--max-vertices", "10",
+                "--out", str(tmp_path / out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+def test_output_without_write_permission_is_refused(tmp_path, monkeypatch,
+                                                   capsys):
+    # os.access stands in for a read-only directory, which a superuser
+    # could still write to
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = tmp_path / "f.json"
+    assert run(["count", "--q", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write %s: permission denied\n" % out)
+    assert not out.exists()
+
+
+def test_write_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    def full_disk(universe, path, **kwargs):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "export_dimacs", full_disk)
+    code = run(["export", "--q", "2", "--max-vertices", "10",
+                "--out", str(tmp_path / "g.dimacs")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 28] No space left on device: '%s'\n" % (
+        tmp_path / "g.dimacs")
+
+
 def test_verify_timing_per_check(tmp_path, capsys):
     frame = canonical_frame(2)
     flags = str(tmp_path / "he.flags")
@@ -301,6 +341,9 @@ FLAG_FILES = {
     "q6.flags": "# flagkneser flag set\nq 6\ncount 0\n",
 }
 
+# a directory the bad-input cases find in their working directory
+OUT_DIR = "outdir"
+
 BAD_INPUTS = [
     ["construct", "--kind", "P_l", "--q", "3", "--canonical"],
     ["export", "--q", "2", "--max-vertices", "0"],
@@ -331,6 +374,28 @@ BAD_INPUTS = [
      "--point", "0;1,0,0,0,0,0,0"],
     ["construct", "--kind", "P_S", "--q", "2", "--solid-family", "line_star",
      "--point", "0;1,0,0,0,0,0,0", "--line", "1;0,1,0,0,0,0,0;0,0,1,0,0,0,0"],
+    # every subcommand that writes refuses a directory and a missing parent
+    # as its output, its report or its manifest, before any work
+    ["count", "--q", "2", "--out", OUT_DIR],
+    ["count", "--q", "2", "--out", "missing/formulas.json"],
+    ["construct", "--kind", "P_l", "--q", "2", "--canonical", "--out", OUT_DIR],
+    ["construct", "--kind", "P_l", "--q", "2", "--canonical",
+     "--out", "missing/set.flags"],
+    ["construct", "--kind", "P_l", "--q", "2", "--canonical",
+     "--report", OUT_DIR],
+    ["construct", "--kind", "P_l", "--q", "2", "--canonical",
+     "--report", "missing/report.json"],
+    ["verify", "last.flags", "--out", OUT_DIR],
+    ["verify", "last.flags", "--out", "missing/report.json"],
+    ["color", "--scheme", "trivial", "--q", "2", "--out", OUT_DIR],
+    ["color", "--scheme", "trivial", "--q", "2", "--out", "missing/c.json"],
+    ["oracle", "skew-count", "--q", "2", "--out", OUT_DIR],
+    ["oracle", "skew-count", "--q", "2", "--out", "missing/o.json"],
+    ["export", "--q", "2", "--max-vertices", "10", "--out", OUT_DIR],
+    ["export", "--q", "2", "--max-vertices", "10", "--out", "missing/g.dimacs"],
+    ["export", "--q", "2", "--max-vertices", "10", "--manifest", OUT_DIR],
+    ["export", "--q", "2", "--max-vertices", "10",
+     "--manifest", "missing/m.json"],
 ]
 
 
@@ -338,6 +403,7 @@ BAD_INPUTS = [
 def test_bad_input_exits_2_without_traceback(tmp_path, argv):
     for name, text in FLAG_FILES.items():
         (tmp_path / name).write_text(text)
+    (tmp_path / OUT_DIR).mkdir()
     src = os.path.dirname(os.path.dirname(flagkneser.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

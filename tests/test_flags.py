@@ -1,3 +1,4 @@
+import re
 import types
 
 import numpy as np
@@ -272,18 +273,36 @@ def test_load_errors_cite_line(tmp_path):
         load_flagset(str(path))
 
 
+def _edge_lines(data: bytes, step: int, block: int = 1 << 20):
+    """The number of lines of data that start with "e ", and every
+    step-th of them, in one pass over blocks of whole lines; only a block
+    that holds a kept line is split."""
+    count, kept, at = 0, [], 0
+    while at < len(data):
+        end = data.find(b"\n", at + block) + 1 or len(data)
+        chunk = data[at:end]
+        n = chunk.count(b"\ne ") + chunk.startswith(b"e ")
+        first = -count % step  # index in this block of its first kept line
+        if first < n:
+            lines = [ln for ln in chunk.split(b"\n") if ln.startswith(b"e ")]
+            kept += lines[first::step]
+        count += n
+        at = end
+    return count, kept
+
+
 def test_export_dimacs_induced(tmp_path, uni2):
     path = tmp_path / "g.dimacs"
     nv = 12000
     summary = export_dimacs(uni2, str(path), max_vertices=nv)
     assert summary["vertices"] == nv
-    lines = path.read_text().splitlines()
-    header = [ln for ln in lines if ln.startswith("p ")][0]
+    data = path.read_bytes()
+    header = re.search(rb"^p [^\n]*", data, re.M).group().decode()
     assert header == "p edge %d %d" % (nv, summary["edges"])
-    edges = [ln for ln in lines if ln.startswith("e ")]
-    assert len(edges) == summary["edges"] > 0
+    n_edges, spot = _edge_lines(data, max(1, summary["edges"] // 29))
+    assert n_edges == summary["edges"] > 0
     # spot-check edges against the adjacency predicate, 1-based vertices
-    for ln in edges[:: max(1, len(edges) // 29)]:
+    for ln in spot:
         _, a, b = ln.split()
         i, j = int(a) - 1, int(b) - 1
         assert i < j < nv
@@ -291,7 +310,7 @@ def test_export_dimacs_induced(tmp_path, uni2):
     # determinism
     path2 = tmp_path / "g2.dimacs"
     export_dimacs(uni2, str(path2), max_vertices=nv)
-    assert path.read_text() == path2.read_text()
+    assert data == path2.read_bytes()
 
 
 def _dimacs_edges(path):
@@ -334,6 +353,27 @@ def test_export_dimacs_full_graph_of_a_small_universe(tmp_path, uni2):
     assert not any(ln.startswith("c induced") for ln in lines)
     assert "p edge 64 400" in lines and edges == want
     assert summary["edges"] == 400
+
+
+@pytest.fixture(scope="module")
+def prefix_adjacency(uni2):
+    """Adjacency among the first 1500 flags, from adjacent_mask rows."""
+    return np.array([uni2.adjacent_mask(i)[:1500] for i in range(1500)])
+
+
+# 15 planes per solid: prefixes that end inside the first solid, with it,
+# one flag into the next one, and inside later solids
+@pytest.mark.parametrize("nv", [1, 14, 15, 16, 1007, 1500])
+def test_export_dimacs_matches_adjacent_mask_rows(tmp_path, prefix_adjacency,
+                                                  uni2, nv):
+    adj = prefix_adjacency[:nv, :nv]
+    path = tmp_path / "g.dimacs"
+    summary = export_dimacs(uni2, str(path), max_vertices=nv)
+    lines, edges = _dimacs_edges(path)
+    assert edges == [tuple(e) for e in np.argwhere(np.triu(adj, 1)).tolist()]
+    degrees = np.count_nonzero(adj, axis=1)
+    assert "p edge %d %d" % (nv, degrees.sum() // 2) in lines
+    assert summary["edges"] * 2 == degrees.sum()
 
 
 def test_export_dimacs_full_header_math(uni2):
