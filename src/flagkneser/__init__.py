@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .galois import FieldTable, SUPPORTED_ORDERS, build_field
 from .projective import (PatternCodec, Subspace, dualize, enumerate_subspaces,
                          intersect_trivially, meet, point_bitset,
-                         point_indexer, rref_patterns, span,
-                         subspace_from_text, subspace_to_text)
+                         point_indexer, span, subspace_from_text,
+                         subspace_to_text)
 from .counting import (REGISTRY, chromatic_lower_poly, chromatic_upper_poly,
                        chromatic_upper_trivial, complement_count, evaluate,
                        ekr_planes_max, formulas_report, gaussian,

@@ -69,11 +69,12 @@ class _Run:
 
 def _check_outputs(args) -> None:
     """Refuse, before any work, an output path that is a directory, whose
-    parent directory is missing, or that may not be written; the manifest
+    parent directory is missing, or that may not be written, and two of
+    the outputs and verify's input that are one file; the manifest
     defaults to <out>.manifest.json."""
-    paths = [args.out, getattr(args, "report", None),
-             args.manifest or args.out + ".manifest.json"]
-    for path in filter(None, paths):
+    paths = {"--out": args.out, "--report": getattr(args, "report", None),
+             "--manifest": args.manifest or args.out + ".manifest.json"}
+    for path in filter(None, paths.values()):
         parent = os.path.dirname(path) or "."
         if os.path.isdir(path):
             raise ValueError("cannot write %s: it is a directory" % path)
@@ -81,6 +82,15 @@ def _check_outputs(args) -> None:
             raise ValueError("cannot write %s: no directory %s" % (path, parent))
         if not os.access(path if os.path.exists(path) else parent, os.W_OK):
             raise ValueError("cannot write %s: permission denied" % path)
+    paths["the input"] = getattr(args, "flagset", None)
+    seen: dict[str, str] = {}
+    for label, path in paths.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ValueError("cannot write %s: %s and %s are one file"
+                                 % (path, seen[real], label))
+            seen[real] = label
 
 
 def _json_dumps(obj) -> str:

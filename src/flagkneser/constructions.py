@@ -162,7 +162,7 @@ class LambdaSpec:
 
     def members(self, q: int) -> tuple[Subspace, ...]:
         """The family's planes (side H) or solids (side P), in the
-        enumerate_subspaces order for an incidence family."""
+        subspace_array order for an incidence family."""
         self.validate(q)
         shape = self._shape()
         if shape.given is not None:

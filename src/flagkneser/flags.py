@@ -126,8 +126,7 @@ class FlagUniverse:
         self.n_solids = self.solid_codec.total
         self.planes_per_solid = self.local_plane_codec.total
         self.flag_count = self.n_solids * self.planes_per_solid
-        self._local_patterns = [self.local_plane_codec.unrank(i)
-                                for i in range(self.planes_per_solid)]
+        self._local_patterns = self.local_plane_codec.array().tolist()
         self.has_masks = q == 2
         if self.has_masks:
             self._build_q2_arrays()

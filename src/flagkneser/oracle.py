@@ -16,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import (complement_count, gaussian,
-                       planes_meeting_two_solids_bound,
+from .counting import (complement_count, planes_meeting_two_solids_bound,
                        planes_meeting_two_solids_exact, s,
                        solids_meeting_three_planes_bound)
 from .constructions import build_line_meeting_plane_family
@@ -26,9 +25,6 @@ from .linalg import disjoint, least_pair, mat_from_combo, popcount, superset
 from .projective import (Subspace, basis_bitsets, intersect_trivially, meet,
                          point_bitsets, point_words, span, subspace_array,
                          subspace_to_text)
-
-MAX_ENUMERATED = 3_000_000
-
 
 @dataclass
 class OracleResult:
@@ -57,23 +53,10 @@ def _result(name: str, q: int, parameters: dict, count: int, expected: int,
 # Batched enumeration
 
 
-def _check_cutoff(n: int, q: int, d: int, contains: Subspace | None = None) -> None:
-    """Refuse, before it starts, an enumeration of the d-spaces of PG(n,q)
-    through `contains` (all of them when None) above MAX_ENUMERATED."""
-    k = contains.d if contains is not None else -1
-    total = gaussian(n - k, d - k, q)
-    if total > MAX_ENUMERATED:
-        raise ValueError(
-            "PG(%d,%d) has %d %d-spaces%s, above the enumeration cutoff %d"
-            % (n, q, total, d, " through a %d-space" % k if k >= 0 else "",
-               MAX_ENUMERATED))
-
-
 @functools.lru_cache(maxsize=64)
 def _all_d_space_bits(n: int, q: int, d: int) -> np.ndarray:
-    """Word-major point bitsets of every d-space of PG(n,q), rref_patterns
-    order."""
-    _check_cutoff(n, q, d)
+    """Word-major point bitsets of every d-space of PG(n,q), in the
+    subspace_array order."""
     return basis_bitsets(subspace_array(n, q, d), n, q)
 
 
@@ -190,7 +173,6 @@ def count_solids_meeting_three_planes(q: int,
     cfg = config if config is not None else canonical_three_planes_config(q)
     cfg.validate()
     n = 6
-    _check_cutoff(n, q, 3, cfg.outside_point)
     bits = basis_bitsets(subspace_array(n, q, 3, contains=cfg.outside_point), n, q)
     keep = np.ones(bits.shape[1], dtype=bool)
     for e in cfg.planes:
@@ -265,7 +247,6 @@ def count_planes_meeting_two_solids(q: int,
     cfg.validate()
     uu = cfg.u
     n = 6
-    _check_cutoff(n, q, 2, cfg.point)
     bits = basis_bitsets(subspace_array(n, q, 2, contains=cfg.point), n, q)
     keep = ~disjoint(bits, point_words(cfg.solid1)) \
         & ~disjoint(bits, point_words(cfg.solid2))

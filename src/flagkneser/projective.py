@@ -11,12 +11,13 @@ point_bitsets() and basis_bitsets() give many subspaces at once in the
 word-major uint64 layout that the kernels in linalg work on, looking every
 nonzero vector up directly in PointIndexer.point_codes().
 
-Subspaces under constraints come in two forms with one order, the
-canonical order of rref_patterns: enumerate_subspaces() streams Subspace
-objects, is the scalar reference and lists the members of a Lambda family
-or a coloring scheme, and subspace_array() returns the bases of the same
-subspaces as one integer array, which is what the counting and oracle
-layers work on.
+Subspaces under constraints have one enumeration route and one order,
+the pattern order of PatternCodec: subspace_array() returns the bases of
+the d-spaces through K inside W as one integer array, which is what the
+counting, oracle and universe layers work on, and refuses an enumeration
+above MAX_ENUMERATED before it starts; enumerate_subspaces() streams the
+same subspaces as Subspace objects, for the member lists of a Lambda
+family or a coloring scheme.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import linalg
+from .counting import gaussian
 from .galois import FieldTable, build_field
 
 MAX_INDEXED_POINTS = 6_000_000
+MAX_ENUMERATED = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -226,56 +229,14 @@ def perp_bitsets(bits: np.ndarray, n: int, q: int) -> np.ndarray:
 # Enumeration
 
 
-def rref_patterns(m: int, r: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All RREF matrices of rank r with m columns, in pinned order.
-
-    Order: pivot column tuples lexicographically, free entries in row-major
-    lexicographic order of code vectors.  This order is the canonical
-    subspace order used everywhere downstream.
-    """
-    if r == 0:
-        yield ()
-        return
-    if r < 0 or r > m:
-        return
-    for pivots in itertools.combinations(range(m), r):
-        cells = [(i, c) for i in range(r) for c in range(pivots[i] + 1, m)
-                 if c not in pivots]
-        base = [[0] * m for _ in range(r)]
-        for i, p in enumerate(pivots):
-            base[i][p] = 1
-        if not cells:
-            yield tuple(tuple(row) for row in base)
-            continue
-        for values in itertools.product(range(q), repeat=len(cells)):
-            for (i, c), val in zip(cells, values):
-                base[i][c] = val
-            yield tuple(tuple(row) for row in base)
-
-
-def _pattern_array(m: int, r: int, q: int) -> np.ndarray:
-    """rref_patterns(m, r, q), 0 <= r <= m, as one int8 (B, r, m) array: per
-    pivot tuple, the free cells run through np.indices, whose row-major
-    order is the lexicographic order of itertools.product.  Built on each
-    call: 33880 patterns take about a millisecond, and a cache would hold
-    them for the life of the process."""
-    blocks = []
-    for pivots in itertools.combinations(range(m), r):
-        cells = [(i, c) for i in range(r) for c in range(pivots[i] + 1, m)
-                 if c not in pivots]
-        block = np.zeros((q ** len(cells), r, m), dtype=np.int8)
-        block[:, np.arange(r), np.array(pivots, dtype=np.intp)] = 1
-        if cells:
-            rows, cols = zip(*cells)
-            grid = np.indices((q,) * len(cells), dtype=np.int8)
-            block[:, rows, cols] = grid.reshape(len(cells), -1).T
-        blocks.append(block)
-    return np.concatenate(blocks)
-
-
 class PatternCodec:
-    """Rank/unrank canonical RREF patterns (m columns, rank r) in the
-    rref_patterns order, so subspace ordinals never need a lookup table."""
+    """The rank-r RREF patterns with m columns, in the pinned order that
+    is the canonical subspace order everywhere downstream: pivot column
+    tuples lexicographically, then the free cells of each tuple (the
+    entries right of a row's pivot, off the pivot columns) row-major, as
+    code vectors in lexicographic order.  rank and unrank convert between
+    a pattern and its ordinal, so subspace ordinals never need a lookup
+    table; array lists every pattern."""
 
     def __init__(self, m: int, r: int, q: int):
         self.m, self.r, self.q = m, r, q
@@ -315,6 +276,22 @@ class PatternCodec:
             val //= self.q
         return tuple(tuple(row) for row in rows)
 
+    def array(self) -> np.ndarray:
+        """Every pattern, in order, as one int8 (total, r, m) array: per
+        pivot tuple, the free cells run through np.indices, whose row-major
+        order is the lexicographic order of the code vectors.  Built on
+        each call: 33880 patterns take about a millisecond, and a cache
+        would hold them for the life of the process."""
+        out = np.zeros((self.total, self.r, self.m), dtype=np.int8)
+        for j, (pivots, cells) in enumerate(zip(self.combos, self.cells)):
+            block = out[self.prefix[j]:self.prefix[j + 1]]
+            block[:, np.arange(self.r), np.array(pivots, dtype=np.intp)] = 1
+            if cells:
+                rows, cols = zip(*cells)
+                grid = np.indices((self.q,) * len(cells), dtype=np.int8)
+                block[:, rows, cols] = grid.reshape(len(cells), -1).T
+        return out
+
 
 def local_coords(v: Sequence[int], w: Subspace) -> tuple[int, ...]:
     """Coordinates of v in the RREF basis of w (v must lie in w)."""
@@ -322,36 +299,21 @@ def local_coords(v: Sequence[int], w: Subspace) -> tuple[int, ...]:
     return tuple(v[p] for p in pivots)
 
 
-def _superspace_patterns(m: int, base: tuple[tuple[int, ...], ...], r: int, q: int,
-                         fld: FieldTable) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Rank-r RREF matrices over GF(q)^m whose row space contains base.
+def subspace_array(n: int, q: int, d: int, *,
+                   contains: Subspace | None = None,
+                   within: Subspace | None = None) -> np.ndarray:
+    """Bases of the d-subspaces of PG(n,q) through `contains` and inside
+    `within`, as an int64 (B, d+1, n+1) array in the PatternCodec order.
 
-    Subspaces containing the base correspond bijectively to subspaces of a
-    fixed complement; the complement spanned by the unit vectors on the
-    non-pivot columns of the base is used.
+    Row block b is a basis of the b-th subspace, not its RREF.  Within W
+    the subspaces through K are K plus a subspace of the complement
+    spanned by the rows of W on the non-pivot columns of K's local RREF,
+    so the bases are K's rows followed by the patterns of that complement
+    mapped through those rows, one matmul for all of them.  Contradictory
+    constraints give a (0, d+1, n+1) array.  More than MAX_ENUMERATED
+    subspaces are refused, counted by the Gaussian coefficient before any
+    pattern is listed.
     """
-    k = len(base)
-    if r < k:
-        return
-    if k == 0:
-        yield from rref_patterns(m, r, q)
-        return
-    pivots = [next(j for j, x in enumerate(row) if x) for row in base]
-    free_cols = [j for j in range(m) if j not in pivots]
-    for pat in rref_patterns(len(free_cols), r - k, q):
-        rows = list(base)
-        for prow in pat:
-            amb = [0] * m
-            for j, val in zip(free_cols, prow):
-                amb[j] = val
-            rows.append(tuple(amb))
-        yield linalg.rref(rows, fld)
-
-
-def _constraints(n: int, q: int, d: int, contains: Subspace | None,
-                 within: Subspace | None) -> tuple[Subspace, Subspace]:
-    """Check d and the ambient of the constraints; (within, contains) with
-    the whole space and the empty subspace standing in for None."""
     if not (-1 <= d <= n):
         raise ValueError("d=%d outside -1..%d" % (d, n))
     w = within if within is not None else Subspace.full(n, q)
@@ -360,56 +322,18 @@ def _constraints(n: int, q: int, d: int, contains: Subspace | None,
         if (s.n, s.q) != (n, q):
             raise ValueError("constraint lives in PG(%d,%d), not PG(%d,%d)"
                              % (s.n, s.q, n, q))
-    return w, k
-
-
-def enumerate_subspaces(n: int, q: int, d: int, *,
-                        contains: Subspace | None = None,
-                        within: Subspace | None = None) -> Iterator[Subspace]:
-    """Stream the d-subspaces of PG(n,q) through `contains` and inside
-    `within`.
-
-    Contradictory constraints yield an empty stream, not an error.  The
-    stream follows the canonical order induced by rref_patterns, mapped
-    through the basis of `within` when that constraint is present.
-    """
-    w, k = _constraints(n, q, d, contains, within)
-    fld = build_field(q)
-    if not w.contains(k) or d < k.d or d > w.d:
-        return
-
-    m = w.d + 1
-    k_local = linalg.rref([local_coords(row, w) for row in k.rows], fld)
-    full_ambient = w.d == n
-    for pat in _superspace_patterns(m, k_local, d + 1, q, fld):
-        if full_ambient:
-            rows = pat
-        else:
-            rows = linalg.rref(
-                [linalg.mat_from_combo(prow, w.rows, fld) for prow in pat], fld)
-        yield Subspace(n, q, rows)
-
-
-def subspace_array(n: int, q: int, d: int, *,
-                   contains: Subspace | None = None,
-                   within: Subspace | None = None) -> np.ndarray:
-    """Bases of the d-subspaces of PG(n,q) through `contains` and inside
-    `within`, as an int64 (B, d+1, n+1) array in enumerate_subspaces order.
-
-    Row block b spans the b-th subspace enumerate_subspaces yields; it is
-    a basis, not its RREF.  Within W the subspaces through K are K plus a
-    subspace of the complement spanned by the rows of W on the non-pivot
-    columns of K's local RREF, so the bases are K's rows followed by the
-    rref_patterns of that complement mapped through those rows, one matmul
-    for all of them.  Contradictory constraints give a (0, d+1, n+1) array.
-    """
-    w, k = _constraints(n, q, d, contains, within)
     if not w.contains(k) or d < k.d or d > w.d:
         return np.zeros((0, d + 1, n + 1), dtype=np.int64)
     k_local = linalg.rref([local_coords(row, w) for row in k.rows], build_field(q))
     pivots = {next(j for j, x in enumerate(row) if x) for row in k_local}
     free = [j for j in range(w.d + 1) if j not in pivots]
-    pats = _pattern_array(len(free), d - k.d, q)
+    total = gaussian(len(free), d - k.d, q)
+    if total > MAX_ENUMERATED:
+        raise ValueError(
+            "PG(%d,%d) has %d %d-spaces%s%s, above the enumeration cutoff %d"
+            % (n, q, total, d, " through a %d-space" % k.d if k.d >= 0 else "",
+               " inside a %d-space" % w.d if w.d < n else "", MAX_ENUMERATED))
+    pats = PatternCodec(len(free), d - k.d, q).array()
     out = np.zeros((len(pats), d + 1, n + 1), dtype=np.int64)
     out[:, :k.d + 1] = np.array(k.rows, dtype=np.int64).reshape(-1, n + 1)
     if w.d == n:  # W's rows are unit vectors: place the columns, 4x faster
@@ -418,6 +342,17 @@ def subspace_array(n: int, q: int, d: int, *,
         comp = np.array([w.rows[j] for j in free], dtype=np.int64).reshape(-1, n + 1)
         out[:, k.d + 1:] = linalg.field_matmul(pats, comp, q)
     return out
+
+
+def enumerate_subspaces(n: int, q: int, d: int, *,
+                        contains: Subspace | None = None,
+                        within: Subspace | None = None) -> Iterator[Subspace]:
+    """Stream the d-subspaces of PG(n,q) through `contains` and inside
+    `within`: the Subspace of each basis of subspace_array, in its order.
+    Contradictory constraints yield an empty stream, not an error."""
+    fld = build_field(q)
+    for basis in subspace_array(n, q, d, contains=contains, within=within).tolist():
+        yield Subspace(n, q, linalg.rref(basis, fld))
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,15 @@ BAD_INPUTS = [
     ["export", "--q", "2", "--max-vertices", "10", "--manifest", OUT_DIR],
     ["export", "--q", "2", "--max-vertices", "10",
      "--manifest", "missing/m.json"],
+    # two outputs, or an output and verify's input, that are one file
+    ["count", "--q", "2", "gaussian:7,4", "--out", "f.json", "--manifest", "f.json"],
+    ["count", "--q", "2", "--out", "f.json", "--manifest", "./f.json"],
+    ["construct", "--kind", "P_l", "--q", "2", "--canonical",
+     "--out", "x.flags", "--report", "x.flags"],
+    ["construct", "--kind", "P_l", "--q", "2", "--canonical",
+     "--report", "r.json", "--manifest", "r.json"],
+    ["verify", "last.flags", "--out", "last.flags"],
+    ["verify", "last.flags", "--manifest", "last.flags"],
 ]
 
 

@@ -9,8 +9,10 @@ import json
 import numpy as np
 import pytest
 
+from flagkneser import projective
+from flagkneser.constructions import unit_span
 from flagkneser.counting import s_count
-from flagkneser.oracle import (MAX_ENUMERATED, OracleResult, ThreePlanesConfig,
+from flagkneser.oracle import (OracleResult, ThreePlanesConfig,
                                TwoSolidsConfig, canonical_three_planes_config,
                                canonical_two_solids_config,
                                complement_count_check, count_skew_constrained,
@@ -20,7 +22,8 @@ from flagkneser.oracle import (MAX_ENUMERATED, OracleResult, ThreePlanesConfig,
                                sample_skew_pair, sample_three_planes_config,
                                sample_two_solids_config, skew_count_grid,
                                skew_count_tuples)
-from flagkneser.projective import Subspace, intersect_trivially
+from flagkneser.projective import (MAX_ENUMERATED, Subspace, intersect_trivially,
+                                   subspace_array)
 
 
 def test_skew_count_canonical_cases():
@@ -196,11 +199,25 @@ def test_sampled_configs_are_pinned(q, digest):
     assert h.hexdigest() == digest
 
 
-def test_enumeration_cutoff():
+def test_enumeration_cutoff(monkeypatch):
     # 24 208 613 planes in PG(6,4): refused before any enumeration starts
     with pytest.raises(ValueError, match="above the enumeration cutoff"):
         count_skew_constrained(6, 4, 2)
     assert MAX_ENUMERATED < 4_000_000
+    # counted inside W: the 48 177 200 planes of a hyperplane of PG(6,7)
+    # are refused, the 5797 planes of a 4-space of PG(6,4) are not
+    with pytest.raises(ValueError, match="inside a 5-space, above the enumeration cutoff"):
+        subspace_array(6, 7, 2, within=unit_span(6, 7, 6))
+    assert len(subspace_array(6, 4, 2, within=unit_span(6, 4, 5))) == 5797
+
+    # refused from the Gaussian coefficient alone: a codec would list the
+    # C(101, 51) pivot tuples of PG(100,2) first, so building one fails here
+    def no_codec(*args):
+        raise AssertionError("PatternCodec built before the cutoff check")
+
+    monkeypatch.setattr(projective, "PatternCodec", no_codec)
+    with pytest.raises(ValueError, match="above the enumeration cutoff"):
+        subspace_array(100, 2, 50)
 
 
 def test_oracle_result_to_dict_roundtrip():

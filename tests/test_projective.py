@@ -9,9 +9,53 @@ from flagkneser.counting import gaussian, s_count
 from flagkneser.galois import build_field
 from flagkneser.projective import (PatternCodec, Subspace, dualize,
                                    enumerate_subspaces, intersect_trivially,
-                                   meet, point_bitset, point_indexer,
-                                   rref_patterns, span, subspace_array,
+                                   local_coords, meet, point_bitset,
+                                   point_indexer, span, subspace_array,
                                    subspace_from_text, subspace_to_text)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference for the enumeration order, kept apart from the package
+
+
+def rref_patterns(m, r, q):
+    """All RREF matrices of rank r with m columns, in the pinned order:
+    pivot column tuples lexicographically, then the free entries in
+    row-major order, as code vectors in lexicographic order."""
+    for pivots in itertools.combinations(range(m), r):
+        cells = [(i, c) for i in range(r) for c in range(pivots[i] + 1, m)
+                 if c not in pivots]
+        for values in itertools.product(range(q), repeat=len(cells)):
+            rows = [[int(c == p) for c in range(m)] for p in pivots]
+            for (i, c), val in zip(cells, values):
+                rows[i][c] = val
+            yield tuple(tuple(row) for row in rows)
+
+
+def reference_subspaces(n, q, d, contains=None, within=None):
+    """The d-spaces of PG(n,q) through K inside W, one at a time: K's RREF
+    in the coordinates of W plus each of rref_patterns placed on its
+    non-pivot columns, mapped through the rows of W and reduced."""
+    fld = build_field(q)
+    w = within if within is not None else Subspace.full(n, q)
+    k = contains if contains is not None else Subspace.empty(n, q)
+    if not w.contains(k) or not k.d <= d <= w.d:
+        return []
+    k_local = linalg.rref([local_coords(row, w) for row in k.rows], fld)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in k_local]
+    free = [j for j in range(w.d + 1) if j not in pivots]
+    out = []
+    for pat in rref_patterns(len(free), d - k.d, q):
+        local = list(k_local)
+        for prow in pat:
+            amb = [0] * (w.d + 1)
+            for j, val in zip(free, prow):
+                amb[j] = val
+            local.append(amb)
+        out.append(Subspace.from_vectors(
+            n, q, [linalg.mat_from_combo(c, w.rows, fld) for c in local]))
+    return out
+
 
 matrices = st.integers(2, 4).flatmap(
     lambda q: st.tuples(
@@ -82,14 +126,18 @@ def test_pattern_count_matches_gaussian(q):
     for m in range(1, 6):
         for r in range(0, m + 1):
             got = sum(1 for _ in rref_patterns(m, r, q))
-            assert got == gaussian(m, r, q)
+            assert got == gaussian(m, r, q) == PatternCodec(m, r, q).total
 
 
-@pytest.mark.parametrize("q,m,r", [(2, 7, 4), (3, 5, 2), (4, 4, 2), (5, 4, 3)])
+@pytest.mark.parametrize("q,m,r", [(2, 7, 4), (3, 5, 2), (4, 4, 2), (5, 4, 3),
+                                   (3, 4, 0), (2, 3, 3)])
 def test_codec_roundtrip_and_order(q, m, r):
     codec = PatternCodec(m, r, q)
     pats = list(rref_patterns(m, r, q))
     assert codec.total == len(pats)
+    arr = codec.array()
+    assert arr.dtype == np.int8 and arr.shape == (len(pats), r, m)
+    assert np.array_equal(arr, np.array(pats, dtype=np.int8).reshape(len(pats), r, m))
     for t in range(0, codec.total, max(1, codec.total // 97)):
         assert codec.rank(pats[t]) == t
         assert codec.unrank(t) == pats[t]
@@ -252,10 +300,11 @@ def constraint_cases(draw):
 
 def _same_stream(n, q, d, contains, within):
     arr = subspace_array(n, q, d, contains=contains, within=within)
-    ref = list(enumerate_subspaces(n, q, d, contains=contains, within=within))
+    ref = reference_subspaces(n, q, d, contains, within)
     assert arr.dtype == np.int64 and arr.shape == (len(ref), d + 1, n + 1)
-    # each row block is a basis of the subspace the stream yields there
+    # each row block is a basis of the subspace the reference yields there
     assert [Subspace.from_vectors(n, q, block) for block in arr] == ref
+    assert list(enumerate_subspaces(n, q, d, contains=contains, within=within)) == ref
     return ref
 
 
@@ -280,6 +329,7 @@ def test_subspace_array_edge_cases(q):
     assert w.contains(k) and k.d == 0
     for d in range(-1, n + 1):
         _same_stream(n, q, d, empty, w)     # K empty
+        _same_stream(n, q, d, k, w)         # K inside W, both proper
         _same_stream(n, q, d, k, full)      # W full
         _same_stream(n, q, d, None, None)   # neither
     for d in range(-1, n + 1):                        # K = W
