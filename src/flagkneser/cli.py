@@ -259,6 +259,8 @@ def cmd_color(args, run: _Run) -> int:
         specs = scheme.classes
     else:
         specs = trivial_coloring_scheme(frame["four_space"])
+    # the classes are realized, and the flag count cross-checked, at q=2
+    universe = build_universe(q) if q == 2 else None
     report = {
         "scheme": args.scheme,
         "q": q,
@@ -266,17 +268,15 @@ def cmd_color(args, run: _Run) -> int:
         "expected_class_sizes": sorted({s.expected_size(q) for s in specs}),
         "all_independent": None,
         "cover_complete": None,
-        "lower_bound": verify_mod.chromatic_lower_report(q),
+        "lower_bound": verify_mod.chromatic_lower_report(q, universe),
     }
     ok = True
-    if q == 2:
-        universe = build_universe(q)
+    if universe is not None:
         classes = realize_coloring(specs, universe)
         vrep = verify_mod.check_coloring(classes, "%s coloring" % args.scheme)
         report["all_independent"] = vrep.checks[0].passed
         report["cover_complete"] = vrep.checks[1].passed
         report["class_sizes"] = sorted({c.cardinality for c in classes})
-        report["lower_bound"]["universe_cross_checked"] = True
         ok = vrep.passed
     else:
         report["note"] = ("classes are reported structurally; full cover "
@@ -303,12 +303,24 @@ def _sweep(fn, configs, threads: int):
         return list(pool.map(fn, configs))
 
 
+def _check_oracle_args(args) -> None:
+    """Refuse option values that no oracle can run on."""
+    for flag, least in (("k", -1), ("l", -1), ("sweeps", 0), ("threads", 1)):
+        if getattr(args, flag) < least:
+            raise ValueError("--%s must be at least %d, got %d"
+                             % (flag, least, getattr(args, flag)))
+    if args.oracle == "skew-count" and (args.n is None) != (args.d is None):
+        raise ValueError("skew-count takes --n and --d together (one "
+                         "configuration) or neither (the grid)")
+
+
 def cmd_oracle(args, run: _Run) -> int:
+    _check_oracle_args(args)
     q = args.q
     rng = np.random.default_rng(args.seed)
     results: list[oracle_mod.OracleResult] = []
     if args.oracle == "skew-count":
-        if args.n is not None and args.d is not None:
+        if args.n is not None:
             k_sub, l_sub = oracle_mod.sample_skew_pair(
                 args.n, q, args.k, args.l, rng)
             results.append(oracle_mod.count_skew_constrained(

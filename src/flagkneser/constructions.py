@@ -33,7 +33,7 @@ import numpy as np
 
 from .counting import lambda_family_size, s_count
 from .flags import FlagSet, FlagUniverse
-from .linalg import field_matmul, subset, superset
+from .linalg import field_matmul, subset
 from .projective import (Subspace, basis_bitsets, dualize, enumerate_subspaces,
                          point_bitsets, point_indexer, point_words, span,
                          subspace_array)
@@ -227,21 +227,21 @@ def build_lambda(spec: LambdaSpec, universe: FlagUniverse) -> FlagSet:
     if shape.on_h:
         base, bits = subset(solids, point_words(shape.base)), planes
     else:
-        base, bits = superset(planes, point_words(shape.base)), solids
+        base, bits = subset(point_words(shape.base), planes), solids
     if shape.given is None:
         fam = np.ones(universe.flag_count, dtype=bool)
         if shape.contains is not None:
-            fam &= superset(bits, point_words(shape.contains))
+            fam &= subset(point_words(shape.contains), bits)
         if shape.within is not None:
             fam &= subset(bits, point_words(shape.within))
     else:
         # a plane or solid is determined by its point set: match the given
         # members against the distinct ones, then spread to their flags
-        ids = (universe.plane_gid if shape.on_h
-               else np.arange(universe.flag_count) // universe.planes_per_solid)
-        distinct = bits[:, np.unique(ids, return_index=True)[1]]
+        distinct = universe.plane_words if shape.on_h else universe.solid_words
         words = point_bitsets(shape.given, universe.n, universe.q)
-        fam = (distinct[:, :, None] == words[:, None, :]).all(axis=0).any(axis=1)[ids]
+        fam = (distinct[:, :, None] == words[:, None, :]).all(axis=0).any(axis=1)
+        fam = (fam[universe.plane_gid] if shape.on_h
+               else np.repeat(fam, universe.planes_per_solid))
     return FlagSet(universe=universe, mask=base | fam,
                    meta={"kind": spec.kind, **spec.anchors()})
 
@@ -258,7 +258,7 @@ def count_lambda(spec: LambdaSpec, q: int) -> int:
     bijection on flags.  Every flag whose plane passes through the point
     is a member, s(3) solids per plane; the member solids come as basis
     arrays from subspace_array, and each adds its planes that miss the
-    point, found by one superset test on the point bitsets of all of them
+    point, found by one subset test on the point bitsets of all of them
     at once, so each flag is counted once.
     """
     spec.validate(q)
@@ -275,7 +275,7 @@ def count_lambda(spec: LambdaSpec, q: int) -> int:
     # the planes of each member: those of PG(3,q) mapped through its basis
     planes = field_matmul(subspace_array(3, q, 2), members[:, None], q)
     bits = basis_bitsets(planes.reshape(-1, 3, n + 1), n, q)
-    return total + int(np.count_nonzero(~superset(bits, point_words(point))))
+    return total + int(np.count_nonzero(~subset(point_words(point), bits)))
 
 
 # ---------------------------------------------------------------------------

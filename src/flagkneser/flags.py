@@ -18,12 +18,16 @@ Flag ordinals run through solids in canonical order and, inside each solid,
 through its planes in canonical local order.  At q = 2 the universe carries
 the plane and the solid of every flag as word-major point bitsets (see
 linalg: a (2, 177165) uint64 array each, row k holding points
-64k..64k+63), which is what makes whole-graph scans cheap.  It also
-stores the duality (E, S) -> (S^perp, E^perp) as one int32 permutation of
-the ordinals, built on first use from the orthogonal complements of the
-distinct planes and solids.  Full materialization is limited to q in
-{2, 3}; at q = 3 per-flag data, the dual included, is produced on demand
-instead of being held in memory.
+64k..64k+63), which is what makes whole-graph scans cheap.  It owns the
+identity of planes and solids too: plane ids count the distinct planes in
+order of first occurrence (plane_gid), the solid id of a flag is its
+solid ordinal, ordinal // planes_per_solid, and plane_words and
+solid_words hold each distinct plane and solid once, column g for id g.
+The duality (E, S) -> (S^perp, E^perp) is one int32 permutation of the
+ordinals, built on first use from the orthogonal complements of those
+columns.  Full materialization is limited to q in {2, 3}; at q = 3
+per-flag data, the dual included, is produced on demand instead of being
+held in memory.
 """
 
 from __future__ import annotations
@@ -171,8 +175,9 @@ class FlagUniverse:
     # -- q = 2 materialized arrays -----------------------------------------
 
     def _build_q2_arrays(self) -> None:
-        """Per-flag word-major point bitsets of planes and solids, and plane
-        ids numbered in order of first occurrence."""
+        """Per-flag word-major point bitsets of planes and solids, plane ids
+        numbered in order of first occurrence, and the distinct planes and
+        solids by id."""
         n, q, pps = self.n, self.q, self.planes_per_solid
         solids = subspace_array(n, q, 3)
         patterns = np.array(self._local_patterns, dtype=np.int64)
@@ -188,7 +193,9 @@ class FlagUniverse:
                 planes.reshape(-1, 3, n + 1), n, q).reshape(nwords, len(chunk), pps)
         del solids, chunk, planes  # freed before the id pass, which peaks
         self.plane_bits = plane_bits.reshape(nwords, self.flag_count)
-        self.plane_gid = _first_occurrence_ids(self.plane_bits)
+        self.plane_gid, firsts = _first_occurrence_ids(self.plane_bits)
+        self.plane_words = self.plane_bits.take(firsts, axis=1)
+        self.solid_words = solid_bits
         self.solid_bits = np.repeat(solid_bits, pps, axis=1)
 
     @functools.cached_property
@@ -206,8 +213,7 @@ class FlagUniverse:
         # return the top of the heap
         perm = np.empty(self.flag_count, dtype=np.int32)
         n, q, pps = self.n, self.q, self.planes_per_solid
-        solids = self.solid_bits[:, ::pps]  # column k: solid ordinal k
-        planes = _distinct_columns(self.plane_bits, self.plane_gid)
+        planes, solids = self.plane_words, self.solid_words
         n_planes = planes.shape[1]
         dual_solid = _column_index(solids, perp_bitsets(planes, n, q))
         dual_plane = _column_index(planes, perp_bitsets(solids, n, q))
@@ -236,33 +242,27 @@ class FlagUniverse:
         return int(np.count_nonzero(self.adjacent_mask(ordinal)))
 
 
-def _first_occurrence_ids(bits: np.ndarray) -> np.ndarray:
-    """int32 id per column of a word-major bitset array: equal columns share
-    an id, and ids count distinct columns in order of first occurrence."""
+def _first_occurrence_ids(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int32 id per column of a word-major bitset array, and the column
+    where each id first occurs: equal columns share an id, and ids count
+    distinct columns in order of first occurrence."""
     order = np.lexsort(bits)  # stable, so equal columns keep their order
     new = np.zeros(bits.shape[1], dtype=bool)
     new[0] = True
     for row in bits:
         srt = row.take(order)
         new[1:] |= srt[1:] != srt[:-1]
-    first = order[new]
-    rank = np.empty(len(first), dtype=np.int32)
-    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
+    first = order[new]  # the first column of each run of equal columns
+    by_first = np.argsort(first)
     ids = np.empty(bits.shape[1], dtype=np.int32)
-    ids[order] = rank[np.cumsum(new) - 1]
-    return ids
-
-
-def _distinct_columns(bits: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Column g: the first column of bits with id g (ids as numbered by
-    _first_occurrence_ids)."""
-    return bits.take(np.unique(ids, return_index=True)[1], axis=1)
+    ids[order] = np.argsort(by_first)[np.cumsum(new) - 1]
+    return ids, first[by_first]
 
 
 def _column_index(ref: np.ndarray, query: np.ndarray) -> np.ndarray:
     """int32 index in ref, whose columns are distinct, of each query column
     (every query column must occur in ref)."""
-    ids = _first_occurrence_ids(np.concatenate([ref, query], axis=1))
+    ids = _first_occurrence_ids(np.concatenate([ref, query], axis=1))[0]
     return ids[ref.shape[1]:]
 
 
@@ -429,8 +429,8 @@ def _row_words(rows: np.ndarray) -> np.ndarray:
     return np.packbits(cols, axis=1, bitorder="little").view("<u8")[:, 0]
 
 
-def _adjacency_words(planes: np.ndarray, solids: np.ndarray):
-    """Adjacency among the flag columns of planes and solids, 64 rows at a
+def _adjacency_words(universe: FlagUniverse, nv: int):
+    """Adjacency among the first nv flags of the universe, 64 rows at a
     time: returns blocks(), whose generator yields (a, words) for a = 0,
     64, ..., where bit r of words[c] says that flags a + r and a + c are
     adjacent, kept for c > r only.
@@ -439,17 +439,18 @@ def _adjacency_words(planes: np.ndarray, solids: np.ndarray):
     S.  So each block is read off the disjointness table D of the distinct
     planes and solids, built once here: for rows i and columns j it is
     D[pid_i, sid_j] & D[pid_j, sid_i], gathered a word of 64 rows at a
-    time.
+    time.  Plane and solid ids count in order of first occurrence, so the
+    first nv flags hold the ids 0..k-1 of each kind, and D needs only
+    those columns of plane_words and solid_words.
     """
-    pid = _first_occurrence_ids(planes)
-    sid = _first_occurrence_ids(solids)
-    distinct_planes = _distinct_columns(planes, pid)
-    distinct_solids = _distinct_columns(solids, sid)
-    table = _disjointness_table(distinct_planes, distinct_solids)
+    pid = universe.plane_gid[:nv]
+    sid = np.arange(nv) // universe.planes_per_solid
+    planes = universe.plane_words[:, :pid.max() + 1]
+    solids = universe.solid_words[:, :sid[-1] + 1]
+    table = _disjointness_table(planes, solids)
     # D transposed, for rows gathered by solid id: disjointness is
     # symmetric, and filling it again is faster than a transposing copy
-    table_t = _disjointness_table(distinct_solids, distinct_planes)
-    nv = planes.shape[1]
+    table_t = _disjointness_table(solids, planes)
 
     def blocks() -> Iterator[tuple[int, np.ndarray]]:
         for a in range(0, nv, 64):
@@ -479,8 +480,7 @@ def export_dimacs(universe: FlagUniverse, path: str, *,
     if nv < 1:
         raise ValueError("need at least one vertex")
 
-    blocks = _adjacency_words(universe.plane_bits[:, :nv],
-                              universe.solid_bits[:, :nv])
+    blocks = _adjacency_words(universe, nv)
     n_edges = sum(int(np.bitwise_count(words).sum()) for _, words in blocks())
     labels = np.array(["%d\n" % (k + 1) for k in range(nv)], dtype=object)
     written = 0

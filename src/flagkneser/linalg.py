@@ -8,10 +8,10 @@ Point sets of subspaces of PG(n,q) have one array layout: a C-contiguous
 uint64 array of shape (W, N), word-major, whose row k holds points
 64k..64k+63 of N subspaces, W = ceil(#points / 64).  One subspace is a (W,)
 column.  batch_point_bitsets builds such arrays from integer basis arrays
-over any supported field; the kernels disjoint, subset, superset and
-popcount take two arrays that broadcast over their trailing axes, compare
-them word by word and AND the results; least_pair scans the column pairs of
-one array for the least one a kernel flags.
+over any supported field; the kernels disjoint and subset take two arrays
+that broadcast over their trailing axes, compare them word by word and AND
+the results, popcount counts the points of each set; least_pair scans the
+column pairs of one array for the least one a kernel flags.
 
 Integer arrays of element codes are multiplied by field_matmul, a batch at
 a time; prime q uses plain integer arithmetic mod q, the extension fields
@@ -152,19 +152,13 @@ def coefficient_reps(r: int, q: int) -> np.ndarray:
     One representative per projective point of the row space, so a rank-r
     matrix hit with these yields each point exactly once.
     """
-    reps = []
+    blocks = []
     for last in range(r):
-        base = np.zeros(r, dtype=np.int64)
-        base[last] = 1
-        if last == 0:
-            reps.append(base[None, :])
-            continue
-        grid = np.indices((q,) * last).reshape(last, -1).T
-        block = np.zeros((grid.shape[0], r), dtype=np.int64)
-        block[:, :last] = grid
+        block = np.zeros((q ** last, r), dtype=np.int64)
+        block[:, :last] = np.indices((q,) * last).reshape(last, q ** last).T
         block[:, last] = 1
-        reps.append(block)
-    return np.concatenate(reps, axis=0)
+        blocks.append(block)
+    return np.concatenate(blocks, axis=0)
 
 
 def batch_point_bitsets(mats: np.ndarray, q: int, point_codes: np.ndarray,
@@ -205,17 +199,9 @@ def disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Where every point of a lies in b."""
-    out = (a[0] & ~b[0]) == 0
+    out = (a[0] & b[0]) == a[0]
     for k in range(1, len(a)):
-        out &= (a[k] & ~b[k]) == 0
-    return out
-
-
-def superset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Where every point of b lies in a."""
-    out = (a[0] & b[0]) == b[0]
-    for k in range(1, len(a)):
-        out &= (a[k] & b[k]) == b[k]
+        out &= (a[k] & b[k]) == a[k]
     return out
 
 

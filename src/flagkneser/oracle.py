@@ -21,7 +21,7 @@ from .counting import (complement_count, planes_meeting_two_solids_bound,
                        solids_meeting_three_planes_bound)
 from .constructions import build_line_meeting_plane_family
 from .galois import build_field
-from .linalg import disjoint, least_pair, mat_from_combo, popcount, superset
+from .linalg import disjoint, least_pair, mat_from_combo, popcount, subset
 from .projective import (Subspace, basis_bitsets, intersect_trivially, meet,
                          point_bitsets, point_words, span, subspace_array,
                          subspace_to_text)
@@ -79,7 +79,7 @@ def count_skew_constrained(n: int, q: int, d: int,
     bits = _all_d_space_bits(n, q, d)
     keep = np.ones(bits.shape[1], dtype=bool)
     if contains is not None and k >= 0:
-        keep &= superset(bits, point_words(contains))
+        keep &= subset(point_words(contains), bits)
     if skew_to is not None and l >= 0:
         keep &= disjoint(bits, point_words(skew_to))
     count = int(np.count_nonzero(keep))

@@ -36,6 +36,8 @@ from .galois import FieldTable, build_field
 
 MAX_INDEXED_POINTS = 6_000_000
 MAX_ENUMERATED = 3_000_000
+# bytes of one basis_bitsets result: 1 GiB, an eighth of a desk machine
+MAX_BITSET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -125,15 +127,10 @@ class PointIndexer:
             raise ValueError(
                 "PG(%d,%d) has %d points, above the indexing cutoff %d"
                 % (n, q, count, MAX_INDEXED_POINTS))
-        vecs: list[tuple[int, ...]] = []
-        for last in range(n + 1):
-            tail = (1,) + (0,) * (n - last)
-            for head in itertools.product(range(q), repeat=last):
-                vecs.append(head + tail)
-        vecs.sort()
-        self.vectors = vecs
-        self.index = {v: k for k, v in enumerate(vecs)}
-        self.count = len(vecs)
+        # the representatives with last nonzero coordinate 1, sorted
+        self.vectors = sorted(map(tuple, linalg.coefficient_reps(n + 1, q).tolist()))
+        self.index = {v: k for k, v in enumerate(self.vectors)}
+        self.count = count
         # base-q code of every nonzero vector -> index, for the vectorized
         # paths (built on first use)
         self._codes: np.ndarray | None = None
@@ -193,8 +190,14 @@ def point_bitsets(subs: Sequence[Subspace], n: int, q: int) -> np.ndarray:
 
 
 def basis_bitsets(bases: np.ndarray, n: int, q: int) -> np.ndarray:
-    """point_bitsets of a (B, r, n+1) integer array of bases, r >= 1."""
+    """point_bitsets of a (B, r, n+1) integer array of bases, r >= 1.
+    A result above MAX_BITSET_BYTES is refused before it is allocated."""
     idx = point_indexer(n, q)
+    nbytes = len(bases) * 8 * ((idx.count + 63) // 64)
+    if nbytes > MAX_BITSET_BYTES:
+        raise ValueError(
+            "point bitsets of %d subspaces of PG(%d,%d) take %d bytes, above "
+            "the cutoff %d" % (len(bases), n, q, nbytes, MAX_BITSET_BYTES))
     return linalg.batch_point_bitsets(bases, q, idx.point_codes(), idx.count)
 
 

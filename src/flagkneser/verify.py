@@ -26,7 +26,7 @@ from .counting import (chromatic_lower_poly, independence_number_formula,
                        plane_disjoint_solid_meeting_bound, s,
                        universe_size_formula)
 from .flags import Flag, FlagSet, FlagUniverse, adjacent_bits
-from .linalg import disjoint, least_pair, popcount, subset, superset
+from .linalg import disjoint, least_pair, popcount, subset
 from .projective import Subspace, perp_bitsets, point_words, subspace_to_text
 
 
@@ -339,9 +339,7 @@ def check_saturation(fset: FlagSet, subject: str = "flag set") -> VerificationRe
 
     def lines():
         sats = [e for e in profile.solid_entries if e.saturated]
-        bits = uni.solid_bits.take(
-            np.array([e.ordinal for e in sats], dtype=np.int64)
-            * uni.planes_per_solid, axis=1)
+        bits = uni.solid_words.take([e.ordinal for e in sats], axis=1)
         pair = least_pair(bits, lambda a, b: popcount(a & b) < 2)
         return pair is None, None if pair is None else {
             "solids": [subspace_to_text(sats[i].solid) for i in pair]}
@@ -362,9 +360,8 @@ def _trace_planes(fset: FlagSet, hyperplane: Subspace):
     H (equivalently the trace of S on H is exactly E), and their bitsets."""
     uni, ords, planes, solids = _member_arrays(fset)
     h = point_words(hyperplane)
-    pick = subset(planes, h) & ~subset(solids, h)
-    gids, first = np.unique(uni.plane_gid[ords[pick]], return_index=True)
-    return [int(g) for g in gids], np.compress(pick, planes, axis=1).take(first, axis=1)
+    gids = np.unique(uni.plane_gid[ords[subset(planes, h) & ~subset(solids, h)]])
+    return gids.tolist(), uni.plane_words.take(gids, axis=1)
 
 
 def check_hyperplane_trace_ekr(fset: FlagSet, hyperplane: Subspace,
@@ -398,9 +395,9 @@ def check_point_trace_ekr(fset: FlagSet, point: Subspace,
         raise PreconditionError("trace anchor must be a point")
     uni, ords, planes, solids = _member_arrays(fset)
     p = point_words(point)
-    pick = superset(solids, p) & ~superset(planes, p)
+    pick = subset(p, solids) & ~subset(p, planes)
     s_ords = np.unique(ords[pick] // uni.planes_per_solid)
-    bits = uni.solid_bits.take(s_ords * uni.planes_per_solid, axis=1)
+    bits = uni.solid_words.take(s_ords, axis=1)
 
     report = VerificationReport(subject=subject, q=uni.q, cardinality=len(s_ords))
     bound = s(1, 4, q=uni.q)

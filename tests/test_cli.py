@@ -143,6 +143,31 @@ def test_color_trivial_q2(tmp_path):
     assert rep["classes"] == 31 and rep["cover_complete"]
 
 
+def test_color_cross_checks_the_built_universe(tmp_path, monkeypatch, uni2):
+    # the lower-bound report must see the universe the classes cover; the
+    # coloring check itself is stubbed, test_color_trivial_q2 runs it
+    seen = []
+    real = cli.verify_mod.chromatic_lower_report
+
+    def spy(q, universe=None):
+        seen.append(universe)
+        return real(q, universe)
+
+    def passing(classes, subject):
+        return cli.verify_mod.VerificationReport(
+            subject, 2, len(classes), checks=[
+                cli.verify_mod.CheckResult(name, True)
+                for name in ("classes_independent", "classes_cover_universe")])
+
+    monkeypatch.setattr(cli.verify_mod, "chromatic_lower_report", spy)
+    monkeypatch.setattr(cli.verify_mod, "check_coloring", passing)
+    out = tmp_path / "color.json"
+    assert run(["color", "--scheme", "trivial", "--q", "2",
+                "--out", str(out)]) == 0
+    assert len(seen) == 1 and seen[0] is uni2
+    assert json.loads(out.read_text())["lower_bound"]["universe_cross_checked"]
+
+
 def test_color_q3_structural(tmp_path):
     out = tmp_path / "color3.json"
     assert run(["color", "--scheme", "mi", "--q", "3",
@@ -353,6 +378,14 @@ BAD_INPUTS = [
     ["count", "--q", "6"],
     ["oracle", "skew-count", "--q", "6"],
     ["oracle", "complement-count", "--q", "2", "--n", "3", "--d", "7"],
+    # option values no oracle runs on, and --n or --d alone, which would
+    # silently run the skew-count grid
+    ["oracle", "skew-count", "--q", "2", "--n", "3", "--d", "1", "--k", "-3"],
+    ["oracle", "skew-count", "--q", "2", "--n", "3", "--d", "1", "--l", "-2"],
+    ["oracle", "skew-count", "--q", "2", "--n", "3"],
+    ["oracle", "skew-count", "--q", "2", "--d", "1"],
+    ["oracle", "solids-three-planes", "--q", "2", "--sweeps", "-1"],
+    ["oracle", "planes-two-solids", "--q", "2", "--threads", "0"],
     # 6865251 planes and 48177200 solids through a point: refused before
     # enumerating
     ["oracle", "planes-two-solids", "--q", "7"],

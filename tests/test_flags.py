@@ -85,6 +85,23 @@ def test_flag_ordinal_layout(uni2):
     assert f0.plane != f14.plane
 
 
+def test_plane_and_solid_words_hold_each_distinct_one_once(uni2):
+    # column g of plane_words is plane id g, column k of solid_words solid
+    # ordinal k, and reading them by id gives back the per-flag arrays
+    n = gaussian(7, 3, 2)
+    assert uni2.plane_words.shape == uni2.solid_words.shape == (2, n)
+    for words in (uni2.plane_words, uni2.solid_words):
+        assert np.unique(words, axis=1).shape[1] == n
+    assert np.array_equal(uni2.plane_words[:, uni2.plane_gid], uni2.plane_bits)
+    solid_id = np.arange(uni2.flag_count) // uni2.planes_per_solid
+    assert np.array_equal(uni2.solid_words[:, solid_id], uni2.solid_bits)
+    # plane ids count in order of first occurrence
+    firsts = np.unique(uni2.plane_gid, return_index=True)[1]
+    assert len(firsts) == n and np.all(np.diff(firsts) > 0)
+    assert uni2.flag(int(firsts[5])).plane == uni2.flag(
+        int(np.flatnonzero(uni2.plane_gid == 5)[-1])).plane
+
+
 def test_dualize_flag_is_involution(uni2):
     rng = np.random.default_rng(3)
     for t in map(int, rng.integers(0, uni2.flag_count, 40)):
@@ -339,11 +356,14 @@ def test_export_dimacs_edges_are_the_adjacent_pairs(tmp_path, uni2):
 
 def test_export_dimacs_full_graph_of_a_small_universe(tmp_path, uni2):
     # a stand-in universe of 64 flags spread over the q=2 universe, so the
-    # whole-graph export (no induced line, exact header) runs in a moment
+    # whole-graph export (no induced line, exact header) runs in a moment;
+    # each flag is its own solid, and its plane ids count 0..k-1
     cols = np.arange(64) * (uni2.flag_count // 64)
+    gids, pid = np.unique(uni2.plane_gid[cols], return_inverse=True)
     small = types.SimpleNamespace(
-        q=2, flag_count=64, plane_bits=uni2.plane_bits[:, cols],
-        solid_bits=uni2.solid_bits[:, cols], _need_masks=lambda: None)
+        q=2, flag_count=64, planes_per_solid=1, plane_gid=pid,
+        plane_words=uni2.plane_words[:, gids],
+        solid_words=uni2.solid_bits[:, cols], _need_masks=lambda: None)
     path = tmp_path / "small.dimacs"
     summary = export_dimacs(small, str(path))
     lines, edges = _dimacs_edges(path)

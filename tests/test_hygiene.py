@@ -1,15 +1,18 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every module-level function or class is used somewhere.
+"""Source hygiene: every name a module imports is used in that module,
+every module-level function or class is used somewhere, and every
+function the bench harness traces still exists.
 
 `__init__.py` is left out of the import gate: its imports are the
 package's public names, which the definition gate counts as used.
 """
 import ast
+import importlib
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "flagkneser"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "flagkneser"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -98,3 +101,51 @@ def test_gate_finds_a_dead_definition():
 def test_no_dead_definitions():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert dead_definitions(sources, (SRC / "__init__.py").read_text()) == []
+
+
+def traced_targets(source: str) -> list[tuple[str, str]]:
+    """(owner, attr) of every Target(owner, attr, ...) call in a source; an
+    owner is a module or module:Class.  A call whose two leading arguments
+    are not string literals is an error, so none is skipped unread."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Target":
+            head = node.args[:2]
+            if len(head) != 2 or not all(isinstance(a, ast.Constant)
+                                         and isinstance(a.value, str) for a in head):
+                raise ValueError("line %d: Target without literal owner and attr"
+                                 % node.lineno)
+            out.append((head[0].value, head[1].value))
+    return out
+
+
+def unresolved_targets(targets: list[tuple[str, str]]) -> list[str]:
+    """The targets whose module, class or attribute does not exist."""
+    missing = []
+    for owner, attr in targets:
+        module, _, cls = owner.partition(":")
+        try:
+            holder = importlib.import_module(module)
+            if cls:
+                holder = getattr(holder, cls)
+            getattr(holder, attr)
+        except (ImportError, AttributeError):
+            missing.append("%s.%s" % (owner, attr))
+    return missing
+
+
+def test_gate_finds_an_unresolved_target():
+    source = ('Target("flagkneser.linalg", "rref", "linalg.rref")\n'
+              'Target("flagkneser.linalg", "superset", "linalg.superset")\n'
+              'Target("flagkneser.flags:FlagUniverse", "no_such", "x")\n')
+    assert unresolved_targets(traced_targets(source)) == [
+        "flagkneser.linalg.superset", "flagkneser.flags:FlagUniverse.no_such"]
+    with pytest.raises(ValueError, match="line 1"):
+        traced_targets("Target(OWNER, 'attr', 'name')\n")
+
+
+def test_bench_targets_resolve():
+    # a deletion in src/ must not silently break `bench/run.py --trace 1`
+    targets = traced_targets((ROOT / "bench" / "workloads.py").read_text())
+    assert len(targets) == 35
+    assert unresolved_targets(targets) == []

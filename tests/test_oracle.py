@@ -220,6 +220,23 @@ def test_enumeration_cutoff(monkeypatch):
         subspace_array(100, 2, 50)
 
 
+def test_bitset_byte_cutoff(monkeypatch):
+    # a zero-copy basis array: one solid of PG(6,5), 306 words per bitset
+    bases = np.broadcast_to(np.eye(7, dtype=np.int64)[:4], (2558556, 4, 7))
+    # the cutoff is on the bytes of the result: at it passes, above refuses
+    monkeypatch.setattr(projective, "MAX_BITSET_BYTES", 3 * 306 * 8)
+    assert projective.basis_bitsets(bases[:3], 6, 5).shape == (306, 3)
+    with pytest.raises(ValueError, match="above the cutoff"):
+        projective.basis_bitsets(bases[:4], 6, 5)
+    monkeypatch.undo()
+    # the 2558556 solids through a point of PG(6,5) that the three-planes
+    # oracle enumerates at q=5 would take 6.3 GB: refused before allocating
+    with pytest.raises(ValueError, match="6263345088 bytes, above the cutoff"):
+        projective.basis_bitsets(bases, 6, 5)
+    # the 376805 solids through a point of PG(6,4) (86 words) stay under it
+    assert s_count(-1, 0, 3, 6, 4) * 86 * 8 <= projective.MAX_BITSET_BYTES
+
+
 def test_oracle_result_to_dict_roundtrip():
     r = complement_count_check(4, 2, 1)
     d = r.to_dict()
