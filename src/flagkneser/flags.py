@@ -9,10 +9,12 @@ equivalent to the two disjointness conditions
 
 which adjacent_bits() states once for point bitsets and the per-flag
 scans use; general_position() itself follows the four-pair definition.
-The DIMACS export factors the same conditions through one table of the
-distinct planes and solids: D[p, s] says that plane p misses solid s, and
-flags i, j are adjacent iff D[pid_i, sid_j] and D[pid_j, sid_i], read 64
-rows at a time as one uint64 word per column.
+adjacent_mask, the DIMACS export and verify.check_independent factor the
+same conditions through the distinct planes and solids: D[p, s] says that
+plane p misses solid s, and flags i, j are adjacent iff D[pid_i, sid_j]
+and D[pid_j, sid_i].  The export and the checker fill D with one kernel,
+_disjointness_table; the export reads it 64 rows at a time as one uint64
+word per column.
 
 Flag ordinals run through solids in canonical order and, inside each solid,
 through its planes in canonical local order.  At q = 2 the universe carries
@@ -233,10 +235,16 @@ class FlagUniverse:
                 "q=%d keeps per-flag data on demand" % self.q)
 
     def adjacent_mask(self, ordinal: int) -> np.ndarray:
-        """Boolean mask over all flags: adjacency to the given flag."""
+        """Boolean mask over all flags: adjacency to the given flag.
+
+        Read by id: the flag's plane against every distinct solid, repeated
+        over the planes of each solid, and every distinct plane against the
+        flag's solid, gathered by plane id."""
         self._need_masks()
-        return adjacent_bits(self.plane_bits[:, ordinal], self.solid_bits[:, ordinal],
-                             self.plane_bits, self.solid_bits)
+        plane = self.plane_words[:, self.plane_gid[ordinal]]
+        solid = self.solid_words[:, ordinal // self.planes_per_solid]
+        return (np.repeat(disjoint(plane, self.solid_words), self.planes_per_solid)
+                & disjoint(self.plane_words, solid).take(self.plane_gid))
 
     def degree(self, ordinal: int) -> int:
         return int(np.count_nonzero(self.adjacent_mask(ordinal)))
@@ -413,7 +421,8 @@ def load_flagset(path: str, universe: FlagUniverse | None = None) -> FlagSet:
 def _disjointness_table(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Bool array D[p, s]: point set column p of rows misses column s of
     cols.  Filled a chunk of rows at a time, which bounds the broadcast's
-    uint64 scratch."""
+    uint64 scratch.  The DIMACS export and verify.check_independent read
+    adjacency off it."""
     table = np.empty((rows.shape[1], cols.shape[1]), dtype=bool)
     for a in range(0, rows.shape[1], _ROW_CHUNK):
         table[a:a + _ROW_CHUNK] = disjoint(rows[:, a:a + _ROW_CHUNK, None],

@@ -150,9 +150,9 @@ def coefficient_reps(r: int, q: int) -> np.ndarray:
     """All coefficient vectors in GF(q)^r with last nonzero entry 1.
 
     One representative per projective point of the row space, so a rank-r
-    matrix hit with these yields each point exactly once.
+    matrix hit with these yields each point exactly once; r = 0 has none.
     """
-    blocks = []
+    blocks = [np.zeros((0, r), dtype=np.int64)]
     for last in range(r):
         block = np.zeros((q ** last, r), dtype=np.int64)
         block[:, :last] = np.indices((q,) * last).reshape(last, q ** last).T
@@ -166,11 +166,11 @@ def batch_point_bitsets(mats: np.ndarray, q: int, point_codes: np.ndarray,
     """Point bitsets for a batch of full-rank r x m matrices over GF(q).
 
     mats: int array (N, r, m); any basis of each row space will do, RREF is
-    not needed.  point_codes: lookup from the base-q encoding of every
-    nonzero vector to its point index (size q^m), so the vectors the
-    coefficient representatives produce are looked up as they are, without
-    scaling.  Returns the word-major (W, N) uint64 array with
-    W = ceil(n_points / 64).
+    not needed, and r = 0 gives empty sets.  point_codes: lookup from the
+    base-q encoding of every nonzero vector to its point index (size q^m),
+    so the vectors the coefficient representatives produce are looked up
+    as they are, without scaling.  Returns the word-major (W, N) uint64
+    array with W = ceil(n_points / 64).
     """
     if mats.ndim != 3:
         raise ValueError("expected a (N, r, m) batch")
@@ -178,7 +178,7 @@ def batch_point_bitsets(mats: np.ndarray, q: int, point_codes: np.ndarray,
     coeffs = coefficient_reps(r, q)
     powers = q ** np.arange(m, dtype=np.int64)
     bits = np.zeros(((n_points + 63) // 64, n), dtype=np.uint64)
-    step = max(1, _BITSET_CHUNK // len(coeffs))
+    step = max(1, _BITSET_CHUNK // max(1, len(coeffs)))
     for a in range(0, n, step):
         chunk = mats[a:a + step]
         idx = point_codes[field_matmul(coeffs, chunk, q) @ powers]

@@ -190,7 +190,7 @@ def point_bitsets(subs: Sequence[Subspace], n: int, q: int) -> np.ndarray:
 
 
 def basis_bitsets(bases: np.ndarray, n: int, q: int) -> np.ndarray:
-    """point_bitsets of a (B, r, n+1) integer array of bases, r >= 1.
+    """point_bitsets of a (B, r, n+1) integer array of bases, r >= 0.
     A result above MAX_BITSET_BYTES is refused before it is allocated."""
     idx = point_indexer(n, q)
     nbytes = len(bases) * 8 * ((idx.count + 63) // 64)

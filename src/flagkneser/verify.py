@@ -25,7 +25,8 @@ import numpy as np
 from .counting import (chromatic_lower_poly, independence_number_formula,
                        plane_disjoint_solid_meeting_bound, s,
                        universe_size_formula)
-from .flags import Flag, FlagSet, FlagUniverse, adjacent_bits
+from .flags import (Flag, FlagSet, FlagUniverse, _disjointness_table,
+                    adjacent_bits)
 from .linalg import disjoint, least_pair, popcount, subset
 from .projective import Subspace, perp_bitsets, point_words, subspace_to_text
 
@@ -92,24 +93,48 @@ def _member_arrays(fset: FlagSet):
             uni.solid_bits.take(ords, axis=1))
 
 
-def _independent_by_planes(gids: np.ndarray, planes: np.ndarray,
-                           solids: np.ndarray) -> bool:
-    """The C & C^T test of check_independent on member plane ids and
-    word-major plane and solid bitsets."""
-    order = np.argsort(gids, kind="stable")
-    starts = np.flatnonzero(np.diff(gids[order], prepend=-1))
-    m = len(starts)
-    group_planes = planes.take(order[starts], axis=1)
-    group_solids = solids.take(order, axis=1)
-    packed = np.zeros((m, (m + 7) // 8), dtype=np.uint8)
-    for a in range(m):
-        row = np.logical_or.reduceat(disjoint(group_planes[:, a], group_solids),
-                                     starts)
-        # C[b, a] of the earlier rows b, read from their packed bits
-        earlier = (packed[:a, a >> 3] & (0x80 >> (a & 7))) != 0
-        if np.any(row[:a] & earlier):
+# planes per block of check_independent times member planes: bounds a
+# block's unpacked bits at 128 K and its table rows' scratch at 1 MB
+_PLANE_BLOCK = 1 << 17
+
+
+def _planes_per_block(m: int) -> int:
+    """Member planes per block of check_independent, a multiple of 8 so
+    that a block's columns start on a byte of the packed rows."""
+    return max(8, (_PLANE_BLOCK // max(m, 1)) & -8)
+
+
+def _independent_by_planes(uni: FlagUniverse, ords: np.ndarray) -> bool:
+    """The C & C^T test of check_independent on the member ordinals."""
+    planes, p_of = np.unique(uni.plane_gid[ords], return_inverse=True)
+    solids, s_of = np.unique(ords // uni.planes_per_solid, return_inverse=True)
+    m = len(planes)
+    by_plane = s_of[np.argsort(p_of, kind="stable")]  # member solids
+    starts = np.searchsorted(np.sort(p_of), np.arange(m + 1))
+    plane_words = uni.plane_words.take(planes, axis=1)
+    # row b: column b of C packed over the planes; table rows: the built
+    # solids' rows of "solid misses plane", in the order they were built
+    packed = np.empty((m, (m + 7) // 8), dtype=np.uint8)
+    table = np.empty((0, packed.shape[1]), dtype=np.uint8)
+    slot = np.full(len(solids), -1)
+    step = _planes_per_block(m)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        block = by_plane[starts[lo]:starts[hi]]
+        new = np.unique(block[slot[block] < 0])
+        slot[new] = np.arange(len(table), len(table) + len(new))
+        table = np.concatenate([table] + [
+            np.packbits(_disjointness_table(
+                uni.solid_words.take(solids[new[a:a + step]], axis=1),
+                plane_words), axis=1)
+            for a in range(0, len(new), step)])
+        packed[lo:hi] = np.bitwise_or.reduceat(
+            table.take(slot[block], axis=0), starts[lo:hi] - starts[lo])
+        # C[a, b] & C[b, a] for the block's planes b and all planes a < hi
+        rows = np.unpackbits(packed[lo:hi], axis=1, count=hi)
+        cols = np.unpackbits(packed[:hi, lo >> 3:], axis=1, count=hi - lo)
+        if np.any(rows & cols.T):
             return False
-        packed[a] = np.packbits(row)
     return True
 
 
@@ -117,20 +142,28 @@ def check_independent(fset: FlagSet, subject: str = "flag set") -> VerificationR
     """No two members are adjacent.  Fail witness: least ordinal pair.
 
     Members (E, S) and (E', S') are adjacent iff E misses S' and E' misses
-    S, so the test runs over the distinct member planes E_1..E_m: C[a, b]
-    says that E_a misses some member solid on E_b, and the set is
-    independent iff C & C^T is empty.  Row a is one disjoint() of E_a
-    against the member solids and one logical_or.reduceat over the plane
-    groups; rows are kept bit-packed and filled in order until one
-    conflicts with an earlier row, so a dependent set stops early.  Only a
-    failing set pays for the least_pair scan that names its least pair.
+    S, so the test runs over the distinct member planes E_1..E_m and the
+    distinct member solids: C[a, b] says that E_a misses some member solid
+    on E_b, and the set is independent iff C & C^T is empty.  The planes
+    are taken in blocks, in order.  A block first builds the rows of the
+    plane-solid disjointness table (flags._disjointness_table, as the
+    DIMACS export reads it) of the member solids it meets for the first
+    time, each row packed over the m planes; column b of C is then one
+    bitwise_or.reduceat of those rows over the members on E_b.  Unpacking
+    the block's columns of C and the matching rows tests every pair of
+    planes whose later plane is in the block, so a dependent set stops at
+    its first conflicting block.  Only a failing set pays for the
+    least_pair scan that names its least pair.
     """
-    uni, ords, planes, solids = _member_arrays(fset)
-    w = len(planes)
+    uni = fset.universe
+    uni._need_masks()
+    ords = fset.ordinals()
 
     def run():
-        if _independent_by_planes(uni.plane_gid[ords], planes, solids):
+        if _independent_by_planes(uni, ords):
             return True, None
+        _, _, planes, solids = _member_arrays(fset)
+        w = len(planes)
         # each column: a member's plane words over its solid words
         pair = least_pair(np.concatenate([planes, solids]),
                           lambda a, b: adjacent_bits(a[:w], a[w:], b[:w], b[w:]))
@@ -158,9 +191,13 @@ def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationRepor
     order share a solid and cover nearly the same flags.  A block is one
     member while the candidates are many and grows as they thin out,
     keeping members times columns under _SCAN_BLOCK; the candidate columns
-    are compacted once half of them are dead.  What is left at the end,
-    the non-members adjacent to no member, does not depend on the visit
-    order, and neither do the verdict and the least witness.
+    are compacted once half of them are dead.  A step that drops no
+    candidate tests the least live one against all members at once: if no
+    member covers it, every smaller candidate is covered and it is the
+    witness; else it is dropped.  So a set that is not maximal settles in
+    a few steps.  What is left at the end, the non-members adjacent to no
+    member, does not depend on the visit order, and neither do the
+    verdict and the least witness.
     """
     uni, ords, member_planes, member_solids = _member_arrays(fset)
 
@@ -182,7 +219,15 @@ def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationRepor
                                     member_solids[:, block, None],
                                     planes[:, None],
                                     solids[:, None]).any(axis=0)
-            left = np.count_nonzero(alive)
+            now = np.count_nonzero(alive)
+            if now == left:  # a stalled step: settle the least candidate
+                c = int(np.argmax(alive))
+                if not adjacent_bits(member_planes, member_solids,
+                                     planes[:, c], solids[:, c]).any():
+                    return False, {"extending_flag": int(cand[c])}
+                alive[c] = False
+                now -= 1
+            left = now
             if 2 * left <= cand.size:  # compact once half the columns died
                 cand = cand[alive]
                 planes = np.compress(alive, planes, axis=1)

@@ -220,6 +220,12 @@ def test_oracle_line_meeting_and_complement(tmp_path):
                 "--d", "3", "--out", str(tmp_path / "c.json")]) == 0
     rep = json.loads((tmp_path / "c.json").read_text())
     assert rep["results"][0]["count"] == 4096
+    # --d defaults to 3, so --n 3 asks for the complements of the whole
+    # space: the empty subspace alone
+    assert run(["oracle", "complement-count", "--q", "2", "--n", "3",
+                "--out", str(tmp_path / "c3.json")]) == 0
+    rep = json.loads((tmp_path / "c3.json").read_text())
+    assert rep["all_passed"] and rep["results"][0]["count"] == 1
 
 
 def test_export_induced_and_determinism(tmp_path):

@@ -181,6 +181,20 @@ def test_adjacent_mask_agrees_with_flag_level_test(uni2):
     assert not mask[t]
 
 
+def test_adjacent_mask_by_id_matches_per_flag_bitsets(uni2):
+    """adjacent_mask reads the distinct plane and solid tables by id; it
+    must equal adjacent_bits over the per-flag plane_bits and solid_bits."""
+    rng = np.random.default_rng(14)
+    samples = [0, 1, 14, 15, uni2.flag_count - 1] + rng.integers(
+        0, uni2.flag_count, 40).tolist()
+    planes, solids = uni2.plane_bits, uni2.solid_bits
+    for t in samples:
+        want = adjacent_bits(planes[:, t], solids[:, t], planes, solids)
+        got = uni2.adjacent_mask(t)
+        assert got.dtype == bool and got.shape == (uni2.flag_count,)
+        assert np.array_equal(got, want), t
+
+
 def test_flagset_ops(uni2):
     a = FlagSet.from_ordinals(uni2, [5, 1, 9])
     assert a.cardinality == 3

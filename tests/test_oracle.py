@@ -12,6 +12,7 @@ import pytest
 from flagkneser import projective
 from flagkneser.constructions import unit_span
 from flagkneser.counting import s_count
+from flagkneser.linalg import coefficient_reps
 from flagkneser.oracle import (OracleResult, ThreePlanesConfig,
                                TwoSolidsConfig, canonical_three_planes_config,
                                canonical_two_solids_config,
@@ -168,6 +169,16 @@ def test_complement_counts():
     assert r.passed and r.count == 4096
     r = complement_count_check(4, 3, 1)
     assert r.passed and r.count == 3 ** 6
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_complement_of_the_whole_space_is_the_empty_subspace(q):
+    # d = n: the one complement is the empty subspace, whose point set is empty
+    r = complement_count_check(3, q, 3)
+    assert r.passed and r.count == r.expected == 1
+    bits = projective.basis_bitsets(np.zeros((2, 0, 4), dtype=np.int64), 3, q)
+    assert bits.shape[1] == 2 and not bits.any()
+    assert coefficient_reps(0, q).shape == (0, 0)
 
 
 def test_random_subspace_and_skew_pair_determinism():

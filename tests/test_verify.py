@@ -8,7 +8,8 @@ from flagkneser.constructions import (LambdaSpec, build_coloring_scheme,
 from flagkneser.flags import FlagSet, adjacent_bits
 from flagkneser.linalg import least_pair
 from flagkneser.projective import Subspace, enumerate_subspaces
-from flagkneser.verify import (PreconditionError, check_coloring,
+from flagkneser.verify import (PreconditionError, _planes_per_block,
+                               check_coloring,
                                check_disjoint_plane_meeting_solid,
                                check_hyperplane_trace_ekr, check_independent,
                                check_maximal, check_point_trace_ekr,
@@ -114,6 +115,34 @@ def test_full_universe_fails_at_once_with_least_witness(uni2):
     # the plane-factored test stops at its first conflicting row; filling
     # all 11811 rows over 177165 members takes about 9 s on 2 cores
     assert rep.checks[0].ms < 3000
+
+
+def test_conflict_across_a_block_boundary(uni2, mi_classes):
+    """An mi class and a flag adjacent to its last member, chosen so that
+    the flag's plane lies in another block of check_independent than the
+    plane of every member it is adjacent to: only the test of a block
+    against the earlier blocks can find the conflict."""
+    cls = mi_classes[0]
+    last = int(cls.ordinals()[-1])
+    for x in np.flatnonzero(uni2.adjacent_mask(last)).tolist():
+        ords = np.union1d(cls.ordinals(), [x])
+        planes = np.unique(uni2.plane_gid[ords])
+        step = _planes_per_block(len(planes))
+        block = np.searchsorted(planes, uni2.plane_gid[ords]) // step
+        hits = np.flatnonzero(uni2.adjacent_mask(x)[ords])
+        if not np.any(block[hits] == block[np.searchsorted(ords, x)]):
+            break
+    else:
+        pytest.fail("no flag adjacent to the last member across blocks")
+    assert step < len(planes)
+    rep = _assert_matches_scan(uni2, ords)
+    assert not rep.passed and x in rep.checks[0].witness["adjacent_pair"]
+
+
+def test_dependent_random_set_matches_least_pair_scan(uni2):
+    rng = np.random.default_rng(20000)
+    ords = rng.choice(uni2.flag_count, 20000, replace=False)
+    assert not _assert_matches_scan(uni2, ords).passed
 
 
 def test_same_solid_flags_are_independent_but_not_maximal(uni2):
