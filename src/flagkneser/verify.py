@@ -93,8 +93,9 @@ def _member_arrays(fset: FlagSet):
             uni.solid_bits.take(ords, axis=1))
 
 
-# planes per block of check_independent times member planes: bounds a
-# block's unpacked bits at 128 K and its table rows' scratch at 1 MB
+# planes per block of check_independent times member planes: bounds each
+# of a block's unpacked bit arrays at 128 KB, and the uint64 scratch of
+# filling a block's worth of table rows at 1 MB
 _PLANE_BLOCK = 1 << 17
 
 
@@ -112,8 +113,8 @@ def _independent_by_planes(uni: FlagUniverse, ords: np.ndarray) -> bool:
     sid = ords // uni.planes_per_solid
     first = np.diff(sid, prepend=-1) != 0
     solids = sid[first]
-    # the members grouped by plane id, as solid numbers; group a (plane
-    # planes[a]) is by_plane[starts[a]:starts[a + 1]]
+    # the members grouped by plane id, as solid numbers: the a-th distinct
+    # plane's members are by_plane[starts[a]:starts[a + 1]]
     gids = uni.plane_gid[ords]
     order = np.argsort(gids, kind="stable")
     by_plane = (np.cumsum(first) - 1)[order]

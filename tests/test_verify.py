@@ -223,6 +223,25 @@ def test_maximal_matches_plain_cover(uni2, lam_pl, pl_cover, shape, data):
                                       ords)
 
 
+@pytest.mark.parametrize("kind", ["P_empty", "H_empty"])
+def test_non_maximal_kind_settles_with_least_witness(uni2, frame2, kind):
+    """P_empty and H_empty leave 11160 flags uncovered; the scan settles
+    its least live candidate when a step drops none, so it stops early.
+    The witness is checked directly: every non-member below it is adjacent
+    to a member, and it is adjacent to none."""
+    anchor = ({"point": frame2["point"]} if kind == "P_empty"
+              else {"hyperplane": frame2["hyperplane"]})
+    fam = build_lambda(LambdaSpec(kind=kind, **anchor), uni2)
+    rep = check_maximal(fam)
+    assert not rep.passed
+    w = rep.checks[0].witness["extending_flag"]
+    covered = [bool(np.any(uni2.adjacent_mask(o) & fam.mask))
+               for o in range(w + 1) if o not in fam]
+    assert covered == [True] * (len(covered) - 1) + [False]
+    # visiting all 9765 members took about 0.5 s
+    assert rep.checks[0].ms < 300
+
+
 def test_maximal_on_edge_sets(uni2):
     empty = check_maximal(FlagSet.from_ordinals(uni2, []))
     assert empty.checks[0].witness == {"extending_flag": 0}
