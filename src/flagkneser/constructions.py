@@ -33,10 +33,10 @@ import numpy as np
 
 from .counting import lambda_family_size, s_count
 from .flags import FlagSet, FlagUniverse
-from .linalg import field_matmul, subset
-from .projective import (Subspace, basis_bitsets, dualize, enumerate_subspaces,
-                         point_bitsets, point_indexer, point_words, span,
-                         subspace_array)
+from .linalg import subset
+from .projective import (Subspace, basis_point_ids, dualize, enumerate_subspaces,
+                         pattern_point_table, point_bitsets, point_indexer,
+                         point_words, span, subspace_array)
 
 # kind -> (side, family).  The family is None when empty, the name of a
 # given tuple, or a (contains, within) pair of anchor names: every member
@@ -258,8 +258,10 @@ def count_lambda(spec: LambdaSpec, q: int) -> int:
     bijection on flags.  Every flag whose plane passes through the point
     is a member, s(3) solids per plane; the member solids come as basis
     arrays from subspace_array, and each adds its planes that miss the
-    point, found by one subset test on the point bitsets of all of them
-    at once, so each flag is counted once.
+    point, so each flag is counted once.  The planes are never built: the
+    point ids of each member solid come from basis_point_ids, the ids of
+    its planes are gathered from them through pattern_point_table, and a
+    plane misses the point when none of its ids is the point's.
     """
     spec.validate(q)
     if _SHAPES[spec.kind][0] == "H":
@@ -272,10 +274,10 @@ def count_lambda(spec: LambdaSpec, q: int) -> int:
         members = np.array([x.rows for x in given], dtype=np.int64).reshape(-1, d + 1, n + 1)
     # the solids through a plane are the points of the quotient PG(3,q)
     total = len(subspace_array(n, q, 2, contains=point)) * len(subspace_array(3, q, 0))
-    # the planes of each member: those of PG(3,q) mapped through its basis
-    planes = field_matmul(subspace_array(3, q, 2), members[:, None], q)
-    bits = basis_bitsets(planes.reshape(-1, 3, n + 1), n, q)
-    return total + int(np.count_nonzero(~subset(point_words(point), bits)))
+    # the planes of each member: those of PG(3,q), read off its points
+    plane_ids = basis_point_ids(members, n, q)[:, pattern_point_table(4, 3, q)]
+    on_point = (plane_ids == point_indexer(n, q).index_of(point.rows[0])).any(-1)
+    return total + int(np.count_nonzero(~on_point))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,11 @@ Flag ordinals run through solids in canonical order and, inside each solid,
 through its planes in canonical local order.  At q = 2 the universe carries
 the plane and the solid of every flag as word-major point bitsets (see
 linalg: a (2, 177165) uint64 array each, row k holding points
-64k..64k+63), which is what makes whole-graph scans cheap.  It owns the
+64k..64k+63), which is what makes whole-graph scans cheap.  They are built
+from the point ids of each solid, one coefficient matmul per chunk of
+solids: a plane of a solid is a set of the solid's points, so its ids are
+gathered from the solid's through projective.pattern_point_table and no
+plane is multiplied out.  It owns the
 identity of planes and solids too: plane ids count the distinct planes in
 order of first occurrence (plane_gid), the solid id of a flag is its
 solid ordinal, ordinal // planes_per_solid, and plane_words and
@@ -43,15 +47,15 @@ import numpy as np
 from . import linalg
 from .counting import universe_size_formula
 from .galois import build_field
-from .linalg import disjoint
-from .projective import (PatternCodec, Subspace, basis_bitsets, dualize,
-                         local_coords, perp_bitsets, point_bitset,
-                         point_indexer, subspace_array, subspace_from_text,
-                         subspace_to_text)
+from .linalg import disjoint, scatter_point_ids
+from .projective import (PatternCodec, Subspace, basis_point_ids, dualize,
+                         local_coords, pattern_point_table, perp_bitsets,
+                         point_bitset, point_indexer, subspace_array,
+                         subspace_from_text, subspace_to_text)
 
 N_AMBIENT = 6
 MATERIALIZABLE_Q = (2, 3)
-# solids per plane batch in the q=2 build (bounds its scratch)
+# solids per point-id chunk in the q=2 build (bounds its scratch)
 _SOLID_CHUNK = 128
 # rows per chunk of the export's disjointness tables (bounds their scratch)
 _ROW_CHUNK = 64
@@ -179,22 +183,28 @@ class FlagUniverse:
     def _build_q2_arrays(self) -> None:
         """Per-flag word-major point bitsets of planes and solids, plane ids
         numbered in order of first occurrence, and the distinct planes and
-        solids by id."""
+        solids by id.
+
+        A plane of a solid is a set of the solid's points: the point ids of
+        each chunk of solids come from one coefficient matmul, and those of
+        its planes are gathered from them through pattern_point_table, so
+        planes are never multiplied out."""
         n, q, pps = self.n, self.q, self.planes_per_solid
         solids = subspace_array(n, q, 3)
-        patterns = np.array(self._local_patterns, dtype=np.int64)
+        # row t: the positions of the points of local pattern t among the
+        # points of a solid
+        local = pattern_point_table(4, 3, q)
         nwords = (point_indexer(n, q).count + 63) // 64
-        plane_bits = np.empty((nwords, self.n_solids, pps), dtype=np.uint64)
-        solid_bits = np.empty((nwords, self.n_solids), dtype=np.uint64)
+        plane_bits = np.zeros((nwords, self.flag_count), dtype=np.uint64)
+        solid_bits = np.zeros((nwords, self.n_solids), dtype=np.uint64)
         for a in range(0, self.n_solids, _SOLID_CHUNK):
-            chunk = solids[a:a + _SOLID_CHUNK]
-            solid_bits[:, a:a + len(chunk)] = basis_bitsets(chunk, n, q)
-            # the plane with local pattern t in solid s is row (s, t)
-            planes = linalg.field_matmul(patterns, chunk[:, None], q)
-            plane_bits[:, a:a + len(chunk)] = basis_bitsets(
-                planes.reshape(-1, 3, n + 1), n, q).reshape(nwords, len(chunk), pps)
-        del solids, chunk, planes  # freed before the id pass, which peaks
-        self.plane_bits = plane_bits.reshape(nwords, self.flag_count)
+            ids = basis_point_ids(solids[a:a + _SOLID_CHUNK], n, q)
+            scatter_point_ids(solid_bits, ids, a)
+            # the plane with local pattern t in solid s is column s * pps + t
+            scatter_point_ids(plane_bits, ids[:, local].reshape(-1, local.shape[1]),
+                              a * pps)
+        del solids, ids  # freed before the id pass, which peaks
+        self.plane_bits = plane_bits
         self.plane_gid, firsts = _first_occurrence_ids(self.plane_bits)
         self.plane_words = self.plane_bits.take(firsts, axis=1)
         self.solid_words = solid_bits

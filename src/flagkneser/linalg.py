@@ -7,11 +7,15 @@ routines are exact integer work.
 Point sets of subspaces of PG(n,q) have one array layout: a C-contiguous
 uint64 array of shape (W, N), word-major, whose row k holds points
 64k..64k+63 of N subspaces, W = ceil(#points / 64).  One subspace is a (W,)
-column.  batch_point_bitsets builds such arrays from integer basis arrays
-over any supported field; the kernels disjoint and subset take two arrays
-that broadcast over their trailing axes, compare them word by word and AND
-the results, popcount counts the points of each set; least_pair scans the
-column pairs of one array for the least one a kernel flags.
+column.  batch_point_ids lists the point indices of each matrix of an
+integer basis array over any supported field, scatter_point_ids sets them
+as bits in such an array, and batch_point_bitsets does both a chunk at a
+time; a caller that needs the points of the subspaces of each row space
+as well (the planes of a solid) gathers them from the same ids.  The
+kernels disjoint and subset take two arrays that broadcast over their
+trailing axes, compare them word by word and AND the results, popcount
+counts the points of each set; least_pair scans the column pairs of one
+array for the least one a kernel flags.
 
 Integer arrays of element codes are multiplied by field_matmul, a batch at
 a time; prime q uses plain integer arithmetic mod q, the extension fields
@@ -161,31 +165,57 @@ def coefficient_reps(r: int, q: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def batch_point_bitsets(mats: np.ndarray, q: int, point_codes: np.ndarray,
-                        n_points: int) -> np.ndarray:
-    """Point bitsets for a batch of full-rank r x m matrices over GF(q).
+def code_positions(reps: np.ndarray, q: int) -> np.ndarray:
+    """Lookup from the base-q code (LSB = coordinate 0) of every vector in
+    GF(q)^m to the row of reps, one representative per point of PG(m-1,q),
+    of which it is a nonzero multiple; the zero vector maps to -1."""
+    mul = field_arrays(q)[1]
+    powers = q ** np.arange(reps.shape[1], dtype=np.int64)
+    table = np.full(q ** reps.shape[1], -1, dtype=np.int64)
+    for scalar in range(1, q):
+        table[mul[scalar][reps] @ powers] = np.arange(len(reps))
+    return table
+
+
+def batch_point_ids(mats: np.ndarray, q: int, point_codes: np.ndarray) -> np.ndarray:
+    """Point indices of a batch of full-rank r x m matrices over GF(q).
 
     mats: int array (N, r, m); any basis of each row space will do, RREF is
-    not needed, and r = 0 gives empty sets.  point_codes: lookup from the
+    not needed, and r = 0 gives no points.  point_codes: lookup from the
     base-q encoding of every nonzero vector to its point index (size q^m),
     so the vectors the coefficient representatives produce are looked up
-    as they are, without scaling.  Returns the word-major (W, N) uint64
-    array with W = ceil(n_points / 64).
+    as they are, without scaling.  Returns an int64 (N, k) array: entry
+    (i, j) is the point coefficient_reps(r, q)[j] @ mats[i].
     """
     if mats.ndim != 3:
         raise ValueError("expected a (N, r, m) batch")
-    n, r, m = mats.shape
-    coeffs = coefficient_reps(r, q)
-    powers = q ** np.arange(m, dtype=np.int64)
+    powers = q ** np.arange(mats.shape[2], dtype=np.int64)
+    return point_codes[field_matmul(coefficient_reps(mats.shape[1], q), mats, q)
+                       @ powers]
+
+
+def scatter_point_ids(bits: np.ndarray, ids: np.ndarray, start: int = 0) -> None:
+    """Set the points of row i of the int (N', k) array ids in column
+    start + i of the C-contiguous word-major uint64 array bits, in place."""
+    n = bits.shape[1]
+    # point p of column c is bit p & 63 of word (p >> 6, c)
+    at = (ids >> 6) * n + np.arange(start, start + len(ids))[:, None]
+    np.bitwise_or.at(bits.reshape(-1), at.ravel(),
+                     (np.uint64(1) << (ids & 63).astype(np.uint64)).ravel())
+
+
+def batch_point_bitsets(mats: np.ndarray, q: int, point_codes: np.ndarray,
+                        n_points: int) -> np.ndarray:
+    """Point bitsets for a batch of full-rank r x m matrices over GF(q):
+    the batch_point_ids of each chunk scattered into the word-major (W, N)
+    uint64 array, W = ceil(n_points / 64)."""
+    if mats.ndim != 3:
+        raise ValueError("expected a (N, r, m) batch")
+    n, r = mats.shape[:2]
     bits = np.zeros(((n_points + 63) // 64, n), dtype=np.uint64)
-    step = max(1, _BITSET_CHUNK // max(1, len(coeffs)))
+    step = max(1, _BITSET_CHUNK // max(1, (q ** r - 1) // (q - 1)))
     for a in range(0, n, step):
-        chunk = mats[a:a + step]
-        idx = point_codes[field_matmul(coeffs, chunk, q) @ powers]
-        # point p of column c is bit p & 63 of word (p >> 6, c)
-        at = (idx >> 6) * n + np.arange(a, a + len(chunk))[:, None]
-        np.bitwise_or.at(bits.reshape(-1), at.ravel(),
-                         (np.uint64(1) << (idx & 63).astype(np.uint64)).ravel())
+        scatter_point_ids(bits, batch_point_ids(mats[a:a + step], q, point_codes), a)
     return bits
 
 

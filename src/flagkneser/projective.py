@@ -10,6 +10,10 @@ vector.  point_bitset() is an integer whose bit k is point k in this order;
 point_bitsets() and basis_bitsets() give many subspaces at once in the
 word-major uint64 layout that the kernels in linalg work on, looking every
 nonzero vector up directly in PointIndexer.point_codes().
+basis_point_ids() gives the point indices those bitsets are made of, and
+pattern_point_table() says where the points of each local pattern sit
+among a basis's points, so the points of every plane of a solid are
+gathered from the solid's ids.
 
 Subspaces under constraints have one enumeration route and one order,
 the pattern order of PatternCodec: subspace_array() returns the bases of
@@ -151,13 +155,8 @@ class PointIndexer:
         vector -> index of its point; every nonzero scalar multiple of a
         representative maps to it, and the zero vector to -1."""
         if self._codes is None:
-            mul = linalg.field_arrays(self.q)[1]
-            reps = np.array(self.vectors, dtype=np.int64)
-            powers = self.q ** np.arange(self.n + 1, dtype=np.int64)
-            table = np.full(self.q ** (self.n + 1), -1, dtype=np.int64)
-            for scalar in range(1, self.q):
-                table[mul[scalar][reps] @ powers] = np.arange(self.count)
-            self._codes = table
+            self._codes = linalg.code_positions(
+                np.array(self.vectors, dtype=np.int64), self.q)
         return self._codes
 
 
@@ -199,6 +198,29 @@ def basis_bitsets(bases: np.ndarray, n: int, q: int) -> np.ndarray:
             "point bitsets of %d subspaces of PG(%d,%d) take %d bytes, above "
             "the cutoff %d" % (len(bases), n, q, nbytes, MAX_BITSET_BYTES))
     return linalg.batch_point_bitsets(bases, q, idx.point_codes(), idx.count)
+
+
+def basis_point_ids(bases: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Point indices of a (B, r, n+1) integer array of bases, r >= 0: the
+    int64 (B, k) array whose row b lists the points of basis b in the
+    coefficient_reps(r, q) order, which basis_bitsets sets as bits."""
+    return linalg.batch_point_ids(bases, q, point_indexer(n, q).point_codes())
+
+
+def pattern_point_table(m: int, r: int, q: int) -> np.ndarray:
+    """Where the points of each pattern of PatternCodec(m, r, q) sit among
+    the points of GF(q)^m: an int64 (T, k) array whose entry (t, j) is the
+    row of coefficient_reps(m, q) that is a nonzero multiple of point j of
+    pattern t.  So if ids are the basis_point_ids of rank-m bases,
+    ids[b, table[t]] are the points of the subspace that pattern t spans
+    in the row space of basis b: one gather gives all of them, with no
+    matmul.  The local vectors are looked up by code_positions, so a
+    vector whose last nonzero entry is not 1 (q > 2) finds its
+    representative."""
+    reps = linalg.coefficient_reps(m, q)
+    vecs = linalg.field_matmul(linalg.coefficient_reps(r, q),
+                               PatternCodec(m, r, q).array().astype(np.int64), q)
+    return linalg.code_positions(reps, q)[vecs @ q ** np.arange(m, dtype=np.int64)]
 
 
 def point_words(a: Subspace) -> np.ndarray:
@@ -352,10 +374,14 @@ def enumerate_subspaces(n: int, q: int, d: int, *,
                         within: Subspace | None = None) -> Iterator[Subspace]:
     """Stream the d-subspaces of PG(n,q) through `contains` and inside
     `within`: the Subspace of each basis of subspace_array, in its order.
-    Contradictory constraints yield an empty stream, not an error."""
+    With neither constraint the bases are the RREF patterns themselves and
+    are taken as they are; otherwise each is reduced.  Contradictory
+    constraints yield an empty stream, not an error."""
     fld = build_field(q)
+    reduce = contains is not None or within is not None
     for basis in subspace_array(n, q, d, contains=contains, within=within).tolist():
-        yield Subspace(n, q, linalg.rref(basis, fld))
+        yield Subspace(n, q, linalg.rref(basis, fld) if reduce
+                       else tuple(map(tuple, basis)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from flagkneser.flags import (Flag, FlagSet, FlagUniverse, adjacency_scan,
                               adjacent, adjacent_bits, build_universe,
                               dualize_flag, export_dimacs, general_position,
                               load_flagset, save_flagset)
-from flagkneser.projective import Subspace, dualize, meet, span
+from flagkneser.linalg import field_matmul
+from flagkneser.projective import (PatternCodec, Subspace, basis_bitsets,
+                                   dualize, meet, span, subspace_array)
 
 
 def _unit(n, q, idxs):
@@ -100,6 +102,17 @@ def test_plane_and_solid_words_hold_each_distinct_one_once(uni2):
     assert len(firsts) == n and np.all(np.diff(firsts) > 0)
     assert uni2.flag(int(firsts[5])).plane == uni2.flag(
         int(np.flatnonzero(uni2.plane_gid == 5)[-1])).plane
+
+
+def test_universe_bitsets_match_the_per_plane_route(uni2):
+    """The build gathers each plane's points from its solid's point ids;
+    the per-plane route multiplies every local pattern through every solid
+    and takes the bitsets of the products.  Both agree on all 11811 solids."""
+    solids = subspace_array(6, 2, 3)
+    assert np.array_equal(uni2.solid_words, basis_bitsets(solids, 6, 2))
+    patterns = PatternCodec(4, 3, 2).array().astype(np.int64)
+    planes = field_matmul(patterns, solids[:, None], 2).reshape(-1, 3, 7)
+    assert np.array_equal(uni2.plane_bits, basis_bitsets(planes, 6, 2))
 
 
 def test_dualize_flag_is_involution(uni2):

@@ -7,11 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from flagkneser import linalg
 from flagkneser.counting import gaussian, s_count
 from flagkneser.galois import build_field
-from flagkneser.projective import (PatternCodec, Subspace, dualize,
+from flagkneser.projective import (PatternCodec, Subspace, basis_bitsets,
+                                   basis_point_ids, dualize,
                                    enumerate_subspaces, intersect_trivially,
-                                   local_coords, meet, point_bitset,
-                                   point_indexer, span, subspace_array,
-                                   subspace_from_text, subspace_to_text)
+                                   local_coords, meet, pattern_point_table,
+                                   point_bitset, point_indexer, span,
+                                   subspace_array, subspace_from_text,
+                                   subspace_to_text)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +343,44 @@ def test_subspace_array_edge_cases(q):
         assert subspace_array(n, q, d, contains=outside, within=w).shape == (0, d + 1, n + 1)
     with pytest.raises(ValueError):
         subspace_array(n, q, n + 1)
+
+
+@pytest.mark.parametrize("n,q,d", [(4, 3, 1), (6, 2, 2), (6, 2, 3), (3, 4, 1)])
+def test_enumerate_subspaces_is_the_rref_of_each_basis(n, q, d):
+    """Unconstrained, the rows of subspace_array are RREF patterns and are
+    taken as they are; constrained, each basis is reduced.  Both give the
+    Subspace that rref makes of each basis."""
+    fld = build_field(q)
+    point = Subspace.from_vectors(n, q, [(1,) * (n + 1)])
+    hyper = dualize(Subspace.from_vectors(n, q, [(0,) * n + (1,)]))
+    for contains, within in [(None, None), (point, None), (None, hyper),
+                             (point, Subspace.full(n, q))]:
+        bases = subspace_array(n, q, d, contains=contains, within=within).tolist()
+        assert len(bases) > 0
+        assert list(enumerate_subspaces(n, q, d, contains=contains, within=within)) == [
+            Subspace(n, q, linalg.rref(basis, fld)) for basis in bases]
+
+
+@pytest.mark.parametrize("q,sample", [(3, 600), (4, 300)])
+def test_plane_ids_gathered_from_solid_ids_match_the_plane_matmul(q, sample):
+    """The points of the planes of a solid, gathered from the solid's point
+    ids through pattern_point_table, are the points of the planes that the
+    local patterns span in the solid's basis.  Seeded solids of PG(6,q); q
+    = 4 has local vectors whose last nonzero entry is not 1."""
+    n = 6
+    codec = PatternCodec(n + 1, 4, q)
+    rng = np.random.default_rng(q)
+    ords = np.sort(rng.choice(codec.total, size=sample, replace=False))
+    solids = np.array([codec.unrank(int(t)) for t in ords], dtype=np.int64)
+    local = pattern_point_table(4, 3, q)
+    assert local.shape == (gaussian(4, 3, q), q * q + q + 1)
+    ids = basis_point_ids(solids, n, q)
+    got = np.zeros((len(basis_bitsets(solids[:1], n, q)), sample * len(local)),
+                   dtype=np.uint64)
+    linalg.scatter_point_ids(got, ids[:, local].reshape(-1, local.shape[1]))
+    patterns = PatternCodec(4, 3, q).array().astype(np.int64)
+    planes = linalg.field_matmul(patterns, solids[:, None], q).reshape(-1, 3, n + 1)
+    assert np.array_equal(got, basis_bitsets(planes, n, q))
 
 
 matrix_batches = st.sampled_from((2, 3, 4)).flatmap(
