@@ -24,11 +24,11 @@ linalg: a (2, 177165) uint64 array each, row k holding points
 from the point ids of each solid, one coefficient matmul per chunk of
 solids: a plane of a solid is a set of the solid's points, so its ids are
 gathered from the solid's through projective.pattern_point_table and no
-plane is multiplied out.  It owns the
-identity of planes and solids too: plane ids count the distinct planes in
-order of first occurrence (plane_gid), the solid id of a flag is its
-solid ordinal, ordinal // planes_per_solid, and plane_words and
-solid_words hold each distinct plane and solid once, column g for id g.
+plane is multiplied out.  The universe owns the identity of planes and
+solids too: plane ids count the distinct planes in order of first
+occurrence (plane_gid), the solid id of a flag is its solid ordinal,
+ordinal // planes_per_solid, and plane_words and solid_words hold each
+distinct plane and solid once, column g for id g.
 The duality (E, S) -> (S^perp, E^perp) is one int32 permutation of the
 ordinals, built on first use from the orthogonal complements of those
 columns.  Full materialization is limited to q in {2, 3}; at q = 3
