@@ -374,14 +374,10 @@ def enumerate_subspaces(n: int, q: int, d: int, *,
                         within: Subspace | None = None) -> Iterator[Subspace]:
     """Stream the d-subspaces of PG(n,q) through `contains` and inside
     `within`: the Subspace of each basis of subspace_array, in its order.
-    With neither constraint the bases are the RREF patterns themselves and
-    are taken as they are; otherwise each is reduced.  Contradictory
-    constraints yield an empty stream, not an error."""
+    Contradictory constraints yield an empty stream, not an error."""
     fld = build_field(q)
-    reduce = contains is not None or within is not None
     for basis in subspace_array(n, q, d, contains=contains, within=within).tolist():
-        yield Subspace(n, q, linalg.rref(basis, fld) if reduce
-                       else tuple(map(tuple, basis)))
+        yield Subspace(n, q, linalg.rref(basis, fld))
 
 
 # ---------------------------------------------------------------------------

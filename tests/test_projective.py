@@ -345,22 +345,6 @@ def test_subspace_array_edge_cases(q):
         subspace_array(n, q, n + 1)
 
 
-@pytest.mark.parametrize("n,q,d", [(4, 3, 1), (6, 2, 2), (6, 2, 3), (3, 4, 1)])
-def test_enumerate_subspaces_is_the_rref_of_each_basis(n, q, d):
-    """Unconstrained, the rows of subspace_array are RREF patterns and are
-    taken as they are; constrained, each basis is reduced.  Both give the
-    Subspace that rref makes of each basis."""
-    fld = build_field(q)
-    point = Subspace.from_vectors(n, q, [(1,) * (n + 1)])
-    hyper = dualize(Subspace.from_vectors(n, q, [(0,) * n + (1,)]))
-    for contains, within in [(None, None), (point, None), (None, hyper),
-                             (point, Subspace.full(n, q))]:
-        bases = subspace_array(n, q, d, contains=contains, within=within).tolist()
-        assert len(bases) > 0
-        assert list(enumerate_subspaces(n, q, d, contains=contains, within=within)) == [
-            Subspace(n, q, linalg.rref(basis, fld)) for basis in bases]
-
-
 @pytest.mark.parametrize("q,sample", [(3, 600), (4, 300)])
 def test_plane_ids_gathered_from_solid_ids_match_the_plane_matmul(q, sample):
     """The points of the planes of a solid, gathered from the solid's point
