@@ -219,30 +219,29 @@ class LambdaSpec:
 
 
 def build_lambda(spec: LambdaSpec, universe: FlagUniverse) -> FlagSet:
-    """Materialize the family as a flag set of the q=2 universe."""
+    """Materialize the family as a flag set of the q=2 universe: both
+    predicates run over the distinct planes and solids, spread by id."""
     spec.validate(universe.q)
     universe._need_masks()
     shape = spec._shape()
-    planes, solids = universe.plane_bits, universe.solid_bits
+    planes, solids = universe.plane_words, universe.solid_words
     if shape.on_h:
         base, bits = subset(solids, point_words(shape.base)), planes
     else:
         base, bits = subset(point_words(shape.base), planes), solids
     if shape.given is None:
-        fam = np.ones(universe.flag_count, dtype=bool)
+        fam = np.ones(bits.shape[1], dtype=bool)
         if shape.contains is not None:
             fam &= subset(point_words(shape.contains), bits)
         if shape.within is not None:
             fam &= subset(bits, point_words(shape.within))
     else:
-        # a plane or solid is determined by its point set: match the given
-        # members against the distinct ones, then spread to their flags
-        distinct = universe.plane_words if shape.on_h else universe.solid_words
+        # a plane or solid is determined by its point set
         words = point_bitsets(shape.given, universe.n, universe.q)
-        fam = (distinct[:, :, None] == words[:, None, :]).all(axis=0).any(axis=1)
-        fam = (fam[universe.plane_gid] if shape.on_h
-               else np.repeat(fam, universe.planes_per_solid))
-    return FlagSet(universe=universe, mask=base | fam,
+        fam = (bits[:, :, None] == words[:, None, :]).all(axis=0).any(axis=1)
+    on_plane, on_solid = (fam, base) if shape.on_h else (base, fam)
+    mask = on_plane[universe.plane_gid] | np.repeat(on_solid, universe.planes_per_solid)
+    return FlagSet(universe=universe, mask=mask,
                    meta={"kind": spec.kind, **spec.anchors()})
 
 

@@ -85,7 +85,8 @@ def universe_size_formula(q: int) -> int:
 
 
 def independence_number_formula(q: int) -> int:
-    """Largest independent set of the plane-solid Kneser graph of PG(6,q)."""
+    """The paper's independence number alpha of the graph for q > 27; at
+    q <= 16 the size of the Lambda families, a lower bound on alpha."""
     return gaussian(6, 4, q) * gaussian(4, 3, q) + gaussian(5, 3, q) * q ** 3
 
 
@@ -205,8 +206,8 @@ REGISTRY: dict[str, FormulaEntry] = {
                      "[7 4]_q [4 3]_q, the number of plane-solid flags of PG(6,q)",
                      lambda q: universe_size_formula(q)),
         FormulaEntry("independence_number", (),
-                     "[6 4]_q [4 3]_q + [5 3]_q q^3, the maximum number of pairwise "
-                     "non-adjacent plane-solid flags of PG(6,q)",
+                     "[6 4]_q [4 3]_q + [5 3]_q q^3, the paper's alpha for q > 27; at the "
+                     "supported q the size of the Lambda families, a lower bound on alpha",
                      lambda q: independence_number_formula(q)),
         FormulaEntry("independence_number_expanded", (),
                      "q^11+2q^10+5q^9+7q^8+10q^7+11q^6+11q^5+9q^4+7q^3+4q^2+2q+1, the "

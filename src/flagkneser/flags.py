@@ -7,7 +7,7 @@ equivalent to the two disjointness conditions
 
     plane(f) `meets` solid(g) == empty  and  plane(g) `meets` solid(f) == empty,
 
-which adjacent_bits() states once for point bitsets and the per-flag
+which adjacent_bits() states once for point bitsets and the checkers'
 scans use; general_position() itself follows the four-pair definition.
 adjacent_mask, the DIMACS export and verify.check_independent factor the
 same conditions through the distinct planes and solids: D[p, s] says that
@@ -17,18 +17,16 @@ _disjointness_table; the export reads it 64 rows at a time as one uint64
 word per column.
 
 Flag ordinals run through solids in canonical order and, inside each solid,
-through its planes in canonical local order.  At q = 2 the universe carries
-the plane and the solid of every flag as word-major point bitsets (see
-linalg: a (2, 177165) uint64 array each, row k holding points
-64k..64k+63), which is what makes whole-graph scans cheap.  They are built
-from the point ids of each solid, one coefficient matmul per chunk of
-solids: a plane of a solid is a set of the solid's points, so its ids are
-gathered from the solid's through projective.pattern_point_table and no
-plane is multiplied out.  The universe owns the identity of planes and
-solids too: plane ids count the distinct planes in order of first
-occurrence (plane_gid), the solid id of a flag is its solid ordinal,
-ordinal // planes_per_solid, and plane_words and solid_words hold each
-distinct plane and solid once, column g for id g.
+through its planes in canonical local order.  At q = 2 the universe keeps
+planes and solids by id only: plane_words and solid_words hold each
+distinct one once as word-major point bitsets (see linalg: (2, 11811)
+uint64, column g for id g, row k holding points 64k..64k+63); a flag's
+plane id is plane_gid[ordinal], numbered in order of first occurrence,
+and its solid id its solid ordinal, ordinal // planes_per_solid.  The
+build takes the point ids of each solid, one coefficient matmul per chunk
+of solids: a plane of a solid is a set of the solid's points, so its ids
+are gathered from the solid's through projective.pattern_point_table and
+no plane is multiplied out.
 The duality (E, S) -> (S^perp, E^perp) is one int32 permutation of the
 ordinals, built on first use from the orthogonal complements of those
 columns.  Full materialization is limited to q in {2, 3}; at q = 3
@@ -181,14 +179,14 @@ class FlagUniverse:
     # -- q = 2 materialized arrays -----------------------------------------
 
     def _build_q2_arrays(self) -> None:
-        """Per-flag word-major point bitsets of planes and solids, plane ids
-        numbered in order of first occurrence, and the distinct planes and
-        solids by id.
+        """The distinct planes and solids as word-major point bitsets, by
+        id, and the plane id of every flag in order of first occurrence.
 
         A plane of a solid is a set of the solid's points: the point ids of
         each chunk of solids come from one coefficient matmul, and those of
         its planes are gathered from them through pattern_point_table, so
-        planes are never multiplied out."""
+        planes are never multiplied out; their per-flag bitsets feed only
+        the plane-id pass."""
         n, q, pps = self.n, self.q, self.planes_per_solid
         solids = subspace_array(n, q, 3)
         # row t: the positions of the points of local pattern t among the
@@ -196,19 +194,17 @@ class FlagUniverse:
         local = pattern_point_table(4, 3, q)
         nwords = (point_indexer(n, q).count + 63) // 64
         plane_bits = np.zeros((nwords, self.flag_count), dtype=np.uint64)
-        solid_bits = np.zeros((nwords, self.n_solids), dtype=np.uint64)
+        solid_words = np.zeros((nwords, self.n_solids), dtype=np.uint64)
         for a in range(0, self.n_solids, _SOLID_CHUNK):
             ids = basis_point_ids(solids[a:a + _SOLID_CHUNK], n, q)
-            scatter_point_ids(solid_bits, ids, a)
+            scatter_point_ids(solid_words, ids, a)
             # the plane with local pattern t in solid s is column s * pps + t
             scatter_point_ids(plane_bits, ids[:, local].reshape(-1, local.shape[1]),
                               a * pps)
         del solids, ids  # freed before the id pass, which peaks
-        self.plane_bits = plane_bits
-        self.plane_gid, firsts = _first_occurrence_ids(self.plane_bits)
-        self.plane_words = self.plane_bits.take(firsts, axis=1)
-        self.solid_words = solid_bits
-        self.solid_bits = np.repeat(solid_bits, pps, axis=1)
+        self.plane_gid, firsts = _first_occurrence_ids(plane_bits)
+        self.plane_words = plane_bits.take(firsts, axis=1)
+        self.solid_words = solid_words
 
     @functools.cached_property
     def dual_permutation(self) -> np.ndarray:
@@ -339,7 +335,6 @@ def adjacency_scan(fset: FlagSet, f: Flag | int) -> tuple[int, int | None]:
     Returns (count, least adjacent member ordinal or None).
     """
     uni = fset.universe
-    uni._need_masks()
     ordinal = f if isinstance(f, int) else uni.ordinal_of(f)
     hits = uni.adjacent_mask(ordinal) & fset.mask
     count = int(np.count_nonzero(hits))

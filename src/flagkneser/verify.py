@@ -83,14 +83,18 @@ def _timed(name: str, check) -> CheckResult:
                        (time.perf_counter() - t0) * 1000.0)
 
 
+def _flag_words(uni: FlagUniverse, ords: np.ndarray):
+    """The word-major plane and solid bitsets of the flags ords, by id."""
+    return (uni.plane_words.take(uni.plane_gid[ords], axis=1),
+            uni.solid_words.take(ords // uni.planes_per_solid, axis=1))
+
+
 def _member_arrays(fset: FlagSet):
-    """The universe, the member ordinals, and the members' word-major plane
-    and solid bitsets."""
+    """The universe, the member ordinals, and their plane and solid words."""
     uni = fset.universe
     uni._need_masks()
     ords = fset.ordinals()
-    return (uni, ords, uni.plane_bits.take(ords, axis=1),
-            uni.solid_bits.take(ords, axis=1))
+    return (uni, ords, *_flag_words(uni, ords))
 
 
 # planes per block of check_independent times member planes: bounds each
@@ -201,11 +205,11 @@ def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationRepor
     stride coprime to their number, because consecutive members in ordinal
     order share a solid and cover nearly the same flags.  A block is one
     member while the candidates are many and grows as they thin out,
-    keeping members times columns under _SCAN_BLOCK; the candidate columns
-    are compacted once half of them are dead.  A step that drops no
-    candidate tests the least live one against all members at once: if no
-    member covers it, every smaller candidate is covered and it is the
-    witness; else it is dropped.  So a set that is not maximal settles in
+    keeping members times columns under _SCAN_BLOCK; the candidates'
+    columns are gathered by id, again once half of them are dead.  A step
+    that drops no candidate tests the least live one against all members:
+    if no member covers it, every smaller candidate is covered and it is
+    the witness; else it is dropped.  So a set that is not maximal settles in
     a few steps.  What is left at the end, the non-members adjacent to no
     member, does not depend on the visit order, and neither do the
     verdict and the least witness.
@@ -219,10 +223,10 @@ def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationRepor
         while math.gcd(stride, m) != 1:
             stride += 1
         order = np.arange(m) * stride % m
-        cand = np.arange(uni.flag_count)
-        planes, solids = uni.plane_bits, uni.solid_bits
-        alive = ~fset.mask  # members never extend the set
-        left, start = np.count_nonzero(alive), 0
+        cand = np.flatnonzero(~fset.mask)  # members never extend the set
+        planes, solids = _flag_words(uni, cand)
+        alive = np.ones(cand.size, dtype=bool)
+        left, start = cand.size, 0
         while start < len(order) and left:
             block = order[start:start + max(1, _SCAN_BLOCK // cand.size)]
             start += len(block)
@@ -241,8 +245,7 @@ def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationRepor
             left = now
             if 2 * left <= cand.size:  # compact once half the columns died
                 cand = cand[alive]
-                planes = np.compress(alive, planes, axis=1)
-                solids = np.compress(alive, solids, axis=1)
+                planes, solids = _flag_words(uni, cand)
                 alive = np.ones(left, dtype=bool)
         if left:  # cand stays ascending
             return False, {"extending_flag": int(cand[alive][0])}
@@ -492,7 +495,7 @@ def check_disjoint_plane_meeting_solid(fset: FlagSet, f: Flag | int,
             "a solid carries %d member flags, above the declared xi=%d"
             % (measured, xi))
 
-    e = uni.plane_bits[:, ordinal]
+    e = uni.plane_words[:, uni.plane_gid[ordinal]]
     bound = plane_disjoint_solid_meeting_bound(xi, uni.q)
 
     def bounded():
@@ -545,7 +548,8 @@ def check_coloring(classes: Sequence[FlagSet],
 
 def chromatic_lower_report(q: int, universe: FlagUniverse | None = None) -> dict:
     """Compare ceil(|universe| / independence number) with the closed-form
-    lower estimate q^4 - q^2 + 2q + 1."""
+    lower estimate q^4 - q^2 + 2q + 1; the ratio is a bound only if alpha
+    is independence_number_formula(q)."""
     n = universe_size_formula(q)
     cross_checked = False
     if universe is not None:
@@ -562,6 +566,7 @@ def chromatic_lower_report(q: int, universe: FlagUniverse | None = None) -> dict
         "universe_size": n,
         "independence_number": alpha,
         "ratio_lower_bound": ratio,
+        "ratio_lower_bound_condition": "only if alpha equals independence_number",
         "polynomial_lower_bound": poly,
         "agree": ratio == poly,
         "universe_cross_checked": cross_checked,

@@ -262,7 +262,7 @@ def test_criterion_09_line_meeting_families():
                "maximal", problems, t0)
 
 
-def test_criterion_10_duality(uni2, frame2, families):
+def test_criterion_10_duality(uni2, flag_bits, frame2, families):
     t0 = time.time()
     problems = []
     rng = np.random.default_rng(20260814)
@@ -273,7 +273,7 @@ def test_criterion_10_duality(uni2, frame2, families):
         problems.append("dualization is not an involution")
 
     def adj(i, j):
-        planes, solids = uni2.plane_bits, uni2.solid_bits
+        planes, solids = flag_bits
         return adjacent_bits(planes.take(i, axis=1), solids.take(i, axis=1),
                              planes.take(j, axis=1), solids.take(j, axis=1))
 

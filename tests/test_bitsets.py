@@ -123,7 +123,7 @@ def test_least_pair_is_the_least_flagged_pair(case, cut):
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_adjacent_mask_matches_flag_adjacency(uni2, data):
+def test_adjacent_mask_matches_flag_adjacency(uni2, flag_bits, data):
     a = data.draw(st.integers(0, uni2.flag_count - 1))
     mask = uni2.adjacent_mask(a)
     neighbours = np.flatnonzero(mask)
@@ -132,7 +132,7 @@ def test_adjacent_mask_matches_flag_adjacency(uni2, data):
         st.sampled_from(neighbours.tolist())))
     f, g = uni2.flag(a), uni2.flag(b)
     assert bool(mask[b]) == adjacent(f, g) == adjacent(g, f)
-    planes, solids = uni2.plane_bits, uni2.solid_bits
+    planes, solids = flag_bits
     assert bool(adjacent_bits(planes[:, a], solids[:, a],
                               planes[:, b], solids[:, b])) == adjacent(f, g)
     assert _to_int(planes[:, a]) == point_bitset(f.plane)

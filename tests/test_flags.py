@@ -11,9 +11,7 @@ from flagkneser.flags import (Flag, FlagSet, FlagUniverse, adjacency_scan,
                               adjacent, adjacent_bits, build_universe,
                               dualize_flag, export_dimacs, general_position,
                               load_flagset, save_flagset)
-from flagkneser.linalg import field_matmul
-from flagkneser.projective import (PatternCodec, Subspace, basis_bitsets,
-                                   dualize, meet, span, subspace_array)
+from flagkneser.projective import Subspace, dualize, meet, span
 
 
 def _unit(n, q, idxs):
@@ -89,14 +87,12 @@ def test_flag_ordinal_layout(uni2):
 
 def test_plane_and_solid_words_hold_each_distinct_one_once(uni2):
     # column g of plane_words is plane id g, column k of solid_words solid
-    # ordinal k, and reading them by id gives back the per-flag arrays
+    # ordinal k (test_universe_bitsets_match_the_per_plane_route reads
+    # them by id against the per-flag reference)
     n = gaussian(7, 3, 2)
     assert uni2.plane_words.shape == uni2.solid_words.shape == (2, n)
     for words in (uni2.plane_words, uni2.solid_words):
         assert np.unique(words, axis=1).shape[1] == n
-    assert np.array_equal(uni2.plane_words[:, uni2.plane_gid], uni2.plane_bits)
-    solid_id = np.arange(uni2.flag_count) // uni2.planes_per_solid
-    assert np.array_equal(uni2.solid_words[:, solid_id], uni2.solid_bits)
     # plane ids count in order of first occurrence
     firsts = np.unique(uni2.plane_gid, return_index=True)[1]
     assert len(firsts) == n and np.all(np.diff(firsts) > 0)
@@ -104,15 +100,26 @@ def test_plane_and_solid_words_hold_each_distinct_one_once(uni2):
         int(np.flatnonzero(uni2.plane_gid == 5)[-1])).plane
 
 
-def test_universe_bitsets_match_the_per_plane_route(uni2):
+def test_universe_bitsets_match_the_per_plane_route(uni2, flag_bits):
     """The build gathers each plane's points from its solid's point ids;
-    the per-plane route multiplies every local pattern through every solid
-    and takes the bitsets of the products.  Both agree on all 11811 solids."""
-    solids = subspace_array(6, 2, 3)
-    assert np.array_equal(uni2.solid_words, basis_bitsets(solids, 6, 2))
-    patterns = PatternCodec(4, 3, 2).array().astype(np.int64)
-    planes = field_matmul(patterns, solids[:, None], 2).reshape(-1, 3, 7)
-    assert np.array_equal(uni2.plane_bits, basis_bitsets(planes, 6, 2))
+    the per-plane route of the flag_bits fixture multiplies every local
+    pattern through every solid and takes the bitsets of the products.
+    Read by plane and solid id, the universe gives back both per-flag
+    arrays on all 177165 flags."""
+    planes, solids = flag_bits
+    assert np.array_equal(uni2.plane_words[:, uni2.plane_gid], planes)
+    solid_id = np.arange(uni2.flag_count) // uni2.planes_per_solid
+    assert np.array_equal(uni2.solid_words[:, solid_id], solids)
+
+
+def test_universe_keeps_planes_and_solids_by_id_only():
+    """A fresh q=2 universe, before its dual_permutation is built, holds
+    about 1.1 MB of arrays: the plane id of every flag and the distinct
+    planes and solids.  One per-flag bitset array would add 2.8 MB."""
+    uni = FlagUniverse(2)
+    held = sum(v.nbytes for v in vars(uni).values()
+               if isinstance(v, np.ndarray))
+    assert held < 1.5e6, held
 
 
 def test_dualize_flag_is_involution(uni2):
@@ -123,7 +130,7 @@ def test_dualize_flag_is_involution(uni2):
         assert uni2.dual_ordinal(uni2.dual_ordinal(t)) == t
 
 
-def test_dual_permutation_against_the_codec_path(uni2):
+def test_dual_permutation_against_the_codec_path(uni2, flag_bits):
     perm = uni2.dual_permutation
     every = np.arange(uni2.flag_count)
     assert perm.dtype == np.int32 and np.array_equal(perm[perm], every)
@@ -137,7 +144,7 @@ def test_dual_permutation_against_the_codec_path(uni2):
     i, j = rng.integers(0, uni2.flag_count, size=(2, 20000))
     i[:200] = 0  # some adjacent pairs among them
     j[:200] = np.flatnonzero(uni2.adjacent_mask(0))[:200]
-    planes, solids = uni2.plane_bits, uni2.solid_bits
+    planes, solids = flag_bits
 
     def adj(a, b):
         return adjacent_bits(planes[:, a], solids[:, a],
@@ -194,13 +201,13 @@ def test_adjacent_mask_agrees_with_flag_level_test(uni2):
     assert not mask[t]
 
 
-def test_adjacent_mask_by_id_matches_per_flag_bitsets(uni2):
+def test_adjacent_mask_by_id_matches_per_flag_bitsets(uni2, flag_bits):
     """adjacent_mask reads the distinct plane and solid tables by id; it
-    must equal adjacent_bits over the per-flag plane_bits and solid_bits."""
+    must equal adjacent_bits over the per-flag reference bitsets."""
     rng = np.random.default_rng(14)
     samples = [0, 1, 14, 15, uni2.flag_count - 1] + rng.integers(
         0, uni2.flag_count, 40).tolist()
-    planes, solids = uni2.plane_bits, uni2.solid_bits
+    planes, solids = flag_bits
     for t in samples:
         want = adjacent_bits(planes[:, t], solids[:, t], planes, solids)
         got = uni2.adjacent_mask(t)
@@ -381,7 +388,8 @@ def test_export_dimacs_edges_are_the_adjacent_pairs(tmp_path, uni2):
     assert lines[-1] == "p edge 1 0" and edges == []
 
 
-def test_export_dimacs_full_graph_of_a_small_universe(tmp_path, uni2):
+def test_export_dimacs_full_graph_of_a_small_universe(tmp_path, uni2,
+                                                      flag_bits):
     # a stand-in universe of 64 flags spread over the q=2 universe, so the
     # whole-graph export (no induced line, exact header) runs in a moment;
     # each flag is its own solid, and its plane ids count 0..k-1
@@ -390,7 +398,7 @@ def test_export_dimacs_full_graph_of_a_small_universe(tmp_path, uni2):
     small = types.SimpleNamespace(
         q=2, flag_count=64, planes_per_solid=1, plane_gid=pid,
         plane_words=uni2.plane_words[:, gids],
-        solid_words=uni2.solid_bits[:, cols], _need_masks=lambda: None)
+        solid_words=flag_bits[1][:, cols], _need_masks=lambda: None)
     path = tmp_path / "small.dimacs"
     summary = export_dimacs(small, str(path))
     lines, edges = _dimacs_edges(path)

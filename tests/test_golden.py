@@ -50,8 +50,9 @@ GOLDEN_OUTPUTS = {
     "skew4.json": (0, "5055fb2f3d92226e751e96c278bbf712f258f5ce95ad157aed811fd33b4335b4"),
 }
 
-# sha256 of the q=2 universe arrays: plane ids (int32), plane words and
-# solid words (uint64, word-major: row k holds points 64k..64k+63)
+# sha256 of the q=2 universe arrays: plane ids (int32), and the plane and
+# solid words of every flag (uint64, word-major: row k holds points
+# 64k..64k+63)
 GOLDEN_UNIVERSE = {
     "plane_gid": "774d6aa11ad6235a01859cbf8fc5ddd5b1587daad1bb8c77438c0f136cca75aa",
     "plane_bits": "1bc9aa7b0ef7f99e567b98782a5f260edfa944ffd813432c0a086da0f47e779d",
@@ -147,10 +148,12 @@ def test_golden_cli_outputs(tmp_path, capsys):
 
 
 def test_golden_universe_arrays(uni2):
+    # the per-flag words, read by plane and solid id
+    solid_id = np.arange(uni2.flag_count) // uni2.planes_per_solid
     got = {
         "plane_gid": _sha256(uni2.plane_gid.tobytes()),
-        "plane_bits": _sha256(uni2.plane_bits.tobytes()),
-        "solid_bits": _sha256(uni2.solid_bits.tobytes()),
+        "plane_bits": _sha256(uni2.plane_words[:, uni2.plane_gid].tobytes()),
+        "solid_bits": _sha256(uni2.solid_words[:, solid_id].tobytes()),
     }
     assert got == GOLDEN_UNIVERSE, got
 

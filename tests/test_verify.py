@@ -6,7 +6,7 @@ from flagkneser.constructions import (LambdaSpec, build_coloring_scheme,
                                       build_lambda, realize_coloring,
                                       trivial_coloring_scheme)
 from flagkneser.flags import FlagSet, adjacent_bits
-from flagkneser.linalg import least_pair
+from flagkneser.linalg import disjoint, least_pair
 from flagkneser.projective import Subspace, enumerate_subspaces
 from flagkneser.verify import (PreconditionError, _planes_per_block,
                                check_coloring,
@@ -54,20 +54,22 @@ def mi_classes(uni2, frame2):
     return realize_coloring(scheme.classes, uni2)
 
 
-def _least_adjacent_pair(uni, ords):
-    """The least adjacent member pair by a plain scan over all pairs."""
-    w = len(uni.plane_bits)
-    bits = np.concatenate([uni.plane_bits[:, ords], uni.solid_bits[:, ords]])
+def _least_adjacent_pair(flag_bits, ords):
+    """The least adjacent member pair by a plain scan over all pairs, on
+    the per-flag reference bitsets."""
+    planes, solids = flag_bits
+    w = len(planes)
+    bits = np.concatenate([planes[:, ords], solids[:, ords]])
     pair = least_pair(bits, lambda a, b: adjacent_bits(a[:w], a[w:],
                                                        b[:w], b[w:]))
     return None if pair is None else [int(ords[k]) for k in pair]
 
 
-def _assert_matches_scan(uni, ords):
+def _assert_matches_scan(uni, flag_bits, ords):
     """check_independent gives the plain scan's verdict and least pair."""
     ords = np.array(sorted(ords), dtype=np.int64)
     rep = check_independent(FlagSet.from_ordinals(uni, ords))
-    want = _least_adjacent_pair(uni, ords)
+    want = _least_adjacent_pair(flag_bits, ords)
     assert rep.passed == (want is None)
     assert rep.checks[0].witness == (None if want is None
                                      else {"adjacent_pair": want})
@@ -80,7 +82,8 @@ _ORDINAL = st.integers(0, 177164)
 @pytest.mark.parametrize("shape", ["small", "random", "one_plane"])
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
-def test_factored_independence_matches_least_pair_scan(uni2, shape, data):
+def test_factored_independence_matches_least_pair_scan(uni2, flag_bits, shape,
+                                                       data):
     if shape == "small":  # sizes 0, 1 and 2
         ords = data.draw(st.sets(_ORDINAL, max_size=2))
     elif shape == "random":
@@ -90,21 +93,21 @@ def test_factored_independence_matches_least_pair_scan(uni2, shape, data):
         on_plane = np.flatnonzero(uni2.plane_gid == gid).tolist()
         ords = (data.draw(st.sets(st.sampled_from(on_plane), min_size=2))
                 | data.draw(st.sets(_ORDINAL, max_size=4)))
-    _assert_matches_scan(uni2, ords)
+    _assert_matches_scan(uni2, flag_bits, ords)
 
 
 @pytest.mark.parametrize("add_adjacent", [False, True])
 @given(data=st.data())
 @settings(max_examples=3, deadline=None)
-def test_factored_independence_on_mi_classes(uni2, mi_classes, add_adjacent,
-                                             data):
+def test_factored_independence_on_mi_classes(uni2, flag_bits, mi_classes,
+                                             add_adjacent, data):
     cls = mi_classes[data.draw(st.integers(0, len(mi_classes) - 1))]
     ords = set(cls.ordinals().tolist())
     if add_adjacent:
         member = data.draw(st.sampled_from(sorted(ords)))
         ords.add(data.draw(st.sampled_from(
             np.flatnonzero(uni2.adjacent_mask(member))[:50].tolist())))
-    assert _assert_matches_scan(uni2, ords).passed != add_adjacent
+    assert _assert_matches_scan(uni2, flag_bits, ords).passed != add_adjacent
 
 
 def test_full_universe_fails_at_once_with_least_witness(uni2):
@@ -117,7 +120,7 @@ def test_full_universe_fails_at_once_with_least_witness(uni2):
     assert rep.checks[0].ms < 3000
 
 
-def test_conflict_across_a_block_boundary(uni2, mi_classes):
+def test_conflict_across_a_block_boundary(uni2, flag_bits, mi_classes):
     """An mi class and a flag adjacent to its last member, chosen so that
     the flag's plane lies in another block of check_independent than the
     plane of every member it is adjacent to: only the test of a block
@@ -135,14 +138,14 @@ def test_conflict_across_a_block_boundary(uni2, mi_classes):
     else:
         pytest.fail("no flag adjacent to the last member across blocks")
     assert step < len(planes)
-    rep = _assert_matches_scan(uni2, ords)
+    rep = _assert_matches_scan(uni2, flag_bits, ords)
     assert not rep.passed and x in rep.checks[0].witness["adjacent_pair"]
 
 
-def test_dependent_random_set_matches_least_pair_scan(uni2):
+def test_dependent_random_set_matches_least_pair_scan(uni2, flag_bits):
     rng = np.random.default_rng(20000)
     ords = rng.choice(uni2.flag_count, 20000, replace=False)
-    assert not _assert_matches_scan(uni2, ords).passed
+    assert not _assert_matches_scan(uni2, flag_bits, ords).passed
 
 
 def test_same_solid_flags_are_independent_but_not_maximal(uni2):
@@ -321,6 +324,23 @@ def test_xi_bound(uni2, lam_pl):
         check_disjoint_plane_meeting_solid(lam_pl, first, xi=3)
 
 
+def test_xi_bound_count_matches_the_per_flag_reference(lam_pl, flag_bits):
+    """The members whose plane misses plane(f) and whose solid meets it,
+    counted on the per-flag reference bitsets, for reference flags spread
+    over the family."""
+    planes, solids = flag_bits
+    ords = lam_pl.ordinals()
+    counts = set()
+    for f in ords[::len(ords) // 6].tolist():
+        e = planes[:, f]
+        want = int(np.count_nonzero(disjoint(planes[:, ords], e)
+                                    & ~disjoint(solids[:, ords], e)))
+        rep = check_disjoint_plane_meeting_solid(lam_pl, f)
+        assert rep.checks[0].witness["count"] == want, f
+        counts.add(want)
+    assert len(counts) > 1
+
+
 def test_coloring_checker(uni2, frame2):
     scheme = build_coloring_scheme(frame2["point"], frame2["line"],
                                    frame2["plane"], frame2["four_space"],
@@ -357,6 +377,7 @@ def test_chromatic_lower_report(uni2):
     assert rep["ratio_lower_bound"] == 17
     assert rep["polynomial_lower_bound"] == 17
     assert rep["agree"] and rep["universe_cross_checked"]
+    assert "only if alpha" in rep["ratio_lower_bound_condition"]
     rep3 = chromatic_lower_report(3)
     assert rep3["ratio_lower_bound"] == 79 == rep3["polynomial_lower_bound"]
     assert not rep3["universe_cross_checked"]
