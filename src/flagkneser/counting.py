@@ -85,8 +85,8 @@ def universe_size_formula(q: int) -> int:
 
 
 def independence_number_formula(q: int) -> int:
-    """The paper's independence number alpha of the graph for q > 27; at
-    q <= 16 the size of the Lambda families, a lower bound on alpha."""
+    """The paper's independence number alpha for q > 27; at the supported
+    q <= 16, the size of the constructed Lambda families, a lower bound on alpha."""
     return gaussian(6, 4, q) * gaussian(4, 3, q) + gaussian(5, 3, q) * q ** 3
 
 
@@ -206,8 +206,9 @@ REGISTRY: dict[str, FormulaEntry] = {
                      "[7 4]_q [4 3]_q, the number of plane-solid flags of PG(6,q)",
                      lambda q: universe_size_formula(q)),
         FormulaEntry("independence_number", (),
-                     "[6 4]_q [4 3]_q + [5 3]_q q^3, the paper's alpha for q > 27; at the "
-                     "supported q the size of the Lambda families, a lower bound on alpha",
+                     "[6 4]_q [4 3]_q + [5 3]_q q^3, the paper's value of the independence "
+                     "number alpha for q > 27; at the supported q <= 16, the size of the "
+                     "constructed Lambda families, a lower bound on alpha",
                      lambda q: independence_number_formula(q)),
         FormulaEntry("independence_number_expanded", (),
                      "q^11+2q^10+5q^9+7q^8+10q^7+11q^6+11q^5+9q^4+7q^3+4q^2+2q+1, the "

@@ -547,9 +547,8 @@ def check_coloring(classes: Sequence[FlagSet],
 
 
 def chromatic_lower_report(q: int, universe: FlagUniverse | None = None) -> dict:
-    """Compare ceil(|universe| / independence number) with the closed-form
-    lower estimate q^4 - q^2 + 2q + 1; the ratio is a bound only if alpha
-    is independence_number_formula(q)."""
+    """Compare ceil(|universe| / independence number) with the closed form
+    q^4 - q^2 + 2q + 1; the ratio bounds chi only if alpha is that number."""
     n = universe_size_formula(q)
     cross_checked = False
     if universe is not None:
