@@ -23,8 +23,8 @@ distinct one once as word-major point bitsets (see linalg: (2, 11811)
 uint64, column g for id g, row k holding points 64k..64k+63); a flag's
 plane id is plane_gid[ordinal], numbered in order of first occurrence,
 and its solid id its solid ordinal, ordinal // planes_per_solid.  The
-build takes the point ids of each solid, one coefficient matmul per chunk
-of solids: a plane of a solid is a set of the solid's points, so its ids
+build takes the point ids of each solid, one batch_point_ids call per
+chunk of solids: a plane of a solid is a set of the solid's points, so its ids
 are gathered from the solid's through projective.pattern_point_table and
 no plane is multiplied out.
 The duality (E, S) -> (S^perp, E^perp) is one int32 permutation of the
@@ -183,7 +183,7 @@ class FlagUniverse:
         id, and the plane id of every flag in order of first occurrence.
 
         A plane of a solid is a set of the solid's points: the point ids of
-        each chunk of solids come from one coefficient matmul, and those of
+        each chunk of solids come from one batch_point_ids call, and those of
         its planes are gathered from them through pattern_point_table, so
         planes are never multiplied out; their per-flag bitsets feed only
         the plane-id pass."""

@@ -17,9 +17,14 @@ trailing axes, compare them word by word and AND the results, popcount
 counts the points of each set; least_pair scans the column pairs of one
 array for the least one a kernel flags.
 
-Integer arrays of element codes are multiplied by field_matmul, a batch at
-a time; prime q uses plain integer arithmetic mod q, the extension fields
-the FieldTable tables.
+batch_point_ids does no field arithmetic per point.  An element code is
+its base-p digit string, so adding vectors adds digits mod p with no carry
+between digits: each basis row's multiples are looked up once as lifted
+codes, one spaced-out field per digit, each point is one integer add (an
+XOR at p = 2), and a small table takes the digits mod p back to a base-q
+code.  Other integer arrays of element codes are multiplied by
+field_matmul, a batch at a time; prime q uses plain integer arithmetic mod
+q, the extension fields the FieldTable tables.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ Matrix = tuple[Row, ...]
 
 # vectors per pass of batch_point_bitsets (bounds its scratch arrays)
 _BITSET_CHUNK = 1 << 15
+# batch_point_ids: most vector codes in one column group's lift table, and
+# the bits of lifted digits one reducer lookup takes
+_GROUP_CODES = 1 << 14
+_REDUCER_BITS = 12
 
 
 def rref(rows: Iterable[Sequence[int]], fld: FieldTable) -> Matrix:
@@ -177,6 +186,28 @@ def code_positions(reps: np.ndarray, q: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _lift_table(q: int, w: int, b: int) -> np.ndarray:
+    """lift[c, x] is the lifted code of c * v, v the vector of GF(q)^w with
+    base-q code x: base-p digit t of c * v (digit d of coordinate j,
+    t = e*j + d) in bits b*t .. b*t + b - 1."""
+    fld = build_field(q)
+    p, e = fld.p, fld.e
+    digits = np.arange(q)[:, None] // p ** np.arange(e) % p
+    lifted = digits @ (1 << b * np.arange(e))
+    coords = np.arange(q ** w)[:, None] // q ** np.arange(w) % q
+    return lifted[field_arrays(q)[1][:, coords]] @ (1 << b * e * np.arange(w))
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_reducer(p: int, b: int) -> np.ndarray:
+    """red[x]: the base-p number whose digit t is field t of x mod p, for x
+    over the 12 // b fields of b bits that fit in 12 bits."""
+    f = _REDUCER_BITS // b
+    fields = np.arange(1 << b * f)[:, None] >> b * np.arange(f) & (1 << b) - 1
+    return fields % p @ p ** np.arange(f)
+
+
 def batch_point_ids(mats: np.ndarray, q: int, point_codes: np.ndarray) -> np.ndarray:
     """Point indices of a batch of full-rank r x m matrices over GF(q).
 
@@ -186,12 +217,62 @@ def batch_point_ids(mats: np.ndarray, q: int, point_codes: np.ndarray) -> np.nda
     so the vectors the coefficient representatives produce are looked up
     as they are, without scaling.  Returns an int64 (N, k) array: entry
     (i, j) is the point coefficient_reps(r, q)[j] @ mats[i].
+
+    No field arithmetic is done per point.  An element's code is its
+    base-p digit string, and a sum of vectors adds their digits mod p with
+    no carry from one digit to the next.  So each digit gets a field of b
+    bits, wide enough that a sum of r digits never carries (b = 1 and XOR
+    at p = 2); _lift_table gives the lifted code of every multiple of each
+    basis row, and each coefficient vector is one integer sum of them.
+    Block l of coefficient_reps is every sum of multiples of the rows < l
+    (c_0 slowest) plus row l, and those sums are the ones of block l-1,
+    each plus every multiple of row l-1.  _digit_reducer takes the digits
+    mod p back to a base-q code.  The coordinates go in groups whose lift table has at most
+    _GROUP_CODES columns and whose lifted code fits in an int64.
     """
     if mats.ndim != 3:
         raise ValueError("expected a (N, r, m) batch")
-    powers = q ** np.arange(mats.shape[2], dtype=np.int64)
-    return point_codes[field_matmul(coefficient_reps(mats.shape[1], q), mats, q)
-                       @ powers]
+    n, r, m = mats.shape
+    fld = build_field(q)
+    p, e = fld.p, fld.e
+    b = 1 if p == 2 else (max(r, 1) * (p - 1)).bit_length()
+    combine = np.bitwise_xor if p == 2 else np.add
+    width = 1
+    while q ** (width + 1) <= _GROUP_CODES and b * e * (width + 1) < 64:
+        width += 1
+    f = _REDUCER_BITS // b  # digits per reducer lookup
+    mask = (1 << b * f) - 1
+    for start in range(0, m, width):
+        w = min(width, m - start)
+        # multiples[c, i, l]: lifted code of c times row l of basis i
+        multiples = _lift_table(q, w, b)[:, mats[:, :, start:start + w]
+                                         @ q ** np.arange(w, dtype=np.int64)]
+        lifted = np.empty((n, (q ** r - 1) // (q - 1)), dtype=np.int64)
+        sums = np.zeros((n, 1), dtype=np.int64)
+        at = 0
+        for l in range(r):
+            combine(sums, multiples[1, :, l, None], out=lifted[:, at:at + sums.shape[1]])
+            at += sums.shape[1]
+            if l + 1 < r:
+                sums = combine(sums[:, :, None], multiples[:, :, l].T[:, None]
+                               ).reshape(n, q * sums.shape[1])
+        if p == 2:
+            part = lifted
+            part <<= e * start
+        else:
+            # digits t .. t + f - 1 at a time, scaled into place by the table
+            reducer = _digit_reducer(p, b)
+            part = (reducer * q ** start)[lifted & mask]
+            chunk = np.empty_like(lifted)
+            for t in range(f, e * w, f):
+                np.right_shift(lifted, b * t, out=chunk)
+                chunk &= mask
+                part += (reducer * p ** (e * start + t))[chunk]
+        if start == 0:
+            codes = part
+        else:
+            codes += part
+    return point_codes[codes]
 
 
 def scatter_point_ids(bits: np.ndarray, ids: np.ndarray, start: int = 0) -> None:

@@ -214,13 +214,11 @@ def pattern_point_table(m: int, r: int, q: int) -> np.ndarray:
     pattern t.  So if ids are the basis_point_ids of rank-m bases,
     ids[b, table[t]] are the points of the subspace that pattern t spans
     in the row space of basis b: one gather gives all of them, with no
-    matmul.  The local vectors are looked up by code_positions, so a
-    vector whose last nonzero entry is not 1 (q > 2) finds its
-    representative."""
-    reps = linalg.coefficient_reps(m, q)
-    vecs = linalg.field_matmul(linalg.coefficient_reps(r, q),
-                               PatternCodec(m, r, q).array().astype(np.int64), q)
-    return linalg.code_positions(reps, q)[vecs @ q ** np.arange(m, dtype=np.int64)]
+    matmul.  The table is the batch_point_ids of the patterns themselves,
+    looked up by code_positions, so a vector whose last nonzero entry is
+    not 1 (q > 2) finds its representative."""
+    return linalg.batch_point_ids(PatternCodec(m, r, q).array(), q,
+                                  linalg.code_positions(linalg.coefficient_reps(m, q), q))
 
 
 def point_words(a: Subspace) -> np.ndarray:

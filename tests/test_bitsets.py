@@ -1,10 +1,13 @@
 """The word-major point-bitset layout and its kernels against the scalar
 references: point_bitset (a Python int per subspace), int `&` and
-bit_count, dualize and span, and the flag-level adjacent()."""
+bit_count, dualize and span, and the flag-level adjacent(); and the point
+ids of batch_point_ids against the coefficient matmul."""
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagkneser import linalg
+from flagkneser.galois import SUPPORTED_ORDERS
 from flagkneser.flags import adjacent, adjacent_bits
 from flagkneser.linalg import disjoint, least_pair, popcount, subset
 from flagkneser.projective import (Subspace, dualize, perp_bitsets,
@@ -44,12 +47,11 @@ def test_batched_route_matches_scalar_point_bitset(case):
     for i, sub in enumerate(subs):
         assert _to_int(bits[:, i]) == point_bitset(sub)
         assert _to_int(point_words(sub)) == point_bitset(sub)
-    if q != 4:
-        # the batch takes any basis, reduced or not
-        idx = point_indexer(n, q)
-        raw = linalg.batch_point_bitsets(np.array(mats), q, idx.point_codes(),
-                                         idx.count)
-        assert np.array_equal(raw, bits)
+    # the batch takes any basis, reduced or not
+    idx = point_indexer(n, q)
+    raw = linalg.batch_point_bitsets(np.array(mats), q, idx.point_codes(),
+                                     idx.count)
+    assert np.array_equal(raw, bits)
 
 
 @given(subspace_batches(), st.data())
@@ -137,3 +139,60 @@ def test_adjacent_mask_matches_flag_adjacency(uni2, flag_bits, data):
                               planes[:, b], solids[:, b])) == adjacent(f, g)
     assert _to_int(planes[:, a]) == point_bitset(f.plane)
     assert _to_int(solids[:, b]) == point_bitset(g.solid)
+
+
+def _reference_point_ids(mats, q, point_codes):
+    """Point ids by the coefficient matmul: every coefficient_reps(r, q)
+    row times each basis over GF(q), looked up by its base-q code."""
+    vecs = linalg.field_matmul(linalg.coefficient_reps(mats.shape[1], q), mats, q)
+    return point_codes[vecs @ q ** np.arange(mats.shape[2], dtype=np.int64)]
+
+
+def _unreduced_bases(rng, count, r, m, q):
+    """count random rank-r bases of GF(q)^m that are not in RREF: [I | X]
+    with its columns shuffled, mixed by an upper triangular matrix with a
+    nonzero diagonal, so the rank stays r and the pivots are not 1."""
+    eye = np.broadcast_to(np.eye(r, dtype=np.int64), (count, r, r))
+    base = np.concatenate([eye, rng.integers(0, q, (count, r, m - r))], axis=2)
+    mix = np.triu(rng.integers(0, q, (count, r, r)), 1)
+    mix[:, np.arange(r), np.arange(r)] = rng.integers(1, q, (count, r))
+    return linalg.field_matmul(mix, base[:, :, rng.permutation(m)], q)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_batch_point_ids_match_the_coefficient_matmul(q):
+    """Every rank r = 0..m of GF(q)^m, q^m up to 4096, on batches of 0, 1
+    and 5 unreduced bases: the same ids in the same columns."""
+    rng = np.random.default_rng(q)
+    m = 1
+    while q ** m <= 4096:
+        point_codes = point_indexer(m - 1, q).point_codes()
+        for r in range(m + 1):
+            for count in (0, 1, 5):
+                mats = _unreduced_bases(rng, count, r, m, q)
+                want = _reference_point_ids(mats, q, point_codes)
+                got = linalg.batch_point_ids(mats, q, point_codes)
+                assert got.dtype == np.int64 and got.shape == want.shape
+                assert np.array_equal(got, want), (q, m, r, count)
+                assert (got >= 0).all()
+        m += 1
+
+
+@pytest.mark.parametrize("m,q,ranks,count", [
+    (13, 3, (8,), 4),     # lifted digits of all 13 coordinates overflow 63 bits
+    (13, 3, (13,), 1),    # every point of PG(12,3)
+    (5, 16, (5,), 1),     # every point of PG(4,16), lift tables of 16^3 codes
+])
+def test_batch_point_ids_over_column_groups(m, q, ranks, count):
+    """Spaces whose coordinates split into column groups, exact against the
+    coefficient matmul.  The lookup is code_positions itself, the point
+    numbering of PointIndexer up to order, which these sizes do without
+    sorting every point."""
+    rng = np.random.default_rng(m * q)
+    point_codes = linalg.code_positions(linalg.coefficient_reps(m, q), q)
+    for r in ranks:
+        mats = _unreduced_bases(rng, count, r, m, q)
+        got = linalg.batch_point_ids(mats, q, point_codes)
+        assert np.array_equal(got, _reference_point_ids(mats, q, point_codes))
+        if r == m:
+            assert np.array_equal(np.sort(got[0]), np.arange(got.shape[1]))
