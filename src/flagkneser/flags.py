@@ -24,9 +24,9 @@ uint64, column g for id g, row k holding points 64k..64k+63); a flag's
 plane id is plane_gid[ordinal], numbered in order of first occurrence,
 and its solid id its solid ordinal, ordinal // planes_per_solid.  The
 build takes the point ids of each solid, one batch_point_ids call per
-chunk of solids: a plane of a solid is a set of the solid's points, so its ids
-are gathered from the solid's through projective.pattern_point_table and
-no plane is multiplied out.
+chunk of solids: a plane of a solid is a set of the solid's points, so
+its ids are gathered from the solid's through
+projective.pattern_point_table and no plane is multiplied out.
 The duality (E, S) -> (S^perp, E^perp) is one int32 permutation of the
 ordinals, built on first use from the orthogonal complements of those
 columns.  Full materialization is limited to q in {2, 3}; at q = 3

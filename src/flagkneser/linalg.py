@@ -208,7 +208,7 @@ def _lift_table(q: int, w: int, b: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _digit_reducer(p: int, b: int) -> np.ndarray:
     """red[x]: the base-p number whose digit t is field t of x mod p, for x
-    over the 12 // b fields of b bits that fit in 12 bits."""
+    over the fields of b bits that fit in _REDUCER_BITS bits."""
     f = _REDUCER_BITS // b
     fields = np.arange(1 << b * f)[:, None] >> b * np.arange(f) & (1 << b) - 1
     return fields % p @ p ** np.arange(f)
@@ -233,8 +233,9 @@ def batch_point_ids(mats: np.ndarray, q: int, point_codes: np.ndarray) -> np.nda
     Block l of coefficient_reps is every sum of multiples of the rows < l
     (c_0 slowest) plus row l, and those sums are the ones of block l-1,
     each plus every multiple of row l-1.  _digit_reducer takes the digits
-    mod p back to a base-q code.  The coordinates go in groups whose lift table has at most
-    _GROUP_CODES columns and whose lifted code fits in an int64.
+    mod p back to a base-q code.  The coordinates go in groups whose lift
+    table has at most _GROUP_CODES columns and whose lifted code fits in
+    an int64.
     """
     if mats.ndim != 3:
         raise ValueError("expected a (N, r, m) batch")
@@ -257,7 +258,8 @@ def batch_point_ids(mats: np.ndarray, q: int, point_codes: np.ndarray) -> np.nda
         sums = np.zeros((n, 1), dtype=np.int64)
         at = 0
         for l in range(r):
-            combine(sums, multiples[1, :, l, None], out=lifted[:, at:at + sums.shape[1]])
+            block = lifted[:, at:at + sums.shape[1]]
+            combine(sums, multiples[1, :, l, None], out=block)
             at += sums.shape[1]
             if l + 1 < r:
                 sums = combine(sums[:, :, None], multiples[:, :, l].T[:, None]

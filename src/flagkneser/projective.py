@@ -217,8 +217,8 @@ def pattern_point_table(m: int, r: int, q: int) -> np.ndarray:
     matmul.  The table is the batch_point_ids of the patterns themselves,
     looked up by code_positions, so a vector whose last nonzero entry is
     not 1 (q > 2) finds its representative."""
-    return linalg.batch_point_ids(PatternCodec(m, r, q).array(), q,
-                                  linalg.code_positions(linalg.coefficient_reps(m, q), q))
+    local_codes = linalg.code_positions(linalg.coefficient_reps(m, q), q)
+    return linalg.batch_point_ids(PatternCodec(m, r, q).array(), q, local_codes)
 
 
 def point_words(a: Subspace) -> np.ndarray:
