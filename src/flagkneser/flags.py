@@ -13,8 +13,8 @@ adjacent_mask, the DIMACS export and verify.check_independent factor the
 same conditions through the distinct planes and solids: D[p, s] says that
 plane p misses solid s, and flags i, j are adjacent iff D[pid_i, sid_j]
 and D[pid_j, sid_i].  The export and the checker fill D with one kernel,
-_disjointness_table; the export reads it 64 rows at a time as one uint64
-word per column.
+_disjointness_table.  The export counts its edges in closed form over
+pairs of solids and writes them a solid at a time, as bytes.
 
 Flag ordinals run through solids in canonical order and, inside each solid,
 through its planes in canonical local order.  At q = 2 the universe keeps
@@ -55,10 +55,9 @@ N_AMBIENT = 6
 MATERIALIZABLE_Q = (2, 3)
 # solids per point-id chunk in the q=2 build (bounds its scratch)
 _SOLID_CHUNK = 128
-# rows per chunk of the export's disjointness tables (bounds their scratch)
+# rows per chunk of the disjointness table fill and of the export's edge
+# count (bounds their scratch)
 _ROW_CHUNK = 64
-# word c of an export block keeps the bits of rows r < c
-_BELOW = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -435,58 +434,28 @@ def _disjointness_table(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return table
 
 
-def _row_words(rows: np.ndarray) -> np.ndarray:
-    """One uint64 word per column of a bool array of at most 64 rows: bit r
-    of word c is rows[r, c]."""
-    cols = np.zeros((rows.shape[1], 64), dtype=bool)
-    cols[:, :len(rows)] = rows.T
-    return np.packbits(cols, axis=1, bitorder="little").view("<u8")[:, 0]
-
-
-def _adjacency_words(universe: FlagUniverse, nv: int):
-    """Adjacency among the first nv flags of the universe, 64 rows at a
-    time: returns blocks(), whose generator yields (a, words) for a = 0,
-    64, ..., where bit r of words[c] says that flags a + r and a + c are
-    adjacent, kept for c > r only.
-
-    Flags (E, S) and (E', S') are adjacent iff E misses S' and E' misses
-    S.  So each block is read off the disjointness table D of the distinct
-    planes and solids, built once here: for rows i and columns j it is
-    D[pid_i, sid_j] & D[pid_j, sid_i], gathered a word of 64 rows at a
-    time.  Plane and solid ids count in order of first occurrence, so the
-    first nv flags hold the ids 0..k-1 of each kind, and D needs only
-    those columns of plane_words and solid_words.
-    """
-    pid = universe.plane_gid[:nv]
-    sid = np.arange(nv) // universe.planes_per_solid
-    planes = universe.plane_words[:, :pid.max() + 1]
-    solids = universe.solid_words[:, :sid[-1] + 1]
-    table = _disjointness_table(planes, solids)
-    # D transposed, for rows gathered by solid id: disjointness is
-    # symmetric, and filling it again is faster than a transposing copy
-    table_t = _disjointness_table(solids, planes)
-
-    def blocks() -> Iterator[tuple[int, np.ndarray]]:
-        for a in range(0, nv, 64):
-            b = min(a + 64, nv)
-            words = _row_words(table[pid[a:b]]).take(sid[a:])
-            words &= _row_words(table_t[sid[a:b]]).take(pid[a:])
-            words[:b - a] &= _BELOW[:b - a]
-            yield a, words
-    return blocks
-
-
 def export_dimacs(universe: FlagUniverse, path: str, *,
                   max_vertices: int | None = None) -> dict:
     """Write the Kneser graph (or the subgraph induced by the first
     max_vertices flags) in DIMACS edge format.
 
     Vertex v is flag ordinal v-1; edges are emitted with i < j, sorted by
-    (i, j).  Adjacency comes 64 rows at a time from the plane-solid
-    disjointness table of the exported flags (_adjacency_words).
-    One pass over the blocks counts the edges for the exact header, a
-    second writes them, and the written count is checked against the
-    header.  Returns a summary dict with vertices, edges and path.
+    (i, j), each line ending in a bare newline.  Flags (E, S) and (E', S')
+    are adjacent iff E misses S' and E' misses S, so adjacency is read off
+    the disjointness table D[p, s] of the exported planes and solids.
+    Plane and solid ids count in order of first occurrence, so D needs
+    only the first columns of plane_words and solid_words.
+
+    The header's edge count is closed form: with y[s, t] the number of
+    exported flags of solid s whose plane misses solid t (at most pps, so
+    uint8), solids s and t share y[s, t] * y[t, s] edges, and a plane meets
+    its own solid, so the count is the sum of y * y^T over 2.  The edges
+    are then written a solid at a time: the flags of solid s share it, so
+    its rows against every later flag j are D[pid_i, sid_j] & D[pid_j, s],
+    a row of D repeated over the planes of each later solid and one column
+    of D.  The written count is checked against the header, which comes by
+    an independent route.  Returns a summary dict with vertices, edges and
+    path.
     """
     universe._need_masks()
     n_all = universe.flag_count
@@ -494,29 +463,45 @@ def export_dimacs(universe: FlagUniverse, path: str, *,
     if nv < 1:
         raise ValueError("need at least one vertex")
 
-    blocks = _adjacency_words(universe, nv)
-    n_edges = sum(int(np.bitwise_count(words).sum()) for _, words in blocks())
-    labels = np.array(["%d\n" % (k + 1) for k in range(nv)], dtype=object)
+    pps = universe.planes_per_solid
+    pid = universe.plane_gid[:nv]
+    n_s = (nv - 1) // pps + 1
+    table = _disjointness_table(universe.plane_words[:, :pid.max() + 1],
+                                universe.solid_words[:, :n_s])
+    whole, step = nv // pps, max(1, _ROW_CHUNK // pps)
+    y = np.empty((n_s, n_s), dtype=np.uint8)
+    for a in range(0, whole, step):
+        b = min(a + step, whole)
+        y[a:b] = table[pid[a * pps:b * pps]].reshape(b - a, pps, n_s).sum(
+            axis=1, dtype=np.uint8)
+    if whole < n_s:  # the last solid is cut short
+        y[whole] = table[pid[whole * pps:]].sum(axis=0, dtype=np.uint8)
+    # each product is at most pps^2 <= 225, so it fits in uint8 too
+    n_edges = sum(int((y[a:a + step] * y[:, a:a + step].T).sum(dtype=np.int64))
+                  for a in range(0, n_s, step)) // 2
+    del y
+    labels = np.array([b"%d\n" % (k + 1) for k in range(nv)], dtype=object)
     written = 0
-    with open(path, "w") as fh:
-        fh.write("c plane-solid flag Kneser graph of PG(6,%d)\n" % universe.q)
-        fh.write("c vertex v corresponds to flag ordinal v-1 in canonical order\n")
+    with open(path, "wb") as fh:
+        fh.write(b"c plane-solid flag Kneser graph of PG(6,%d)\n" % universe.q)
+        fh.write(b"c vertex v corresponds to flag ordinal v-1 in canonical order\n")
         if nv < n_all:
-            fh.write("c induced subgraph on the first %d of %d flags\n" % (nv, n_all))
-        fh.write("p edge %d %d\n" % (nv, n_edges))
-        for a, words in blocks():
-            w = len(words)
-            # row r of the block is bit r of every word
-            rows = np.unpackbits(words.view(np.uint8).reshape(w, 8).T.copy(),
-                                 axis=0, bitorder="little").view(bool)
-            cells = np.flatnonzero(rows)
-            js = labels[cells % w + a].tolist()
-            ends = np.searchsorted(cells, np.arange(1, 65) * w).tolist()
-            for r, (start, end) in enumerate(zip([0] + ends, ends)):
-                if end > start:
-                    head = "e %d " % (a + r + 1)
-                    fh.write(head + head.join(js[start:end]))
-                    written += end - start
+            fh.write(b"c induced subgraph on the first %d of %d flags\n" % (nv, n_all))
+        fh.write(b"p edge %d %d\n" % (nv, n_edges))
+        # a solid with a later flag is whole, so its rows are a..a+pps-1
+        for s, a in enumerate(range(0, nv - pps, pps)):
+            b = a + pps
+            rows = (np.repeat(table[pid[a:b], s + 1:], pps, axis=1)[:, :nv - b]
+                    & table[pid[b:], s])
+            later = labels[b:]
+            lines = []
+            for r, row in enumerate(rows):
+                js = later[row.nonzero()[0]].tolist()
+                if js:
+                    head = b"e %d " % (a + r + 1)
+                    lines.append(head + head.join(js))
+                    written += len(js)
+            fh.write(b"".join(lines))
     if written != n_edges:
         raise AssertionError("streamed %d edges but header says %d" % (written, n_edges))
     return {"vertices": nv, "edges": n_edges, "path": path}

@@ -14,8 +14,9 @@ time; a caller that needs the points of the subspaces of each row space
 as well (the planes of a solid) gathers them from the same ids.  The
 kernels disjoint and subset take two arrays that broadcast over their
 trailing axes, compare them word by word and AND the results, popcount
-counts the points of each set; least_pair scans the column pairs of one
-array for the least one a kernel flags.
+counts the points of each set and meet_count, a word row at a time, the
+points two sets share; least_pair scans the column pairs of one array for
+the least one a kernel flags.
 
 batch_point_ids does no field arithmetic per point.  An element code is
 its base-p digit string, so adding vectors adds digits mod p with no carry
@@ -326,9 +327,15 @@ def subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def popcount(a: np.ndarray) -> np.ndarray:
     """Number of points in each set of a (int64)."""
-    out = np.bitwise_count(a[0]).astype(np.int64)
+    return meet_count(a, a)
+
+
+def meet_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Number of points the sets a and b share (int64), a word row at a
+    time, so that no full AND of a and b is held."""
+    out = np.bitwise_count(a[0] & b[0]).astype(np.int64)
     for k in range(1, len(a)):
-        out += np.bitwise_count(a[k])
+        out += np.bitwise_count(a[k] & b[k])
     return out
 
 

@@ -21,7 +21,7 @@ from .counting import (complement_count, planes_meeting_two_solids_bound,
                        solids_meeting_three_planes_bound)
 from .constructions import build_line_meeting_plane_family
 from .galois import build_field
-from .linalg import disjoint, least_pair, mat_from_combo, popcount, subset
+from .linalg import disjoint, least_pair, mat_from_combo, meet_count, subset
 from .projective import (Subspace, basis_bitsets, intersect_trivially, meet,
                          point_bitsets, point_words, span, subspace_array,
                          subspace_to_text)
@@ -253,7 +253,7 @@ def count_planes_meeting_two_solids(q: int,
 
     u1 = meet(span(cfg.point, cfg.solid2), cfg.solid1)
     v = span(u1, cfg.point)
-    overlap = popcount(bits & point_words(v)[:, None])
+    overlap = meet_count(bits, point_words(v)[:, None])
     classes = {
         "meet_v_in_point": int(np.count_nonzero(keep & (overlap == 1))),
         "meet_v_in_line": int(np.count_nonzero(keep & (overlap == q + 1))),
@@ -294,10 +294,10 @@ def line_meeting_family_check(q: int, planes: Sequence[Subspace] | None = None,
     line_size = q + 1
 
     pair_ok = least_pair(member,
-                         lambda a, b: popcount(a & b) != line_size) is None
+                         lambda a, b: meet_count(a, b) != line_size) is None
 
     bits = _all_d_space_bits(n, q, 2)
-    cuts = popcount(bits[:, :, None] & member[:, None, :])
+    cuts = meet_count(bits[:, :, None], member[:, None, :])
     extends = (cuts == line_size).all(axis=1)
     is_member = np.zeros(bits.shape[1], dtype=bool)
     for i in range(len(planes)):

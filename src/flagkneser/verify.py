@@ -27,7 +27,7 @@ from .counting import (chromatic_lower_poly, independence_number_formula,
                        universe_size_formula)
 from .flags import (Flag, FlagSet, FlagUniverse, _disjointness_table,
                     adjacent_bits)
-from .linalg import disjoint, least_pair, popcount, subset
+from .linalg import disjoint, least_pair, meet_count, popcount, subset
 from .projective import Subspace, perp_bitsets, point_words, subspace_to_text
 
 
@@ -399,7 +399,7 @@ def check_saturation(fset: FlagSet, subject: str = "flag set") -> VerificationRe
     def lines():
         sats = [e for e in profile.solid_entries if e.saturated]
         bits = uni.solid_words.take([e.ordinal for e in sats], axis=1)
-        pair = least_pair(bits, lambda a, b: popcount(a & b) < 2)
+        pair = least_pair(bits, lambda a, b: meet_count(a, b) < 2)
         return pair is None, None if pair is None else {
             "solids": [subspace_to_text(sats[i].solid) for i in pair]}
 
@@ -462,7 +462,7 @@ def check_point_trace_ekr(fset: FlagSet, point: Subspace,
     bound = s(1, 4, q=uni.q)
 
     def meet_in_lines():
-        pair = least_pair(bits, lambda a, b: popcount(a & b) < 2)
+        pair = least_pair(bits, lambda a, b: meet_count(a, b) < 2)
         return pair is None, None if pair is None else {
             "solids_meeting_in_at_most_a_point": [int(s_ords[i]) for i in pair]}
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from flagkneser import linalg
 from flagkneser.galois import SUPPORTED_ORDERS
 from flagkneser.flags import adjacent, adjacent_bits
-from flagkneser.linalg import disjoint, least_pair, popcount, subset
+from flagkneser.linalg import disjoint, least_pair, meet_count, popcount, subset
 from flagkneser.projective import (Subspace, dualize, perp_bitsets,
                                    point_bitset, point_bitsets, point_indexer,
                                    point_words, span)
@@ -76,11 +76,13 @@ def test_kernels_match_int_operations(case, data):
     assert subset(b, a).tolist() == [x & y == y for x, y in pairs]
     assert popcount(a).tolist() == [x.bit_count() for x in ints_a]
     assert popcount(a & b).tolist() == [(x & y).bit_count() for x, y in pairs]
+    assert meet_count(a, b).tolist() == [(x & y).bit_count() for x, y in pairs]
     # one (W,) column broadcasts against every column
     w, y = b[:, 0], ints_b[0]
     assert disjoint(a, w).tolist() == [x & y == 0 for x in ints_a]
     assert subset(w, a).tolist() == [y & ~x == 0 for x in ints_a]
     assert subset(a, w).tolist() == [x & ~y == 0 for x in ints_a]
+    assert meet_count(a, w).tolist() == [(x & y).bit_count() for x in ints_a]
 
 
 @st.composite

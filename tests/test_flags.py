@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -417,8 +418,9 @@ def prefix_adjacency(uni2):
 
 
 # 15 planes per solid: prefixes that end inside the first solid, with it,
-# one flag into the next one, and inside later solids
-@pytest.mark.parametrize("nv", [1, 14, 15, 16, 1007, 1500])
+# one flag into the next one, one flag before, at and one flag past the end
+# of the second, and inside later solids
+@pytest.mark.parametrize("nv", [1, 14, 15, 16, 29, 30, 31, 1007, 1500])
 def test_export_dimacs_matches_adjacent_mask_rows(tmp_path, prefix_adjacency,
                                                   uni2, nv):
     adj = prefix_adjacency[:nv, :nv]
@@ -429,6 +431,22 @@ def test_export_dimacs_matches_adjacent_mask_rows(tmp_path, prefix_adjacency,
     degrees = np.count_nonzero(adj, axis=1)
     assert "p edge %d %d" % (nv, degrees.sum() // 2) in lines
     assert summary["edges"] * 2 == degrees.sum()
+
+
+def test_export_dimacs_memory_is_bounded(tmp_path, uni2):
+    # the export holds one disjointness table of the exported planes and
+    # solids and a uint8 count per pair of solids, and writes bytes: no
+    # (nv, solids) scratch, no int64 copy of the counts, no newline
+    # translation
+    path = tmp_path / "g.dimacs"
+    tracemalloc.start()
+    try:
+        export_dimacs(uni2, str(path), max_vertices=12000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert b"\r" not in path.read_bytes()
 
 
 def test_export_dimacs_full_header_math(uni2):
