@@ -479,7 +479,7 @@ def export_dimacs(universe: FlagUniverse, path: str, *,
     # each product is at most pps^2 <= 225, so it fits in uint8 too
     n_edges = sum(int((y[a:a + step] * y[:, a:a + step].T).sum(dtype=np.int64))
                   for a in range(0, n_s, step)) // 2
-    del y
+    del y  # freed before the edges are written
     labels = np.array([b"%d\n" % (k + 1) for k in range(nv)], dtype=object)
     written = 0
     with open(path, "wb") as fh:
