@@ -303,7 +303,7 @@ def batch_point_bitsets(mats: np.ndarray, q: int, point_codes: np.ndarray,
         raise ValueError("expected a (N, r, m) batch")
     n, r = mats.shape[:2]
     bits = np.zeros(((n_points + 63) // 64, n), dtype=np.uint64)
-    step = max(1, _BITSET_CHUNK // max(1, len(coefficient_reps(r, q))))
+    step = max(1, _BITSET_CHUNK // max(1, (q ** r - 1) // (q - 1)))
     for a in range(0, n, step):
         scatter_point_ids(bits, batch_point_ids(mats[a:a + step], q, point_codes), a)
     return bits

@@ -59,6 +59,32 @@ def test_skew_count_grid_full(q):
     assert len(results) == 11 * len(skew_count_tuples(5))
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_skew_count_grid_matches_per_configuration_route(q):
+    """The grid's batched constraint words give, case for case and in the
+    same order, the results of count_skew_constrained on the same canonical
+    and sampled configurations."""
+    seed, samples = 7, 2
+    expected = []
+    for n, d, k, l in skew_count_tuples(3):
+        units = [[1 if j == i else 0 for j in range(n + 1)] for i in range(n + 1)]
+        configs = [(Subspace.from_vectors(n, q, units[:k + 1]) if k >= 0 else None,
+                    Subspace.from_vectors(n, q, units[k + 1:k + l + 2])
+                    if l >= 0 else None)]
+        rng = np.random.default_rng((seed, q, n, d, k + 1, l + 1))
+        configs += [sample_skew_pair(n, q, k, l, rng) for _ in range(samples)]
+        expected += [count_skew_constrained(n, q, d, contains=kk,
+                                            skew_to=ll).to_dict()
+                     for kk, ll in configs]
+    grid = [r.to_dict() for r in skew_count_grid(q, n_max=3, samples=samples,
+                                                 seed=seed)]
+    assert grid == expected
+    line = unit_span(3, q, 2)
+    with pytest.raises(ValueError, match="skew"):
+        count_skew_constrained(3, q, 2, contains=unit_span(3, q, 1),
+                               skew_to=line)
+
+
 def test_skew_count_tuples_shape():
     tuples = skew_count_tuples(5)
     assert all(1 <= n <= 5 and -1 <= k <= d <= n - 1 and -1 <= l <= n - 1 - k
