@@ -296,11 +296,15 @@ def cmd_color(args, run: _Run) -> int:
 
 def _sweep(fn, configs, threads: int):
     """Run fn over configs, optionally on a thread pool; result order
-    follows the config order regardless of thread count."""
+    follows the config order regardless of thread count.  The first config
+    runs before the pool starts, so the enumeration the oracles share is
+    cached once: functools.lru_cache does not lock a miss, and workers
+    starting on a cold cache would each build their own copy."""
     if threads <= 1 or len(configs) <= 1:
         return [fn(c) for c in configs]
+    first = fn(configs[0])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, configs))
+        return [first, *pool.map(fn, configs[1:])]
 
 
 def _check_oracle_args(args) -> None:

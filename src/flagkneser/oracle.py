@@ -5,7 +5,11 @@ the closed-form layer, so the two routes stay independent: the formulas in
 `counting` are the claims, the functions here are the checks.  Enumerations
 come from projective.subspace_array as integer basis arrays and are turned
 into numpy bitset arrays in bounded batches, which keeps even the
-30k-subspace sweeps at q=3 well under a second.
+30k-subspace sweeps at q=3 well under a second.  Every enumeration is of all
+d-spaces of some PG(n,q), cached in _all_d_space_bits: the two oracles
+anchored at a point P of PG(6,q) count the subspaces through P as the
+subspaces of PG(5,q) they project to from P (see _project), so they share
+the planes and lines of PG(5,q) with the skew-count grid.
 """
 
 from __future__ import annotations
@@ -59,6 +63,30 @@ def _all_d_space_bits(n: int, q: int, d: int) -> np.ndarray:
     """Word-major point bitsets of every d-space of PG(n,q), in the
     subspace_array order."""
     return basis_bitsets(subspace_array(n, q, d), n, q)
+
+
+def _project(sub: Subspace, point: Subspace) -> Subspace:
+    """The projection of sub from the point P onto the coordinate
+    hyperplane x_j = 0 of PG(n,q), j the pivot of P's row (P_j = 1), as a
+    subspace of PG(n-1,q): each row v goes to v - v_j P with coordinate j
+    dropped.  It has one dimension less than sub if P lies in sub, the
+    same otherwise.
+
+    The (d+1)-spaces through P are the spans <P, X> of the d-spaces X of
+    that hyperplane, one each, and <P, X> meets a subspace A avoiding P if
+    and only if X meets the projection of A.  A vector a of A in <P, X> is
+    cP + x with x in X; then c = a_j, so x is the projection of a, and x is
+    not 0 since A avoids P.  Conversely, if x in X is the projection of a
+    in A, then a = a_j P + x lies in <P, X>."""
+    p = point.rows[0]
+    j = next(i for i, c in enumerate(p) if c)
+    fld = point.field
+    rows = []
+    for v in sub.rows:
+        w = [fld.sub(c, fld.mul[v[j]][pc]) for c, pc in zip(v, p)]
+        del w[j]
+        rows.append(w)
+    return Subspace.from_vectors(sub.n - 1, sub.q, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +210,19 @@ def count_solids_meeting_three_planes(q: int,
                                       config: ThreePlanesConfig | None = None
                                       ) -> OracleResult:
     """Count solids through the outside point meeting all three planes;
-    must stay below the closed-form bound."""
+    must stay below the closed-form bound.
+
+    By projection from the outside point P (_project), the solids through P
+    are <P, pi> for the planes pi of PG(5,q), and <P, pi> meets a plane E
+    if and only if pi meets the projection of E: validate() puts P in no
+    span of two planes, so in none of the planes.  So the count is that of
+    the planes of PG(5,q) meeting the three projected planes."""
     cfg = config if config is not None else canonical_three_planes_config(q)
     cfg.validate()
-    n = 6
-    bits = basis_bitsets(subspace_array(n, q, 3, contains=cfg.outside_point), n, q)
+    bits = _all_d_space_bits(5, q, 2)
     keep = np.ones(bits.shape[1], dtype=bool)
     for e in cfg.planes:
-        keep &= ~disjoint(bits, point_words(e))
+        keep &= ~disjoint(bits, point_words(_project(e, cfg.outside_point)))
     count = int(np.count_nonzero(keep))
     bound = solids_meeting_three_planes_bound(q)
     return _result("solids_meeting_three_planes", q, cfg.to_params(),
@@ -255,22 +288,31 @@ def count_planes_meeting_two_solids(q: int,
                                     u: int = 2) -> OracleResult:
     """Count planes through the point meeting both solids and compare with
     the exact closed form for the configuration's u; also verify the
-    per-class counts behind the formula and the u-independent bound."""
+    per-class counts behind the formula and the u-independent bound.
+
+    By projection from the point P (_project), the planes through P are
+    <P, l> for the lines l of PG(5,q), and <P, l> meets a solid avoiding P
+    if and only if l meets its projection.  The classes are by how a plane
+    meets v = <u1, P>, u1 = meet(<P, solid2>, solid1): in P alone, in a
+    line or in all of itself.  Since v contains P, the plane <P, l> meets
+    v in <P, X> for X the meet of l with the projection of v (of dimension
+    u), so the classes are l missing it, meeting it in a point or lying in
+    it: the thresholds 1, q+1 and q^2+q+1 on the points of the plane in v
+    become 0, 1 and q+1 on the points of the line in the projection."""
     cfg = config if config is not None else canonical_two_solids_config(q, u)
     cfg.validate()
     uu = cfg.u
-    n = 6
-    bits = basis_bitsets(subspace_array(n, q, 2, contains=cfg.point), n, q)
-    keep = ~disjoint(bits, point_words(cfg.solid1)) \
-        & ~disjoint(bits, point_words(cfg.solid2))
+    bits = _all_d_space_bits(5, q, 1)
+    keep = ~disjoint(bits, point_words(_project(cfg.solid1, cfg.point))) \
+        & ~disjoint(bits, point_words(_project(cfg.solid2, cfg.point)))
 
     u1 = meet(span(cfg.point, cfg.solid2), cfg.solid1)
-    v = span(u1, cfg.point)
+    v = _project(span(u1, cfg.point), cfg.point)
     overlap = meet_count(bits, point_words(v)[:, None])
     classes = {
-        "meet_v_in_point": int(np.count_nonzero(keep & (overlap == 1))),
-        "meet_v_in_line": int(np.count_nonzero(keep & (overlap == q + 1))),
-        "inside_v": int(np.count_nonzero(keep & (overlap == q * q + q + 1))),
+        "meet_v_in_point": int(np.count_nonzero(keep & (overlap == 0))),
+        "meet_v_in_line": int(np.count_nonzero(keep & (overlap == 1))),
+        "inside_v": int(np.count_nonzero(keep & (overlap == q + 1))),
     }
     terms = {
         "meet_v_in_point": (s(3, q=q) - s(uu, q=q)) ** 2,

@@ -10,6 +10,7 @@ import pytest
 import flagkneser
 from flagkneser import canonical_frame, subspace_to_text
 from flagkneser import cli
+from flagkneser import oracle as oracle_mod
 from flagkneser.cli import main
 
 
@@ -200,6 +201,29 @@ def test_oracle_three_planes_with_threads(tmp_path):
     rep = json.loads(out1.read_text())
     assert rep["all_passed"] and len(rep["results"]) == 4
     assert rep["results"][0]["count"] == 371
+
+
+def test_threaded_sweep_enumerates_once(tmp_path, monkeypatch):
+    """The first configuration runs before the pool starts, so threads
+    find the shared enumeration cached instead of each building it on a
+    cold cache."""
+    calls = []
+    subspace_array = oracle_mod.subspace_array
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        time.sleep(0.2)  # a slow build, so workers on a cold cache overlap
+        return subspace_array(*args, **kwargs)
+
+    oracle_mod._all_d_space_bits.cache_clear()
+    monkeypatch.setattr(oracle_mod, "subspace_array", counted)
+    out1 = tmp_path / "a.json"
+    out2 = tmp_path / "b.json"
+    args = ["oracle", "solids-three-planes", "--q", "2", "--sweeps", "3"]
+    assert run(args + ["--out", str(out2), "--threads", "2"]) == 0
+    assert calls == [(5, 2, 2)]
+    assert run(args + ["--out", str(out1), "--threads", "1"]) == 0
+    assert out1.read_text() == out2.read_text()
 
 
 def test_oracle_skew_grid_small(tmp_path):

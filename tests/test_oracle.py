@@ -11,8 +11,10 @@ import pytest
 
 from flagkneser import projective
 from flagkneser.constructions import unit_span
-from flagkneser.counting import s_count
-from flagkneser.linalg import coefficient_reps
+from flagkneser.counting import (planes_meeting_two_solids_bound,
+                                 planes_meeting_two_solids_exact, s, s_count,
+                                 solids_meeting_three_planes_bound)
+from flagkneser.linalg import coefficient_reps, disjoint, meet_count
 from flagkneser.oracle import (OracleResult, ThreePlanesConfig,
                                TwoSolidsConfig, canonical_three_planes_config,
                                canonical_two_solids_config,
@@ -23,7 +25,8 @@ from flagkneser.oracle import (OracleResult, ThreePlanesConfig,
                                sample_skew_pair, sample_three_planes_config,
                                sample_two_solids_config, skew_count_grid,
                                skew_count_tuples)
-from flagkneser.projective import (MAX_ENUMERATED, Subspace, intersect_trivially,
+from flagkneser.projective import (MAX_ENUMERATED, Subspace, basis_bitsets,
+                                   intersect_trivially, meet, point_words, span,
                                    subspace_array)
 
 
@@ -158,6 +161,66 @@ def test_three_planes_seeded_configs_respect_bound():
         assert r.passed and r.count <= 539, r.to_dict()
 
 
+def _full_space_three_planes(q, cfg):
+    """count_solids_meeting_three_planes over the solids of PG(6,q)
+    through the outside point, with no projection."""
+    bits = basis_bitsets(subspace_array(6, q, 3, contains=cfg.outside_point), 6, q)
+    keep = np.ones(bits.shape[1], dtype=bool)
+    for e in cfg.planes:
+        keep &= ~disjoint(bits, point_words(e))
+    count = int(np.count_nonzero(keep))
+    bound = solids_meeting_three_planes_bound(q)
+    return OracleResult("solids_meeting_three_planes", q, cfg.to_params(),
+                        count, bound, "<=", count <= bound,
+                        {"solids_through_point": bits.shape[1]}).to_dict()
+
+
+def _full_space_two_solids(q, cfg):
+    """count_planes_meeting_two_solids over the planes of PG(6,q) through
+    the point, classed by their points in v = <u1, P>: 1, q+1 or all."""
+    bits = basis_bitsets(subspace_array(6, q, 2, contains=cfg.point), 6, q)
+    keep = ~disjoint(bits, point_words(cfg.solid1)) \
+        & ~disjoint(bits, point_words(cfg.solid2))
+    v = span(meet(span(cfg.point, cfg.solid2), cfg.solid1), cfg.point)
+    overlap = meet_count(bits, point_words(v)[:, None])
+    classes = {name: int(np.count_nonzero(keep & (overlap == size)))
+               for name, size in (("meet_v_in_point", 1),
+                                  ("meet_v_in_line", q + 1),
+                                  ("inside_v", q * q + q + 1))}
+    u = cfg.u
+    terms = {"meet_v_in_point": (s(3, q=q) - s(u, q=q)) ** 2,
+             "meet_v_in_line": s(0, 1, u + 1, q=q)
+             * (s(1, 2, 6, q=q) - s(1, 2, u + 1, q=q)),
+             "inside_v": s(0, 2, u + 1, q=q)}
+    count = int(np.count_nonzero(keep))
+    bound = planes_meeting_two_solids_bound(q)
+    expected = planes_meeting_two_solids_exact(u, q)
+    return OracleResult("planes_meeting_two_solids", q, cfg.to_params(),
+                        count, expected, "==",
+                        count == expected and classes == terms and count <= bound,
+                        {"classes": classes, "class_terms": terms,
+                         "bound": bound}).to_dict()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_point_anchored_oracles_match_the_full_space_route(q):
+    """Counting by projection from the anchor point over PG(5,q) gives the
+    results of enumerating the solids and planes through it in PG(6,q), on
+    the canonical and on seeded configurations, for u=1 and u=2."""
+    three = [canonical_three_planes_config(q)]
+    two = [canonical_two_solids_config(q, u) for u in (1, 2)]
+    for seed in range(8):
+        rng = np.random.default_rng((seed, q))
+        three.append(sample_three_planes_config(q, rng))
+        two += [sample_two_solids_config(q, u, rng) for u in (1, 2)]
+    for cfg in three:
+        assert count_solids_meeting_three_planes(q, cfg).to_dict() \
+            == _full_space_three_planes(q, cfg)
+    for cfg in two:
+        assert count_planes_meeting_two_solids(q, cfg).to_dict() \
+            == _full_space_two_solids(q, cfg)
+
+
 def test_three_planes_config_validation():
     q = 2
     cfg = canonical_three_planes_config(q)
@@ -266,12 +329,19 @@ def test_bitset_byte_cutoff(monkeypatch):
     with pytest.raises(ValueError, match="above the cutoff"):
         projective.basis_bitsets(bases[:4], 6, 5)
     monkeypatch.undo()
-    # the 2558556 solids through a point of PG(6,5) that the three-planes
-    # oracle enumerates at q=5 would take 6.3 GB: refused before allocating
+    # the 2558556 solids through a point of PG(6,5) would take 6.3 GB:
+    # refused before allocating
     with pytest.raises(ValueError, match="6263345088 bytes, above the cutoff"):
         projective.basis_bitsets(bases, 6, 5)
-    # the 376805 solids through a point of PG(6,4) (86 words) stay under it
+    # the three-planes oracle counts them as the 2558556 planes of PG(5,5)
+    # they project to from the point, 62 words each: still refused
+    planes = np.broadcast_to(np.eye(6, dtype=np.int64)[:3], (2558556, 3, 6))
+    with pytest.raises(ValueError, match="1269043776 bytes, above the cutoff"):
+        projective.basis_bitsets(planes, 5, 5)
+    # at q=4 the 376805 solids through a point of PG(6,4) (86 words) stay
+    # under it, and so do as many planes of PG(5,4) (22 words)
     assert s_count(-1, 0, 3, 6, 4) * 86 * 8 <= projective.MAX_BITSET_BYTES
+    assert s_count(-1, -1, 2, 5, 4) == s_count(-1, 0, 3, 6, 4)
 
 
 def test_oracle_result_to_dict_roundtrip():
