@@ -377,7 +377,7 @@ def build_coloring_scheme(point: Subspace, line: Subspace, plane: Subspace,
         m_sets.append(tuple(_points_of(bits)))
 
     q_points = [Subspace.from_vectors(n, q, [v]) for v in
-                (idx.vectors[k] for k in _points_of(point_words(pq_line)))
+                idx.vectors[_points_of(point_words(pq_line))].tolist()
                 if not point.contains_point(v)]
     if len(q_points) != q:
         raise AssertionError("expected %d auxiliary points" % q)
@@ -386,7 +386,7 @@ def build_coloring_scheme(point: Subspace, line: Subspace, plane: Subspace,
     seen = set()
     for qi, m_i in zip(q_points, m_sets):
         for k in m_i:
-            x = Subspace.from_vectors(n, q, [idx.vectors[k]])
+            x = Subspace.from_vectors(n, q, [idx.vectors[k].tolist()])
             cls_line = span(x, qi)
             key = (x.rows, cls_line.rows)
             if key in seen:
@@ -403,11 +403,9 @@ def trivial_coloring_scheme(four_space: Subspace) -> tuple[LambdaSpec, ...]:
     if four_space.d != 4:
         raise ValueError("anchor must be a 4-space")
     n, q = four_space.n, four_space.q
-    idx = point_indexer(n, q)
-    return tuple(
-        LambdaSpec(kind="P_empty",
-                   point=Subspace.from_vectors(n, q, [idx.vectors[k]]))
-        for k in _points_of(point_words(four_space)))
+    points = point_indexer(n, q).vectors[_points_of(point_words(four_space))]
+    return tuple(LambdaSpec(kind="P_empty", point=Subspace.from_vectors(n, q, [v]))
+                 for v in points.tolist())
 
 
 def realize_coloring(classes: Iterable[LambdaSpec],

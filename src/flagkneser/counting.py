@@ -189,7 +189,7 @@ class FormulaEntry:
     name: str
     params: tuple[str, ...]
     anchor: str
-    fn: Callable[..., int]
+    fn: Callable[..., int]  # called as fn(*params, q)
 
 
 REGISTRY: dict[str, FormulaEntry] = {
@@ -197,71 +197,71 @@ REGISTRY: dict[str, FormulaEntry] = {
     for e in (
         FormulaEntry("gaussian", ("n", "d"),
                      "[n d]_q, number of d-dimensional subspaces of GF(q)^n",
-                     lambda q, n, d: gaussian(n, d, q)),
+                     gaussian),
         FormulaEntry("subspace_count", ("l", "k", "d", "n"),
                      "q^((l+1)(d-k)) [n-k-l-1, d-k]_q: d-spaces of PG(n,q) through a "
                      "fixed k-space and skew to a fixed disjoint l-space",
-                     lambda q, l, k, d, n: s_count(l, k, d, n, q)),
+                     s_count),
         FormulaEntry("universe_size", (),
                      "[7 4]_q [4 3]_q, the number of plane-solid flags of PG(6,q)",
-                     lambda q: universe_size_formula(q)),
+                     universe_size_formula),
         FormulaEntry("independence_number", (),
                      "[6 4]_q [4 3]_q + [5 3]_q q^3, the paper's value of the independence "
                      "number alpha for q > 27; at the supported q <= 16, the size of the "
                      "constructed Lambda families, a lower bound on alpha",
-                     lambda q: independence_number_formula(q)),
+                     independence_number_formula),
         FormulaEntry("independence_number_expanded", (),
                      "q^11+2q^10+5q^9+7q^8+10q^7+11q^6+11q^5+9q^4+7q^3+4q^2+2q+1, the "
                      "expanded form of independence_number",
-                     lambda q: independence_number_expanded(q)),
+                     independence_number_expanded),
         FormulaEntry("lambda_family_size", ("m",),
                      "s(3,5) s(3) + m q^3: flags with solid in a hyperplane H plus "
                      "flags on m chosen planes of H",
-                     lambda q, m: lambda_family_size(m, q)),
+                     lambda_family_size),
         FormulaEntry("ekr_planes_max", (),
                      "s(1,4) = [5 2]_q, the largest pairwise-intersecting family of "
                      "planes of PG(5,q)",
-                     lambda q: ekr_planes_max(q)),
+                     ekr_planes_max),
         FormulaEntry("line_meeting_planes_max", ("n",),
                      "s(n-2): the largest family of planes of PG(n,q), n >= 5, "
                      "pairwise meeting in a line",
-                     lambda q, n: line_meeting_planes_max(n, q)),
+                     line_meeting_planes_max),
         FormulaEntry("plane_disjoint_solid_meeting_bound", ("xi",),
                      "s(2) s(1,4) xi bounds the flags whose plane misses a fixed "
                      "plane E while their solid meets E, given <= xi flags per solid",
-                     lambda q, xi: plane_disjoint_solid_meeting_bound(xi, q)),
+                     plane_disjoint_solid_meeting_bound),
         FormulaEntry("solids_meeting_three_planes_bound", (),
                      "3q^6+6q^5+7q^4+4q^3+2q^2+q+1 bounds the solids through a point "
                      "P2 meeting three planes that pairwise intersect exactly in a "
                      "common point P1, with P2 outside the span of any two",
-                     lambda q: solids_meeting_three_planes_bound(q)),
+                     solids_meeting_three_planes_bound),
         FormulaEntry("planes_meeting_two_solids_bound", (),
                      "2q^6+2q^5+3q^4+2q^3+2q^2+q+1 bounds the planes through a point "
                      "P meeting two solids disjoint from P that share at most a line",
-                     lambda q: planes_meeting_two_solids_bound(q)),
+                     planes_meeting_two_solids_bound),
         FormulaEntry("planes_meeting_two_solids_exact", ("u",),
                      "(s(3)-s(u))^2 + s(0,1,u+1)(s(1,2,6)-s(1,2,u+1)) + s(0,2,u+1), "
                      "the exact count behind planes_meeting_two_solids_bound",
-                     lambda q, u: planes_meeting_two_solids_exact(u, q)),
+                     planes_meeting_two_solids_exact),
         FormulaEntry("chromatic_lower", (),
                      "q^4-q^2+2q+1, lower estimate for the chromatic number",
-                     lambda q: chromatic_lower_poly(q)),
+                     chromatic_lower_poly),
         FormulaEntry("chromatic_upper", (),
                      "q^4+q^3+q^2+1, class count of the point-line coloring",
-                     lambda q: chromatic_upper_poly(q)),
+                     chromatic_upper_poly),
         FormulaEntry("chromatic_upper_trivial", (),
                      "s(4) = q^4+q^3+q^2+q+1, class count of the one-point coloring",
-                     lambda q: chromatic_upper_trivial(q)),
+                     chromatic_upper_trivial),
         FormulaEntry("type3_independence", (),
                      "s(3,5), the largest co-clique of the solid Kneser graph of PG(6,q)",
-                     lambda q: type3_independence(q)),
+                     type3_independence),
         FormulaEntry("type3_second_largest", (),
                      "q^6+2q^5+3q^4+3q^3+2q^2+q+1, second-largest maximal co-clique "
                      "of the solid Kneser graph (recorded, not verified here)",
-                     lambda q: type3_second_largest(q)),
+                     type3_second_largest),
         FormulaEntry("complement_count", ("d", "n"),
                      "q^((d+1)(n-d)), the number of complements of a d-subspace in PG(n,q)",
-                     lambda q, d, n: complement_count(d, n, q)),
+                     complement_count),
     )
 }
 
@@ -275,7 +275,7 @@ def evaluate(name: str, q: int, *params: int) -> int:
     if len(params) != len(entry.params):
         raise ValueError("%s expects parameters %s, got %d values"
                          % (name, list(entry.params), len(params)))
-    return entry.fn(q, *params)
+    return entry.fn(*params, q)
 
 
 def formulas_report(q: int, names: list[str]) -> dict:

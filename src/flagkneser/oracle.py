@@ -237,14 +237,18 @@ def count_solids_meeting_three_planes(q: int,
 @dataclass(frozen=True)
 class TwoSolidsConfig:
     """Two solids of PG(6,q) and a point outside both. The count below is
-    controlled by u, the dimension of meet(span(point, solid2), solid1)."""
+    controlled by u, the dimension of u1 = meet(span(point, solid2), solid1)."""
     solid1: Subspace
     solid2: Subspace
     point: Subspace
 
+    @functools.cached_property
+    def u1(self) -> Subspace:
+        return meet(span(self.point, self.solid2), self.solid1)
+
     @property
     def u(self) -> int:
-        return meet(span(self.point, self.solid2), self.solid1).d
+        return self.u1.d
 
     def validate(self) -> None:
         if self.solid1.d != 3 or self.solid2.d != 3:
@@ -306,8 +310,7 @@ def count_planes_meeting_two_solids(q: int,
     keep = ~disjoint(bits, point_words(_project(cfg.solid1, cfg.point))) \
         & ~disjoint(bits, point_words(_project(cfg.solid2, cfg.point)))
 
-    u1 = meet(span(cfg.point, cfg.solid2), cfg.solid1)
-    v = _project(span(u1, cfg.point), cfg.point)
+    v = _project(span(cfg.u1, cfg.point), cfg.point)
     overlap = meet_count(bits, point_words(v)[:, None])
     classes = {
         "meet_v_in_point": int(np.count_nonzero(keep & (overlap == 0))),
@@ -354,10 +357,8 @@ def line_meeting_family_check(q: int, planes: Sequence[Subspace] | None = None,
     bits = _all_d_space_bits(n, q, 2)
     cuts = meet_count(bits[:, :, None], member[:, None, :])
     extends = (cuts == line_size).all(axis=1)
-    is_member = np.zeros(bits.shape[1], dtype=bool)
-    for i in range(len(planes)):
-        is_member |= (bits == member[:, i:i + 1]).all(axis=0)
-    extensions = int(np.count_nonzero(extends & ~is_member))
+    # a member meets itself in q^2+q+1 points, so no member extends
+    extensions = int(np.count_nonzero(extends))
 
     common = planes[0]
     hull = planes[0]

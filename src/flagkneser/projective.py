@@ -121,42 +121,42 @@ def intersect_trivially(a: Subspace, b: Subspace) -> bool:
 
 
 class PointIndexer:
-    """Pinned enumeration of the points of PG(n,q)."""
+    """Pinned enumeration of the points of PG(n,q): row k of the int64
+    array vectors is the representative of point k, its last nonzero
+    coordinate 1, and the rows are in lexicographic order."""
 
     def __init__(self, n: int, q: int):
         self.n = n
         self.q = q
-        count = sum(q ** j for j in range(n + 1))
+        count = gaussian(n + 1, 1, q)
         if count > MAX_INDEXED_POINTS:
             raise ValueError(
                 "PG(%d,%d) has %d points, above the indexing cutoff %d"
                 % (n, q, count, MAX_INDEXED_POINTS))
-        # the representatives with last nonzero coordinate 1, sorted
-        self.vectors = sorted(map(tuple, linalg.coefficient_reps(n + 1, q).tolist()))
-        self.index = {v: k for k, v in enumerate(self.vectors)}
+        reps = linalg.coefficient_reps(n + 1, q)
+        # lexsort's last key is its primary one, so coordinate 0 goes last
+        self.vectors = reps[np.lexsort(reps.T[::-1])]
         self.count = count
-        # base-q code of every nonzero vector -> index, for the vectorized
-        # paths (built on first use)
-        self._codes: np.ndarray | None = None
-
-    def normalize(self, v: Sequence[int]) -> tuple[int, ...]:
-        fld = build_field(self.q)
-        last = max(j for j, c in enumerate(v) if c)
-        s = fld.inv[v[last]]
-        if s == 1:
-            return tuple(v)
-        return tuple(fld.mul[s][c] for c in v)
+        self._codes = linalg.code_positions(self.vectors, q)
 
     def index_of(self, v: Sequence[int]) -> int:
-        return self.index[self.normalize(v)]
+        """Index of the point spanned by v, a nonzero vector of GF(q)^(n+1)."""
+        if len(v) != self.n + 1:
+            raise ValueError("vector length %d does not match PG(%d,%d)"
+                             % (len(v), self.n, self.q))
+        code = 0
+        for c in reversed(v):
+            if not (0 <= c < self.q):
+                raise ValueError("coordinate outside 0..%d" % (self.q - 1))
+            code = code * self.q + c
+        if code == 0:
+            raise ValueError("the zero vector spans no point")
+        return self._codes.item(code)
 
     def point_codes(self) -> np.ndarray:
         """Lookup array: base-q encoding (LSB = coordinate 0) of every
         vector -> index of its point; every nonzero scalar multiple of a
         representative maps to it, and the zero vector to -1."""
-        if self._codes is None:
-            self._codes = linalg.code_positions(
-                np.array(self.vectors, dtype=np.int64), self.q)
         return self._codes
 
 
@@ -191,13 +191,13 @@ def point_bitsets(subs: Sequence[Subspace], n: int, q: int) -> np.ndarray:
 def basis_bitsets(bases: np.ndarray, n: int, q: int) -> np.ndarray:
     """point_bitsets of a (B, r, n+1) integer array of bases, r >= 0.
     A result above MAX_BITSET_BYTES is refused before it is allocated."""
-    idx = point_indexer(n, q)
-    nbytes = len(bases) * 8 * ((idx.count + 63) // 64)
+    count = gaussian(n + 1, 1, q)  # checked before the index is built
+    nbytes = len(bases) * 8 * ((count + 63) // 64)
     if nbytes > MAX_BITSET_BYTES:
         raise ValueError(
             "point bitsets of %d subspaces of PG(%d,%d) take %d bytes, above "
             "the cutoff %d" % (len(bases), n, q, nbytes, MAX_BITSET_BYTES))
-    return linalg.batch_point_bitsets(bases, q, idx.point_codes(), idx.count)
+    return linalg.batch_point_bitsets(bases, q, point_indexer(n, q).point_codes(), count)
 
 
 def basis_point_ids(bases: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -230,7 +230,7 @@ def point_words(a: Subspace) -> np.ndarray:
 def _point_perps(n: int, q: int) -> np.ndarray:
     """Word-major point sets of the hyperplanes x^perp, column x for point x."""
     return point_bitsets([dualize(Subspace.from_vectors(n, q, [v]))
-                          for v in point_indexer(n, q).vectors], n, q)
+                          for v in point_indexer(n, q).vectors.tolist()], n, q)
 
 
 def perp_bitsets(bits: np.ndarray, n: int, q: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from flagkneser import projective
-from flagkneser.constructions import unit_span
+from flagkneser.constructions import build_line_meeting_plane_family, unit_span
 from flagkneser.counting import (planes_meeting_two_solids_bound,
                                  planes_meeting_two_solids_exact, s, s_count,
                                  solids_meeting_three_planes_bound)
@@ -241,6 +241,19 @@ def test_line_meeting_families():
         assert r.details["family_type"] == kind
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("kind", ["line_star", "solid_full"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_line_meeting_family_minus_k_planes_has_k_extensions(q, kind, k):
+    """The planes taken out are the only extensions: no member counts as
+    one, since a member meets itself in a plane, not a line."""
+    family = build_line_meeting_plane_family(kind, n=5, q=q)
+    r = line_meeting_family_check(q, planes=family[k:], kind=kind)
+    assert r.details["pairwise_meet_in_lines"]
+    assert r.details["extensions_found"] == k
+    assert not r.details["maximal"] and not r.passed
+
+
 def test_line_meeting_family_rejects_broken_input():
     q = 2
     a = Subspace.from_vectors(5, q, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
@@ -342,6 +355,17 @@ def test_bitset_byte_cutoff(monkeypatch):
     # under it, and so do as many planes of PG(5,4) (22 words)
     assert s_count(-1, 0, 3, 6, 4) * 86 * 8 <= projective.MAX_BITSET_BYTES
     assert s_count(-1, -1, 2, 5, 4) == s_count(-1, 0, 3, 6, 4)
+
+
+def test_bitset_byte_cutoff_comes_before_the_point_index(monkeypatch):
+    # the 1118481 points of PG(5,16) are not indexed to refuse their bitsets
+    def no_index(*args):
+        raise AssertionError("point index built before the cutoff check")
+
+    monkeypatch.setattr(projective, "point_indexer", no_index)
+    points = np.broadcast_to(np.eye(6, dtype=np.int64)[:1], (1118481, 1, 6))
+    with pytest.raises(ValueError, match="156381539496 bytes, above the cutoff"):
+        projective.basis_bitsets(points, 5, 16)
 
 
 def test_oracle_result_to_dict_roundtrip():

@@ -148,14 +148,51 @@ def test_codec_roundtrip_and_order(q, m, r):
         codec.unrank(codec.total)
 
 
+def reference_points(n, q):
+    """The points of PG(n,q) in the pinned order, built apart from the
+    package: every nonzero vector scaled by the inverse of its last nonzero
+    entry, as sorted tuples."""
+    fld = build_field(q)
+    reps = set()
+    for v in itertools.product(range(q), repeat=n + 1):
+        if any(v):
+            s = fld.inv[next(c for c in reversed(v) if c)]
+            reps.add(tuple(fld.mul[s][c] for c in v))
+    return sorted(reps)
+
+
 def test_point_indexer_is_sorted_lex():
+    for n, q in ((3, 3), (3, 4), (4, 2), (2, 5)):
+        idx = point_indexer(n, q)
+        ref = reference_points(n, q)
+        assert idx.count == len(ref) == gaussian(n + 1, 1, q)
+        assert idx.vectors.dtype == np.int64
+        assert idx.vectors.tolist() == [list(v) for v in ref]
+        for k, v in enumerate(ref):
+            assert idx.index_of(v) == k
+
+
+def test_point_indexer_scaled_vectors():
     idx = point_indexer(3, 3)
     assert idx.count == 40
-    assert idx.vectors == sorted(idx.vectors)
-    for k, v in enumerate(idx.vectors):
-        assert idx.index_of(v) == k
     # scaled representatives map to the same point
     assert idx.index_of((2, 2, 0, 0)) == idx.index_of((1, 1, 0, 0))
+    # in GF(4), 2 * 3 = 1, so (0, 2, 0, 2) spans the point (0, 1, 0, 1)
+    idx4 = point_indexer(3, 4)
+    assert idx4.index_of((0, 2, 0, 2)) == idx4.index_of((0, 1, 0, 1))
+    assert idx4.index_of(np.array([0, 3, 3, 0])) == idx4.index_of((0, 1, 1, 0))
+
+
+@pytest.mark.parametrize("v,match", [
+    ((0, 0, 0, 0), "zero vector"),
+    ((1, 0, 0), "length 3 does not match"),
+    ((1, 0, 0, 0, 0), "length 5 does not match"),
+    ((1, 0, 3, 0), "coordinate outside 0..2"),
+    ((1, -1, 0, 0), "coordinate outside 0..2"),
+])
+def test_index_of_refuses_invalid_vectors(v, match):
+    with pytest.raises(ValueError, match=match):
+        point_indexer(3, 3).index_of(v)
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2)])
@@ -251,19 +288,20 @@ def test_batch_point_bitsets_agree_with_scalar_path():
                    for i, w in enumerate(bits[:, k])) == point_bitset(sub)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_point_codes_cover_every_nonzero_vector(q):
     """The code of lambda*v maps to the point of v for every nonzero v and
     every lambda in GF(q)*; the zero vector maps to -1."""
     n = 3
-    idx = point_indexer(n, q)
-    codes = idx.point_codes()
+    codes = point_indexer(n, q).point_codes()
+    index = {v: k for k, v in enumerate(reference_points(n, q))}
     fld = build_field(q)
     assert codes.shape == (q ** (n + 1),) and codes[0] == -1
     for v in itertools.product(range(q), repeat=n + 1):
         if not any(v):
             continue
-        k = idx.index_of(v)
+        s = fld.inv[next(c for c in reversed(v) if c)]
+        k = index[tuple(fld.mul[s][c] for c in v)]
         for lam in range(1, q):
             w = [fld.mul[lam][c] for c in v]
             assert codes[sum(c * q ** i for i, c in enumerate(w))] == k
