@@ -309,7 +309,8 @@ def _sweep(fn, configs, threads: int):
 
 def _check_oracle_args(args) -> None:
     """Refuse option values that no oracle can run on."""
-    for flag, least in (("k", -1), ("l", -1), ("sweeps", 0), ("threads", 1)):
+    for flag, least in (("k", -1), ("l", -1), ("sweeps", 0), ("threads", 1),
+                        ("seed", 0)):
         if getattr(args, flag) < least:
             raise ValueError("--%s must be at least %d, got %d"
                              % (flag, least, getattr(args, flag)))

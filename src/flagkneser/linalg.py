@@ -13,7 +13,11 @@ as bits in such an array, and batch_point_bitsets does both a chunk at a
 time; a caller that needs the points of the subspaces of each row space
 as well (the planes of a solid) gathers them from the same ids.  The
 kernels disjoint and subset take two arrays that broadcast over their
-trailing axes, compare them word by word and AND the results, popcount
+trailing axes, compare them word by word and AND the results.  Against a
+single (W,) constraint column (ndim 1; for subset, its first argument)
+they read only the words where that column is nonzero, since no test can
+fail on the others: a point or a line of PG(5,3) fills 1-4 of its 6
+words.  Other calls read every word, through the same loop.  popcount
 counts the points of each set and meet_count, a word row at a time, the
 points two sets share; least_pair scans the column pairs of one array for
 the least one a kernel flags.
@@ -309,20 +313,30 @@ def batch_point_bitsets(mats: np.ndarray, q: int, point_codes: np.ndarray,
     return bits
 
 
-def disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Where the point sets a and b share no point."""
-    out = (a[0] & b[0]) == 0
-    for k in range(1, len(a)):
-        out &= (a[k] & b[k]) == 0
+def _on_words(a: np.ndarray, b: np.ndarray, words, test) -> np.ndarray:
+    """The AND of test(a[k], b[k]) over the word rows `words`: all True,
+    in the broadcast shape, for none (a bool scalar for two columns)."""
+    if not words:
+        return np.ones(np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=bool)[()]
+    out = test(a[words[0]], b[words[0]])
+    for k in words[1:]:
+        out &= test(a[k], b[k])
     return out
+
+
+def disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where the point sets a and b share no point.  Against a single (W,)
+    column only its nonzero words are read: no test fails on the others."""
+    col = a if a.ndim == 1 else b
+    words = col.nonzero()[0].tolist() if col.ndim == 1 else range(len(a))
+    return _on_words(a, b, words, lambda x, y: (x & y) == 0)
 
 
 def subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Where every point of a lies in b."""
-    out = (a[0] & b[0]) == a[0]
-    for k in range(1, len(a)):
-        out &= (a[k] & b[k]) == a[k]
-    return out
+    """Where every point of a lies in b.  A single (W,) column a is read
+    on its nonzero words only: no test fails on the others."""
+    words = a.nonzero()[0].tolist() if a.ndim == 1 else range(len(a))
+    return _on_words(a, b, words, lambda x, y: (x & y) == x)
 
 
 def popcount(a: np.ndarray) -> np.ndarray:

@@ -21,7 +21,9 @@ the d-spaces through K inside W as one integer array, which is what the
 counting, oracle and universe layers work on, and refuses an enumeration
 above MAX_ENUMERATED before it starts; enumerate_subspaces() streams the
 same subspaces as Subspace objects, for the member lists of a Lambda
-family or a coloring scheme.
+family or a coloring scheme.  check_subspace_bitsets() makes the
+enumeration refusal and basis_bitsets()'s byte refusal for all the
+d-spaces of PG(n,q) from the Gaussian coefficient, before either runs.
 """
 
 from __future__ import annotations
@@ -188,16 +190,33 @@ def point_bitsets(subs: Sequence[Subspace], n: int, q: int) -> np.ndarray:
     return basis_bitsets(np.array([sub.rows for sub in subs], dtype=np.int64), n, q)
 
 
-def basis_bitsets(bases: np.ndarray, n: int, q: int) -> np.ndarray:
-    """point_bitsets of a (B, r, n+1) integer array of bases, r >= 0.
-    A result above MAX_BITSET_BYTES is refused before it is allocated."""
-    count = gaussian(n + 1, 1, q)  # checked before the index is built
-    nbytes = len(bases) * 8 * ((count + 63) // 64)
+def _check_bitset_bytes(count: int, n: int, q: int) -> None:
+    """Refuse the point bitsets of `count` subspaces of PG(n,q) if they
+    would take more than MAX_BITSET_BYTES; nothing is built to decide."""
+    nbytes = count * 8 * ((gaussian(n + 1, 1, q) + 63) // 64)
     if nbytes > MAX_BITSET_BYTES:
         raise ValueError(
             "point bitsets of %d subspaces of PG(%d,%d) take %d bytes, above "
-            "the cutoff %d" % (len(bases), n, q, nbytes, MAX_BITSET_BYTES))
-    return linalg.batch_point_bitsets(bases, q, point_indexer(n, q).point_codes(), count)
+            "the cutoff %d" % (count, n, q, nbytes, MAX_BITSET_BYTES))
+
+
+def check_subspace_bitsets(n: int, q: int, d: int) -> None:
+    """Refuse basis_bitsets(subspace_array(n, q, d), n, q), the point
+    bitsets of every d-space of PG(n,q), from the Gaussian coefficient
+    alone: with subspace_array's message above the enumeration cutoff,
+    else with basis_bitsets's above the byte cutoff."""
+    count = gaussian(n + 1, d + 1, q)
+    _check_enumerable(count, n, q, d, -1, n)
+    _check_bitset_bytes(count, n, q)
+
+
+def basis_bitsets(bases: np.ndarray, n: int, q: int) -> np.ndarray:
+    """point_bitsets of a (B, r, n+1) integer array of bases, r >= 0.
+    A result above MAX_BITSET_BYTES is refused before it is allocated,
+    and before the point index is built."""
+    _check_bitset_bytes(len(bases), n, q)
+    return linalg.batch_point_bitsets(bases, q, point_indexer(n, q).point_codes(),
+                                      gaussian(n + 1, 1, q))
 
 
 def basis_point_ids(bases: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -322,6 +341,17 @@ def local_coords(v: Sequence[int], w: Subspace) -> tuple[int, ...]:
     return tuple(v[p] for p in pivots)
 
 
+def _check_enumerable(total: int, n: int, q: int, d: int, k_d: int,
+                      w_d: int) -> None:
+    """Refuse to list the `total` d-spaces of PG(n,q) through a k_d-space
+    inside a w_d-space if they are more than MAX_ENUMERATED."""
+    if total > MAX_ENUMERATED:
+        raise ValueError(
+            "PG(%d,%d) has %d %d-spaces%s%s, above the enumeration cutoff %d"
+            % (n, q, total, d, " through a %d-space" % k_d if k_d >= 0 else "",
+               " inside a %d-space" % w_d if w_d < n else "", MAX_ENUMERATED))
+
+
 def subspace_array(n: int, q: int, d: int, *,
                    contains: Subspace | None = None,
                    within: Subspace | None = None) -> np.ndarray:
@@ -351,11 +381,7 @@ def subspace_array(n: int, q: int, d: int, *,
     pivots = {next(j for j, x in enumerate(row) if x) for row in k_local}
     free = [j for j in range(w.d + 1) if j not in pivots]
     total = gaussian(len(free), d - k.d, q)
-    if total > MAX_ENUMERATED:
-        raise ValueError(
-            "PG(%d,%d) has %d %d-spaces%s%s, above the enumeration cutoff %d"
-            % (n, q, total, d, " through a %d-space" % k.d if k.d >= 0 else "",
-               " inside a %d-space" % w.d if w.d < n else "", MAX_ENUMERATED))
+    _check_enumerable(total, n, q, d, k.d, w.d)
     pats = PatternCodec(len(free), d - k.d, q).array()
     out = np.zeros((len(pats), d + 1, n + 1), dtype=np.int64)
     out[:, :k.d + 1] = np.array(k.rows, dtype=np.int64).reshape(-1, n + 1)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from flagkneser import linalg
 from flagkneser.galois import SUPPORTED_ORDERS
-from flagkneser.flags import adjacent, adjacent_bits
+from flagkneser.flags import _disjointness_table, adjacent, adjacent_bits
 from flagkneser.linalg import disjoint, least_pair, meet_count, popcount, subset
 from flagkneser.projective import (Subspace, dualize, perp_bitsets,
                                    point_bitset, point_bitsets, point_indexer,
@@ -141,6 +141,85 @@ def test_adjacent_mask_matches_flag_adjacency(uni2, flag_bits, data):
                               planes[:, b], solids[:, b])) == adjacent(f, g)
     assert _to_int(planes[:, a]) == point_bitset(f.plane)
     assert _to_int(solids[:, b]) == point_bitset(g.solid)
+
+
+def _all_words(test, a, b):
+    """A kernel's reference: test every word of a and b (broadcast against
+    each other) and AND over the word axis."""
+    return test(a, b).all(axis=0)
+
+
+def _sparse_words(rng, shape):
+    """uint64 words with about one bit in 16 set and half the words zero,
+    so that random columns are disjoint, or contain one another, often
+    enough to test both verdicts."""
+    words = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+    for _ in range(3):
+        words &= rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+    words[rng.random(shape) < 0.5] = 0
+    return words
+
+
+@pytest.mark.parametrize("nonzero", [[3, 4, 5], [0, 5], [0, 1, 2], [2], []],
+                         ids=["zeros_first", "zeros_middle", "zeros_last",
+                              "one_word", "empty_set"])
+def test_single_column_kernels_match_all_words(nonzero):
+    """A single (W,) column is read on its nonzero words only; the verdicts
+    are those of the test over all W words, whichever words are zero."""
+    rng = np.random.default_rng(22 + len(nonzero))
+    bits = _sparse_words(rng, (6, 400))
+    col = np.zeros(6, dtype=np.uint64)
+    for k in nonzero:
+        col[k] = np.uint64(1) << np.uint64(rng.integers(64)) | \
+            np.uint64(1) << np.uint64(rng.integers(64))
+    bits[:, :40] |= col[:, None]  # columns containing col
+    meets = lambda x, y: (x & y) == 0
+    within = lambda x, y: (x & y) == x
+    cases = [(disjoint(bits, col), _all_words(meets, bits, col[:, None])),
+             (disjoint(col, bits), _all_words(meets, col[:, None], bits)),
+             (subset(col, bits), _all_words(within, col[:, None], bits)),
+             (subset(bits, col), _all_words(within, bits, col[:, None]))]
+    for got, want in cases:
+        assert got.dtype == bool and got.shape == (400,)
+        assert np.array_equal(got, want)
+    if nonzero:
+        for got, want in cases[:3]:
+            assert want.any() and not want.all()
+    else:  # the empty set misses and lies in every column
+        assert cases[0][0].all() and cases[1][0].all() and cases[2][0].all()
+
+
+def test_kernels_on_two_single_columns_return_a_bool():
+    rng = np.random.default_rng(22)
+    cols = _sparse_words(rng, (6, 40))
+    cols[:, 20:] |= cols[:, :20]
+    for i in range(20):
+        a, b = cols[:, i], cols[:, 20 + i]
+        for got, want in ((disjoint(a, b), not (a & b).any()),
+                          (subset(a, b), ((a & b) == a).all()),
+                          (subset(b, a), ((a & b) == b).all())):
+            assert isinstance(got, np.bool_) and got == want
+    empty = np.zeros(6, dtype=np.uint64)  # no word to read: still a bool
+    for got in (disjoint(empty, cols[:, 0]), disjoint(cols[:, 0], empty),
+                subset(empty, cols[:, 0])):
+        assert isinstance(got, np.bool_) and got
+
+
+def test_broadcast_kernels_match_all_words():
+    """The 3-D broadcast of flags._disjointness_table, and a single column
+    against a 3-D array, agree with the all-words reference."""
+    rng = np.random.default_rng(23)
+    rows, cols = _sparse_words(rng, (6, 150)), _sparse_words(rng, (6, 70))
+    meets = lambda x, y: (x & y) == 0
+    want = _all_words(meets, rows[:, :, None], cols[:, None, :])
+    assert np.array_equal(_disjointness_table(rows, cols), want)
+    assert np.array_equal(disjoint(rows[:, :, None], cols[:, None, :]), want)
+    col = cols[:, 0]
+    assert np.array_equal(disjoint(rows[:, :, None], col),
+                          _all_words(meets, rows[:, :, None], col[:, None, None]))
+    assert np.array_equal(subset(col, rows[:, :, None]),
+                          _all_words(lambda x, y: (x & y) == x,
+                                     col[:, None, None], rows[:, :, None]))
 
 
 def _reference_point_ids(mats, q, point_codes):

@@ -252,6 +252,30 @@ def test_oracle_line_meeting_and_complement(tmp_path):
     assert rep["all_passed"] and rep["results"][0]["count"] == 1
 
 
+def test_negative_seed_is_refused_by_name(tmp_path, capsys):
+    assert run(["oracle", "skew-count", "--q", "3", "--seed", "-1",
+                "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+
+
+def test_complement_count_refuses_bitsets_before_enumerating(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    # the 1118481 points of PG(5,16), the complements of a 4-space, would
+    # take 156 GB of bitsets: refused from the Gaussian coefficient, with
+    # the message basis_bitsets gives, before any point is listed
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("d-spaces enumerated for refused bitsets")
+
+    monkeypatch.setattr(oracle_mod, "subspace_array", no_enumeration)
+    assert run(["oracle", "complement-count", "--q", "16", "--n", "5",
+                "--d", "4", "--out", str(tmp_path / "c.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: point bitsets of 1118481 subspaces of PG(5,16) take "
+        "156381539496 bytes, above the cutoff 1073741824\n")
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_export_induced_and_determinism(tmp_path):
     out1 = tmp_path / "g1.dimacs"
     out2 = tmp_path / "g2.dimacs"

@@ -48,6 +48,18 @@ def test_skew_count_with_containment():
     assert r.expected == s_count(1, 1, 2, 4, q=q)
 
 
+def test_skew_count_with_no_d_space_through_k():
+    # no plane of PG(5,q) contains a solid: the containment test keeps no
+    # column, and the skewness test then runs on none
+    for q in (2, 3):
+        solid = unit_span(5, q, 4)
+        line = Subspace.from_vectors(5, q, [[0, 0, 0, 0, 1, 0],
+                                            [0, 0, 0, 0, 0, 1]])
+        for skew_to in (None, line):
+            r = count_skew_constrained(5, q, 2, contains=solid, skew_to=skew_to)
+            assert r.passed and r.count == r.expected == 0
+
+
 def test_skew_count_grid_q2_small():
     results = skew_count_grid(2, n_max=3, samples=2, seed=7)
     assert results and all(r.passed for r in results)
@@ -293,6 +305,26 @@ def test_random_subspace_and_skew_pair_determinism():
     assert intersect_trivially(p1[0], p1[1])
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_block_draw_matches_row_draws(q):
+    """random_subspace draws an attempt's rows in one integers call of
+    shape (rows, width).  It must give the values of one call per row and
+    leave the generator in the same state, so the next draws match too."""
+    for width in range(2, 8):
+        for rows in range(0, 6):
+            block = np.random.default_rng((q, width, rows))
+            single = np.random.default_rng((q, width, rows))
+            got = block.integers(0, q, size=(rows, width))
+            want = [single.integers(0, q, size=width).tolist()
+                    for _ in range(rows)]
+            assert got.tolist() == want
+            assert block.bit_generator.state == single.bit_generator.state
+            assert (block.integers(0, q, size=(2, width)).tolist()
+                    == [single.integers(0, q, size=width).tolist()
+                        for _ in range(2)])
+            assert block.integers(1 << 62) == single.integers(1 << 62)
+
+
 @pytest.mark.parametrize("q,digest", [
     (2, "1c47602877735d180da39c4130a84582d774b4749c9a58edb22e2c403228d2d7"),
     (3, "d8a27e0fb10fedd9dca87f7d96911238023eca96f39494d4028094580d1a79b1"),
@@ -331,6 +363,17 @@ def test_enumeration_cutoff(monkeypatch):
     monkeypatch.setattr(projective, "PatternCodec", no_codec)
     with pytest.raises(ValueError, match="above the enumeration cutoff"):
         subspace_array(100, 2, 50)
+
+
+def test_subspace_bitsets_check_gives_the_first_refusal():
+    # the 24 208 613 planes of PG(6,4) are above both cutoffs (16.7 GB of
+    # bitsets): the enumeration one is named, as subspace_array would
+    with pytest.raises(ValueError, match="above the enumeration cutoff"):
+        projective.check_subspace_bitsets(6, 4, 2)
+    # the 1 118 481 points of PG(5,16) may be listed, not stored as bitsets
+    with pytest.raises(ValueError, match="156381539496 bytes, above the cutoff"):
+        projective.check_subspace_bitsets(5, 16, 0)
+    projective.check_subspace_bitsets(5, 3, 2)
 
 
 def test_bitset_byte_cutoff(monkeypatch):
