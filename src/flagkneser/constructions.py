@@ -33,7 +33,7 @@ import numpy as np
 
 from .counting import lambda_family_size, s_count
 from .flags import FlagSet, FlagUniverse
-from .linalg import subset
+from .linalg import point_bits, subset
 from .projective import (Subspace, basis_point_ids, dualize, enumerate_subspaces,
                          pattern_point_table, point_bitsets, point_indexer,
                          point_words, span, subspace_array)
@@ -329,13 +329,6 @@ class ColoringScheme:
     cover_sets: tuple[tuple[int, ...], ...]  # point indices of M_1..M_q
 
 
-def _points_of(words: np.ndarray) -> list[int]:
-    """The points of a (W,) word column in ascending order: bit j of word
-    k is point 64k + j."""
-    bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-    return np.flatnonzero(bits).tolist()
-
-
 def build_coloring_scheme(point: Subspace, line: Subspace, plane: Subspace,
                           four_space: Subspace,
                           second_point: Subspace) -> ColoringScheme:
@@ -374,10 +367,10 @@ def build_coloring_scheme(point: Subspace, line: Subspace, plane: Subspace,
     m_sets = []
     for li, ei, si in zip(lines_i, planes_i, solids_i):
         bits = point_words(li) | (point_words(ei) & ~l_bits) | (point_words(si) & ~e_bits)
-        m_sets.append(tuple(_points_of(bits)))
+        m_sets.append(tuple(np.flatnonzero(point_bits(bits)).tolist()))
 
     q_points = [Subspace.from_vectors(n, q, [v]) for v in
-                idx.vectors[_points_of(point_words(pq_line))].tolist()
+                idx.vectors[np.flatnonzero(point_bits(point_words(pq_line)))].tolist()
                 if not point.contains_point(v)]
     if len(q_points) != q:
         raise AssertionError("expected %d auxiliary points" % q)
@@ -403,7 +396,8 @@ def trivial_coloring_scheme(four_space: Subspace) -> tuple[LambdaSpec, ...]:
     if four_space.d != 4:
         raise ValueError("anchor must be a 4-space")
     n, q = four_space.n, four_space.q
-    points = point_indexer(n, q).vectors[_points_of(point_words(four_space))]
+    points = point_indexer(n, q).vectors[
+        np.flatnonzero(point_bits(point_words(four_space)))]
     return tuple(LambdaSpec(kind="P_empty", point=Subspace.from_vectors(n, q, [v]))
                  for v in points.tolist())
 

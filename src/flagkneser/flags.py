@@ -9,12 +9,11 @@ equivalent to the two disjointness conditions
 
 which adjacent_bits() states once for point bitsets and the checkers'
 scans use; general_position() itself follows the four-pair definition.
-adjacent_mask, the DIMACS export and verify.check_independent factor the
-same conditions through the distinct planes and solids: D[p, s] says that
-plane p misses solid s, and flags i, j are adjacent iff D[pid_i, sid_j]
-and D[pid_j, sid_i].  The export and the checker fill D with one kernel,
-_disjointness_table.  The export counts its edges in closed form over
-pairs of solids and writes them a solid at a time, as bytes.
+adjacent_mask and the DIMACS export factor the same conditions through
+the distinct planes and solids: D[p, s] says that plane p misses solid s,
+and flags i, j are adjacent iff D[pid_i, sid_j] and D[pid_j, sid_i].  The
+export fills D with _disjointness_table, counts its edges in closed form
+over pairs of solids and writes them a solid at a time, as bytes.
 
 Flag ordinals run through solids in canonical order and, inside each solid,
 through its planes in canonical local order.  At q = 2 the universe keeps
@@ -37,6 +36,7 @@ held in memory.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -300,11 +300,13 @@ class FlagSet:
     @classmethod
     def from_ordinals(cls, universe: FlagUniverse, ordinals: Iterable[int],
                       meta: dict | None = None) -> "FlagSet":
+        ords = list(ordinals)
+        # compared as Python ints, so that no ordinal overflows on the way
+        if ords and not (0 <= min(ords) and max(ords) < universe.flag_count):
+            bad = next(o for o in ords if not 0 <= o < universe.flag_count)
+            raise ValueError("flag ordinal %d out of range" % bad)
         mask = np.zeros(universe.flag_count, dtype=bool)
-        for o in ordinals:
-            if not (0 <= o < universe.flag_count):
-                raise ValueError("flag ordinal %d out of range" % o)
-            mask[o] = True
+        mask[ords] = True
         return cls(universe=universe, mask=mask, meta=dict(meta or {}))
 
     @property
@@ -359,57 +361,58 @@ def save_flagset(fset: FlagSet, path: str) -> None:
         tag = ("kind" if key == "kind" else
                "anchor " + key if isinstance(val, Subspace) else "meta " + key)
         header.append("%s %s" % (tag, text))
+    ords = fset.ordinals().tolist()
+    header.append("count %d" % len(ords))
     with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        ords = fset.ordinals()
-        fh.write("count %d\n" % len(ords))
-        for o in ords:
-            fh.write("%d\n" % o)
+        fh.write("\n".join(header + list(map(str, ords))) + "\n")
 
 
 def load_flagset(path: str, universe: FlagUniverse | None = None) -> FlagSet:
     q = None
     meta: dict = {}
     count = None
-    ordinals: list[int] = []
     with open(path) as fh:
         lines = fh.readlines()
-    body_at = None
-    for ln, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if count is None:
-            tag, _, rest = text.partition(" ")
-            if tag == "q":
-                q = int(rest)
-            elif tag == "kind":
-                meta["kind"] = rest
-            elif tag == "anchor":
-                name, _, sub = rest.partition(" ")
-                if q is None:
-                    raise ValueError("%s:%d: anchor before q declaration" % (path, ln))
-                meta[name] = subspace_from_text(sub, N_AMBIENT, q)
-            elif tag == "meta":
-                name, _, val = rest.partition(" ")
-                meta[name] = val
-            elif tag == "count":
-                count = int(rest)
-                body_at = ln
-            else:
-                raise ValueError("%s:%d: unknown header line %r" % (path, ln, text))
-            continue
-        try:
-            ordinals.append(int(text))
-        except ValueError:
-            raise ValueError("%s:%d: expected a flag ordinal, got %r"
-                             % (path, ln, text)) from None
+    entries = ((ln, text) for ln, text in enumerate(map(str.strip, lines), 1)
+               if text and not text.startswith("#"))
+    ln = 0
+    for ln, text in entries:
+        tag, _, rest = text.partition(" ")
+        if tag == "q":
+            q = int(rest)
+        elif tag == "kind":
+            meta["kind"] = rest
+        elif tag == "anchor":
+            name, _, sub = rest.partition(" ")
+            if q is None:
+                raise ValueError("%s:%d: anchor before q declaration" % (path, ln))
+            meta[name] = subspace_from_text(sub, N_AMBIENT, q)
+        elif tag == "meta":
+            name, _, val = rest.partition(" ")
+            meta[name] = val
+        elif tag == "count":
+            count = int(rest)
+            break
+        else:
+            raise ValueError("%s:%d: unknown header line %r" % (path, ln, text))
+    # int() strips each body line itself; only a body with blank or
+    # comment lines, or a bad line, is read again entry by entry
+    try:
+        ordinals = list(map(int, lines[ln:]))
+    except ValueError:
+        ordinals = []
+        for at, text in entries:
+            try:
+                ordinals.append(int(text))
+            except ValueError:
+                raise ValueError("%s:%d: expected a flag ordinal, got %r"
+                                 % (path, at, text)) from None
     if q is None or count is None:
         raise ValueError("%s: missing q or count header" % path)
     if len(ordinals) != count:
         raise ValueError("%s: header declares %d ordinals, found %d (body starts at line %d)"
-                         % (path, count, len(ordinals), (body_at or 0) + 1))
-    if any(b <= a for a, b in zip(ordinals, ordinals[1:])):
+                         % (path, count, len(ordinals), ln + 1))
+    if not all(map(operator.lt, ordinals, ordinals[1:])):
         raise ValueError("%s: ordinals must be strictly increasing" % path)
     if universe is None:
         universe = build_universe(q)
@@ -425,8 +428,7 @@ def load_flagset(path: str, universe: FlagUniverse | None = None) -> FlagSet:
 def _disjointness_table(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Bool array D[p, s]: point set column p of rows misses column s of
     cols.  Filled a chunk of rows at a time, which bounds the broadcast's
-    uint64 scratch.  The DIMACS export and verify.check_independent read
-    adjacency off it."""
+    uint64 scratch.  The DIMACS export reads adjacency off it."""
     table = np.empty((rows.shape[1], cols.shape[1]), dtype=bool)
     for a in range(0, rows.shape[1], _ROW_CHUNK):
         table[a:a + _ROW_CHUNK] = disjoint(rows[:, a:a + _ROW_CHUNK, None],

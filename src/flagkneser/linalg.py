@@ -9,7 +9,8 @@ uint64 array of shape (W, N), word-major, whose row k holds points
 64k..64k+63 of N subspaces, W = ceil(#points / 64).  One subspace is a (W,)
 column.  batch_point_ids lists the point indices of each matrix of an
 integer basis array over any supported field, scatter_point_ids sets them
-as bits in such an array, and batch_point_bitsets does both a chunk at a
+as bits in such an array, point_bits reads the bits back as a bool row
+per subspace, and batch_point_bitsets does the first two a chunk at a
 time; a caller that needs the points of the subspaces of each row space
 as well (the planes of a solid) gathers them from the same ids.  The
 kernels disjoint and subset take two arrays that broadcast over their
@@ -296,6 +297,14 @@ def scatter_point_ids(bits: np.ndarray, ids: np.ndarray, start: int = 0) -> None
     at = (ids >> 6) * n + np.arange(start, start + len(ids))[:, None]
     np.bitwise_or.at(bits.reshape(-1), at.ravel(),
                      (np.uint64(1) << (ids & 63).astype(np.uint64)).ravel())
+
+
+def point_bits(words: np.ndarray) -> np.ndarray:
+    """Bool (N, 64W) array of the sets of a (W, N) word-major array or one
+    (W,) column: row i holds set i's points, point p in column p."""
+    cols = np.ascontiguousarray(words.reshape(len(words), -1).T, dtype="<u8")
+    return np.unpackbits(cols.view(np.uint8), axis=1,
+                         bitorder="little").view(bool)
 
 
 def batch_point_bitsets(mats: np.ndarray, q: int, point_codes: np.ndarray,

@@ -25,9 +25,9 @@ import numpy as np
 from .counting import (chromatic_lower_poly, independence_number_formula,
                        plane_disjoint_solid_meeting_bound, s,
                        universe_size_formula)
-from .flags import (Flag, FlagSet, FlagUniverse, _disjointness_table,
-                    adjacent_bits)
-from .linalg import disjoint, least_pair, meet_count, popcount, subset
+from .flags import Flag, FlagSet, FlagUniverse, adjacent_bits
+from .linalg import (disjoint, least_pair, meet_count, point_bits, popcount,
+                     subset)
 from .projective import Subspace, perp_bitsets, point_words, subspace_to_text
 
 
@@ -97,57 +97,53 @@ def _member_arrays(fset: FlagSet):
     return (uni, ords, *_flag_words(uni, ords))
 
 
-# planes per block of check_independent times member planes: bounds each
-# of a block's unpacked bit arrays at 128 KB, and the uint64 scratch of
-# filling a block's worth of table rows at 1 MB
-_PLANE_BLOCK = 1 << 17
+# member solids per block of check_independent times planes per solid and
+# words per packed row: bounds a block's gathered uint64 rows at 512 KB
+_SOLID_BLOCK = 1 << 16
 
 
-def _planes_per_block(m: int) -> int:
-    """Member planes per block of check_independent, a multiple of 8 so
-    that a block's columns start on a byte of the packed rows."""
-    return max(8, (_PLANE_BLOCK // max(m, 1)) & -8)
+def _solids_per_block(k: int, pps: int) -> int:
+    """Member solids per block of check_independent over k member solids,
+    a multiple of 64 so that a block's columns start on a packed word."""
+    return max(64, (_SOLID_BLOCK // (pps * ((k + 63) // 64 or 1))) & -64)
 
 
-def _independent_by_planes(uni: FlagUniverse, ords: np.ndarray) -> bool:
-    """The C & C^T test of check_independent on the member ordinals."""
-    # Grouped with diff and one stable argsort, not np.unique: its sort
-    # loads numpy's SIMD sort code, about 0.8 MB more peak RSS for the CLI.
-    # ords ascend, so the solid ids do: number the distinct ones 0..k-1
+def _independent_by_incidence(uni: FlagUniverse, ords: np.ndarray) -> bool:
+    """The Z & Z^T test of check_independent on the member ordinals."""
+    # ords ascend, so the members are grouped by solid: the k distinct
+    # solids are numbered 0..k-1, solid s holding members starts[s]:starts[s+1]
     sid = ords // uni.planes_per_solid
-    first = np.diff(sid, prepend=-1) != 0
-    solids = sid[first]
-    # the members grouped by plane id, as solid numbers: the a-th distinct
-    # plane's members are by_plane[starts[a]:starts[a + 1]]
+    starts = np.flatnonzero(np.diff(sid, prepend=-1))
+    k = len(starts)
+    # inc[p]: the member solids through point p, packed over s
+    inc = np.zeros((64 * len(uni.solid_words), (k + 63) & -64), dtype=bool)
+    inc[:, :k] = point_bits(uni.solid_words.take(sid[starts], axis=1)).T
+    inc = np.packbits(inc, axis=1, bitorder="little").view(np.uint64)
+    starts = np.append(starts, len(ords))
+    # meets[a]: the member solids that the a-th distinct member plane meets
+    # (at most 11811 rows, as many as Z can have); row: each member's a
     gids = uni.plane_gid[ords]
-    order = np.argsort(gids, kind="stable")
-    by_plane = (np.cumsum(first) - 1)[order]
-    starts = np.append(np.flatnonzero(np.diff(gids[order], prepend=-1)),
-                       len(ords))
-    m = len(starts) - 1
-    plane_words = uni.plane_words.take(gids[order[starts[:-1]]], axis=1)
-    # row s: "solid s misses plane a" packed over the planes a, built when
-    # a block first meets solid s
-    table = np.empty((len(solids), (m + 7) // 8), dtype=np.uint8)
-    built = np.zeros(len(solids), dtype=bool)
-    step = _planes_per_block(m)
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        block = by_plane[starts[lo]:starts[hi]]
-        new = np.flatnonzero((np.bincount(block, minlength=len(solids)) > 0)
-                            & ~built)
-        built[new] = True
-        for a in range(0, len(new), step):
-            table[new[a:a + step]] = np.packbits(_disjointness_table(
-                uni.solid_words.take(solids[new[a:a + step]], axis=1),
-                plane_words), axis=1)
-        # C[a, b] for the block's planes b and all a < hi, and C[b, a]
-        cols = np.bitwise_or.reduceat(table[block, :(hi + 7) >> 3],
-                                      starts[lo:hi] - starts[lo])
-        rows = np.bitwise_or.reduceat(
-            table[by_plane[:starts[hi]], lo >> 3:(hi + 7) >> 3], starts[:hi])
-        if np.any(np.unpackbits(cols, axis=1, count=hi)
-                  & np.unpackbits(rows, axis=1, count=hi - lo).T):
+    seen = np.zeros(uni.plane_words.shape[1], dtype=bool)
+    seen[gids] = True
+    bits = point_bits(uni.plane_words[:, seen])
+    points = (np.flatnonzero(bits) % bits.shape[1]).reshape(
+        -1, uni.q * uni.q + uni.q + 1)
+    meets = inc[points[:, 0]]
+    for col in points[:, 1:].T:
+        meets |= inc[col]
+    row = (np.cumsum(seen) - 1)[gids]
+    z = np.empty((k, inc.shape[1]), dtype=np.uint64)
+    step = _solids_per_block(k, uni.planes_per_solid)
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
+        # Z[s]: the member solids that some member plane of S_s misses
+        z[lo:hi] = ~np.bitwise_and.reduceat(meets[row[starts[lo]:starts[hi]]],
+                                            starts[lo:hi] - starts[lo])
+        # Z[t, s] for every t < hi and the block's s, as rows s packed over t
+        cols = np.unpackbits(z[:hi, lo >> 6:(hi + 63) >> 6].view(np.uint8),
+                             axis=1, bitorder="little", count=hi - lo)
+        back = np.packbits(cols.T.copy(), axis=1, bitorder="little")
+        if np.any(z[lo:hi].view(np.uint8)[:, :back.shape[1]] & back):
             return False
     return True
 
@@ -155,27 +151,24 @@ def _independent_by_planes(uni: FlagUniverse, ords: np.ndarray) -> bool:
 def check_independent(fset: FlagSet, subject: str = "flag set") -> VerificationReport:
     """No two members are adjacent.  Fail witness: least ordinal pair.
 
-    Members (E, S) and (E', S') are adjacent iff E misses S' and E' misses
-    S, so the test runs over the distinct member planes E_1..E_m and the
-    distinct member solids: C[a, b] says that E_a misses some member solid
-    on E_b, and the set is independent iff C & C^T is empty.  The planes
-    are taken in blocks, in order.  A block first fills the rows of the
-    member solids it meets for the first time in a table of "solid misses
-    plane", packed over the m planes; the DIMACS export's kernel
-    (flags._disjointness_table) fills them.  For the block's planes E_b
-    and every plane E_a up to the block's end, C[a, b] is then one
-    bitwise_or.reduceat of the rows of the members on E_b, and C[b, a]
-    one of the block's bytes of the rows of the members on E_a; unpacking
-    both tests every pair whose later plane is in the block.  So a
-    dependent set stops at its first conflicting block.  Only a failing
-    set pays for the least_pair scan that names its least pair.
+    Members (E_a, S_s) and (E_b, S_t) are adjacent iff E_a misses S_t and
+    E_b misses S_s.  With inc[p] the member solids through point p, meets[a]
+    the OR of inc over the points of a distinct member plane E_a, and Z[s]
+    the complement of the AND of meets over the member planes of S_s, all
+    packed over the k distinct member solids, Z[s, t] says that some member
+    plane of S_s misses S_t, and the set is independent iff Z & Z^T is
+    empty (Z[s, s] is 0: a plane lies in its own solid).  Blocks of solids,
+    in order, compute their Z rows from their own members and test them
+    against the rows so far, so a dependent set stops at its first
+    conflicting block; only a failing set pays for the least_pair scan
+    that names its least pair.
     """
     uni = fset.universe
     uni._need_masks()
     ords = fset.ordinals()
 
     def run():
-        if _independent_by_planes(uni, ords):
+        if _independent_by_incidence(uni, ords):
             return True, None
         _, _, planes, solids = _member_arrays(fset)
         w = len(planes)

@@ -52,6 +52,12 @@ def test_batched_route_matches_scalar_point_bitset(case):
     raw = linalg.batch_point_bitsets(np.array(mats), q, idx.point_codes(),
                                      idx.count)
     assert np.array_equal(raw, bits)
+    # point_bits reads the bits back, a row per subspace, one column alone too
+    rows = linalg.point_bits(bits)
+    assert rows.shape == (len(subs), 64 * nwords) and rows.dtype == bool
+    for i, sub in enumerate(subs):
+        assert sum(1 << int(p) for p in np.flatnonzero(rows[i])) == point_bitset(sub)
+        assert np.array_equal(linalg.point_bits(bits[:, i]), rows[i:i + 1])
 
 
 @given(subspace_batches(), st.data())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
+from flagkneser import cli
 from flagkneser.counting import gaussian, universe_size_formula
 from flagkneser.flags import (Flag, FlagSet, FlagUniverse, adjacency_scan,
                               adjacent, adjacent_bits, build_universe,
@@ -323,6 +324,65 @@ def test_load_errors_cite_line(tmp_path):
     path.write_text("not a flag set\n")
     with pytest.raises(ValueError, match="header"):
         load_flagset(str(path))
+
+
+def _flag_file(tmp_path, count, body):
+    path = tmp_path / "body.flags"
+    path.write_text("# flagkneser flag set\nq 2\ncount %d\n%s" % (count, body))
+    return path
+
+
+def test_load_skips_blank_and_comment_lines_in_the_body(tmp_path, uni2):
+    path = _flag_file(tmp_path, 3, "5\n\n# a note\n   \n  9 \n#\n12\n")
+    assert load_flagset(str(path), uni2).ordinals().tolist() == [5, 9, 12]
+
+
+def test_load_reads_ordinals_as_int_does(tmp_path, uni2):
+    path = _flag_file(tmp_path, 2, "1_0\n+12\n")
+    assert load_flagset(str(path), uni2).ordinals().tolist() == [10, 12]
+
+
+def test_load_count_mismatch_names_the_first_body_line(tmp_path):
+    path = _flag_file(tmp_path, 3, "5\n9\n")
+    with pytest.raises(ValueError, match=r"declares 3 ordinals, found 2 "
+                                         r"\(body starts at line 4\)"):
+        load_flagset(str(path))
+
+
+def test_load_bad_line_after_comments_cites_its_line(tmp_path):
+    path = _flag_file(tmp_path, 3, "5\n# x\n\n9\nten\n")
+    with pytest.raises(ValueError, match=r"body\.flags:8: expected a flag "
+                                         r"ordinal, got 'ten'"):
+        load_flagset(str(path))
+
+
+def test_load_huge_ordinal_is_out_of_range(tmp_path, uni2, capsys):
+    path = _flag_file(tmp_path, 2, "5\n99999999999999999999999\n")
+    with pytest.raises(ValueError, match="99999999999999999999999 out of range"):
+        load_flagset(str(path), uni2)
+    capsys.readouterr()
+    assert cli.main(["verify", str(path), "--independent",
+                     "--out", str(tmp_path / "v.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "out of range" in err
+
+
+def test_load_decreasing_body_is_refused(tmp_path):
+    path = _flag_file(tmp_path, 3, "5\n9\n7\n")
+    with pytest.raises(ValueError, match="increasing"):
+        load_flagset(str(path))
+    path = _flag_file(tmp_path, 2, "5\n5\n")
+    with pytest.raises(ValueError, match="increasing"):
+        load_flagset(str(path))
+
+
+def test_from_ordinals_names_the_first_ordinal_out_of_range(uni2):
+    for ords, bad in (([5, -1, 10 ** 30], -1), ([10 ** 30, -1], 10 ** 30),
+                      ([uni2.flag_count, 3], uni2.flag_count)):
+        with pytest.raises(ValueError, match=r"ordinal %d out of range" % bad):
+            FlagSet.from_ordinals(uni2, ords)
+    assert FlagSet.from_ordinals(uni2, []).cardinality == 0
+    assert FlagSet.from_ordinals(uni2, np.array([7, 2])).ordinals().tolist() == [2, 7]
 
 
 def _edge_lines(data: bytes, step: int, block: int = 1 << 20):

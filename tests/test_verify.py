@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from flagkneser.constructions import (LambdaSpec, build_coloring_scheme,
 from flagkneser.flags import FlagSet, adjacent_bits
 from flagkneser.linalg import disjoint, least_pair
 from flagkneser.projective import Subspace, enumerate_subspaces
-from flagkneser.verify import (PreconditionError, _planes_per_block,
+from flagkneser.verify import (PreconditionError, _solids_per_block,
                                check_coloring,
                                check_disjoint_plane_meeting_solid,
                                check_hyperplane_trace_ekr, check_independent,
@@ -122,24 +124,40 @@ def test_full_universe_fails_at_once_with_least_witness(uni2):
 
 def test_conflict_across_a_block_boundary(uni2, flag_bits, mi_classes):
     """An mi class and a flag adjacent to its last member, chosen so that
-    the flag's plane lies in another block of check_independent than the
-    plane of every member it is adjacent to: only the test of a block
-    against the earlier blocks can find the conflict."""
+    the flag's solid lies in another block of check_independent than the
+    solid of every member it is adjacent to: in each conflicting pair the
+    later solid is in a later block, so only the test of a block against
+    the rows of the earlier blocks can find the conflict."""
     cls = mi_classes[0]
+    pps = uni2.planes_per_solid
     last = int(cls.ordinals()[-1])
     for x in np.flatnonzero(uni2.adjacent_mask(last)).tolist():
         ords = np.union1d(cls.ordinals(), [x])
-        planes = np.unique(uni2.plane_gid[ords])
-        step = _planes_per_block(len(planes))
-        block = np.searchsorted(planes, uni2.plane_gid[ords]) // step
+        solids = np.unique(ords // pps)
+        step = _solids_per_block(len(solids), pps)
+        block = np.searchsorted(solids, ords // pps) // step
         hits = np.flatnonzero(uni2.adjacent_mask(x)[ords])
         if not np.any(block[hits] == block[np.searchsorted(ords, x)]):
             break
     else:
         pytest.fail("no flag adjacent to the last member across blocks")
-    assert step < len(planes)
+    assert step < len(solids)
     rep = _assert_matches_scan(uni2, flag_bits, ords)
     assert not rep.passed and x in rep.checks[0].witness["adjacent_pair"]
+
+
+def test_independence_memory_is_bounded(lam_pl):
+    # the member solids' point incidence, one meets row per distinct member
+    # plane and one block's gathered member rows at a time: no meets row per
+    # member and no table of every member solid against every member plane
+    check_independent(lam_pl)
+    tracemalloc.start()
+    try:
+        assert check_independent(lam_pl).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20
 
 
 def test_dependent_random_set_matches_least_pair_scan(uni2, flag_bits):
