@@ -4,9 +4,9 @@ A fixed CLI script runs in a temporary directory and every output it
 writes is compared by sha256 with a frozen digest: flag files, size
 reports, verify reports (with their least witnesses), the DIMACS export and
 oracle JSON.  Manifests are left out because they carry a start time.  The
-q=2 universe's plane ids and point-bitset words are pinned the same way, and
-so are the saturation reports and profiles of five sets that fail or are
-empty.  Any change to these digests changes a published output and needs a
+q=2 universe's plane ids, point-bitset words and duality permutation are
+pinned the same way, and so are the saturation reports and profiles of five
+sets that fail or are empty.  Any change to these digests changes a published output and needs a
 reason.
 """
 import hashlib
@@ -50,13 +50,14 @@ GOLDEN_OUTPUTS = {
     "skew4.json": (0, "5055fb2f3d92226e751e96c278bbf712f258f5ce95ad157aed811fd33b4335b4"),
 }
 
-# sha256 of the q=2 universe arrays: plane ids (int32), and the plane and
+# sha256 of the q=2 universe arrays: plane ids (int32), the plane and
 # solid words of every flag (uint64, word-major: row k holds points
-# 64k..64k+63)
+# 64k..64k+63), and the dual ordinal of every flag (int32)
 GOLDEN_UNIVERSE = {
     "plane_gid": "774d6aa11ad6235a01859cbf8fc5ddd5b1587daad1bb8c77438c0f136cca75aa",
     "plane_bits": "1bc9aa7b0ef7f99e567b98782a5f260edfa944ffd813432c0a086da0f47e779d",
     "solid_bits": "62d29432fd4f333352f21490a4b2a8ad615218ea6f7dc00fdf53a4eb726119d1",
+    "dual_permutation": "a824116b1336967377c19baf74a9cb62b95a6d73d85c84ca3662bee9213c516e",
 }
 
 # sha256 of check_saturation(...).to_json() and of the saturation profile's
@@ -154,6 +155,7 @@ def test_golden_universe_arrays(uni2):
         "plane_gid": _sha256(uni2.plane_gid.tobytes()),
         "plane_bits": _sha256(uni2.plane_words[:, uni2.plane_gid].tobytes()),
         "solid_bits": _sha256(uni2.solid_words[:, solid_id].tobytes()),
+        "dual_permutation": _sha256(uni2.dual_permutation.tobytes()),
     }
     assert got == GOLDEN_UNIVERSE, got
 
