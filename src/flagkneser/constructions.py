@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .counting import lambda_family_size, s_count
-from .flags import FlagSet, FlagUniverse
+from .flags import N_AMBIENT, FlagSet, FlagUniverse
 from .linalg import point_bits, subset
 from .projective import (Subspace, basis_point_ids, dualize, enumerate_subspaces,
                          pattern_point_table, point_bitsets, point_indexer,
@@ -76,10 +76,11 @@ def unit_point(n: int, q: int, i: int) -> Subspace:
     return Subspace.from_vectors(n, q, [[1 if j == i else 0 for j in range(n + 1)]])
 
 
-def canonical_frame(q: int, n: int = 6) -> dict[str, Subspace]:
-    """The pinned anchor frame: hyperplane = last coordinate zero, point =
-    first unit point, line/plane/4-space = spans of leading unit points,
-    second point = first unit point outside the plane."""
+def canonical_frame(q: int) -> dict[str, Subspace]:
+    """The pinned anchor frame of PG(6,q): hyperplane = last coordinate
+    zero, point = first unit point, line/plane/4-space = spans of leading
+    unit points, second point = first unit point outside the plane."""
+    n = N_AMBIENT
     return {
         "point": unit_point(n, q, 0),
         "line": unit_span(n, q, 2),
@@ -283,25 +284,16 @@ def count_lambda(spec: LambdaSpec, q: int) -> int:
 # Extremal plane families of PG(n,q)
 
 
-def build_line_meeting_plane_family(kind: str, n: int, q: int, *,
-                                    line: Subspace | None = None,
-                                    solid: Subspace | None = None) -> tuple[Subspace, ...]:
+def build_line_meeting_plane_family(kind: str, n: int, q: int) -> tuple[Subspace, ...]:
     """A largest family of planes of PG(n,q), n >= 5, pairwise meeting in a
-    line: all planes through a line, or all planes of a 3-space."""
+    line: all planes through the line of the first two unit points, or all
+    planes of the 3-space of the first four."""
     if n < 5:
         raise ValueError("need n >= 5")
     if kind == "line_star":
-        if line is None:
-            line = unit_span(n, q, 2)
-        if line.d != 1 or (line.n, line.q) != (n, q):
-            raise ValueError("line_star needs a line of PG(%d,%d)" % (n, q))
-        return tuple(enumerate_subspaces(n, q, 2, contains=line))
+        return tuple(enumerate_subspaces(n, q, 2, contains=unit_span(n, q, 2)))
     if kind == "solid_full":
-        if solid is None:
-            solid = unit_span(n, q, 4)
-        if solid.d != 3 or (solid.n, solid.q) != (n, q):
-            raise ValueError("solid_full needs a 3-space of PG(%d,%d)" % (n, q))
-        return tuple(enumerate_subspaces(n, q, 2, within=solid))
+        return tuple(enumerate_subspaces(n, q, 2, within=unit_span(n, q, 4)))
     raise ValueError("kind must be line_star or solid_full, got %r" % kind)
 
 

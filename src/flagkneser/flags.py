@@ -27,10 +27,11 @@ chunk of solids: a plane of a solid is a set of the solid's points, so
 its ids are gathered from the solid's through
 projective.pattern_point_table and no plane is multiplied out.
 The duality (E, S) -> (S^perp, E^perp) is one int32 permutation of the
-ordinals, built on first use from the orthogonal complements of those
-columns.  Full materialization is limited to q in {2, 3}; at q = 3
-per-flag data, the dual included, is produced on demand instead of being
-held in memory.
+ordinals, built on first use from the orthogonal complements of the
+solid columns alone: perp maps the flags of a solid onto the flags on its
+dual plane, matched by rank.  Full materialization is limited to q in
+{2, 3}; at q = 3 per-flag data, the dual included, is produced on demand
+instead of being held in memory.
 """
 
 from __future__ import annotations
@@ -209,29 +210,31 @@ class FlagUniverse:
     def dual_permutation(self) -> np.ndarray:
         """int32 array: the dual ordinal of every flag, built on first use.
 
-        The dual of (E, S) is (S^perp, E^perp).  perp_bitsets of the
-        distinct solids gives the dual planes, of the distinct planes the
-        dual solids; each is looked up among the distinct columns of the
-        other kind, and the pair (dual solid, dual plane id) among the
-        flags through one sorted key.
+        The dual of (E, S) is (S^perp, E^perp).  One perp_bitsets pass
+        gives dual_plane, the plane id of S^perp for each solid S; perp maps
+        solids one to one onto planes, so its inverse gives the solid
+        E^perp of each plane E.  The flags of S go to the planes_per_solid
+        flags on S^perp: ranked by dual solid, the r-th flag of S to the
+        r-th on S^perp in ordinal order.
         """
         self._need_masks()
         # allocated before the scratch arrays, so that freeing them can
         # return the top of the heap
-        perm = np.empty(self.flag_count, dtype=np.int32)
-        n, q, pps = self.n, self.q, self.planes_per_solid
-        planes, solids = self.plane_words, self.solid_words
-        n_planes = planes.shape[1]
-        dual_solid = _column_index(solids, perp_bitsets(planes, n, q))
-        dual_plane = _column_index(planes, perp_bitsets(solids, n, q))
-        # int32 keys: n_solids * n_planes is 11811^2 < 2^31
-        s_ord = np.arange(self.flag_count, dtype=np.int32) // pps
-        key = s_ord * np.int32(n_planes) + self.plane_gid
-        order = np.argsort(key).astype(np.int32)
-        dual_key = dual_solid[self.plane_gid] * np.int32(n_planes)
-        dual_key += dual_plane[s_ord]
-        return np.take(order, np.searchsorted(key, dual_key, sorter=order),
-                       out=perm)
+        perm = np.empty((self.n_solids, self.planes_per_solid), dtype=np.int32)
+        # plane_words' columns are distinct, so column g has id g
+        ids = _first_occurrence_ids(np.concatenate(
+            [self.plane_words, perp_bitsets(self.solid_words, self.n, self.q)],
+            axis=1))[0]
+        dual_plane = ids[self.plane_words.shape[1]:]
+        dual_solid = np.argsort(dual_plane).astype(np.int32)
+        # row g: the flags on plane g, in ordinal order
+        on_plane = np.argsort(self.plane_gid, kind="stable").astype(np.int32)
+        # row s: the local planes of S_s in order of their dual solids
+        rank = np.argsort(dual_solid.take(self.plane_gid).reshape(perm.shape),
+                          axis=1)
+        np.put_along_axis(perm, rank, on_plane.reshape(perm.shape)[dual_plane],
+                          axis=1)
+        return perm.reshape(-1)
 
     def _need_masks(self) -> None:
         if not self.has_masks:
@@ -270,13 +273,6 @@ def _first_occurrence_ids(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids = np.empty(bits.shape[1], dtype=np.int32)
     ids[order] = np.argsort(by_first)[np.cumsum(new) - 1]
     return ids, first[by_first]
-
-
-def _column_index(ref: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """int32 index in ref, whose columns are distinct, of each query column
-    (every query column must occur in ref)."""
-    ids = _first_occurrence_ids(np.concatenate([ref, query], axis=1))[0]
-    return ids[ref.shape[1]:]
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,7 +332,7 @@ def adjacency_scan(fset: FlagSet, f: Flag | int) -> tuple[int, int | None]:
     Returns (count, least adjacent member ordinal or None).
     """
     uni = fset.universe
-    ordinal = f if isinstance(f, int) else uni.ordinal_of(f)
+    ordinal = uni.ordinal_of(f) if isinstance(f, Flag) else int(f)
     hits = uni.adjacent_mask(ordinal) & fset.mask
     count = int(np.count_nonzero(hits))
     witness = int(np.argmax(hits)) if count else None

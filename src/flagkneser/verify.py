@@ -25,7 +25,7 @@ import numpy as np
 from .counting import (chromatic_lower_poly, independence_number_formula,
                        plane_disjoint_solid_meeting_bound, s,
                        universe_size_formula)
-from .flags import Flag, FlagSet, FlagUniverse, adjacent_bits
+from .flags import Flag, FlagSet, FlagUniverse, adjacency_scan, adjacent_bits
 from .linalg import (disjoint, least_pair, meet_count, point_bits, popcount,
                      subset)
 from .projective import Subspace, perp_bitsets, point_words, subspace_to_text
@@ -108,8 +108,9 @@ def _solids_per_block(k: int, pps: int) -> int:
     return max(64, (_SOLID_BLOCK // (pps * ((k + 63) // 64 or 1))) & -64)
 
 
-def _independent_by_incidence(uni: FlagUniverse, ords: np.ndarray) -> bool:
-    """The Z & Z^T test of check_independent on the member ordinals."""
+def _least_conflicting_solid(uni: FlagUniverse, ords: np.ndarray) -> int | None:
+    """The Z & Z^T test of check_independent on the member ordinals: the
+    least solid ordinal of a member in an adjacent member pair, or None."""
     # ords ascend, so the members are grouped by solid: the k distinct
     # solids are numbered 0..k-1, solid s holding members starts[s]:starts[s+1]
     sid = ords // uni.planes_per_solid
@@ -134,6 +135,7 @@ def _independent_by_incidence(uni: FlagUniverse, ords: np.ndarray) -> bool:
     row = (np.cumsum(seen) - 1)[gids]
     z = np.empty((k, inc.shape[1]), dtype=np.uint64)
     step = _solids_per_block(k, uni.planes_per_solid)
+    least = k
     for lo in range(0, k, step):
         hi = min(lo + step, k)
         # Z[s]: the member solids that some member plane of S_s misses
@@ -143,9 +145,14 @@ def _independent_by_incidence(uni: FlagUniverse, ords: np.ndarray) -> bool:
         cols = np.unpackbits(z[:hi, lo >> 6:(hi + 63) >> 6].view(np.uint8),
                              axis=1, bitorder="little", count=hi - lo)
         back = np.packbits(cols.T.copy(), axis=1, bitorder="little")
-        if np.any(z[lo:hi].view(np.uint8)[:, :back.shape[1]] & back):
-            return False
-    return True
+        # the lesser solid of each pair found here is a set column
+        hit = np.unpackbits(np.bitwise_or.reduce(
+            z[lo:hi].view(np.uint8)[:, :back.shape[1]] & back), bitorder="little")
+        if hit.any():
+            least = min(least, int(hit.argmax()))
+            if least == 0:  # no solid is less
+                break
+    return None if least == k else int(sid[starts[least]])
 
 
 def check_independent(fset: FlagSet, subject: str = "flag set") -> VerificationReport:
@@ -159,23 +166,24 @@ def check_independent(fset: FlagSet, subject: str = "flag set") -> VerificationR
     plane of S_s misses S_t, and the set is independent iff Z & Z^T is
     empty (Z[s, s] is 0: a plane lies in its own solid).  Blocks of solids,
     in order, compute their Z rows from their own members and test them
-    against the rows so far, so a dependent set stops at its first
-    conflicting block; only a failing set pays for the least_pair scan
-    that names its least pair.
+    against the rows so far; the lesser solid of each pair a block finds is
+    a set column of its Z & Z^T rows, so the blocks give the least member
+    solid in a conflicting pair.  Members of lesser solids are adjacent to
+    no member, so the least pair is the first member i of that solid with
+    an adjacent member, and its least adjacent member, greater than i.
     """
     uni = fset.universe
     uni._need_masks()
     ords = fset.ordinals()
 
     def run():
-        if _independent_by_incidence(uni, ords):
+        solid = _least_conflicting_solid(uni, ords)
+        if solid is None:
             return True, None
-        _, _, planes, solids = _member_arrays(fset)
-        w = len(planes)
-        # each column: a member's plane words over its solid words
-        pair = least_pair(np.concatenate([planes, solids]),
-                          lambda a, b: adjacent_bits(a[:w], a[w:], b[:w], b[w:]))
-        return False, {"adjacent_pair": [int(ords[i]) for i in pair]}
+        for i in ords[ords // uni.planes_per_solid == solid].tolist():
+            count, j = adjacency_scan(fset, i)
+            if count:
+                return False, {"adjacent_pair": [i, j]}
 
     report = VerificationReport(subject=subject, q=uni.q,
                                 cardinality=fset.cardinality)
@@ -477,7 +485,7 @@ def check_disjoint_plane_meeting_solid(fset: FlagSet, f: Flag | int,
     being a member.
     """
     uni, ords, planes, solids = _member_arrays(fset)
-    ordinal = f if isinstance(f, int) else uni.ordinal_of(f)
+    ordinal = uni.ordinal_of(f) if isinstance(f, Flag) else int(f)
     if ordinal not in fset:
         raise PreconditionError("reference flag %d is not a member" % ordinal)
     measured = max_flags_per_solid(fset)

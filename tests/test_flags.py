@@ -240,6 +240,9 @@ def test_adjacency_scan(uni2):
     neighbor = int(np.flatnonzero(uni2.adjacent_mask(0))[0])
     count, witness = adjacency_scan(fam, uni2.flag(neighbor))
     assert count >= 1 and witness == 0
+    # an ordinal as FlagSet.ordinals() gives it, a numpy integer
+    pair = FlagSet.from_ordinals(uni2, [0, neighbor])
+    assert adjacency_scan(fam, pair.ordinals()[1]) == (count, witness)
 
 
 def test_save_load_roundtrip(tmp_path, uni2):

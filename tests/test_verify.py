@@ -117,8 +117,9 @@ def test_full_universe_fails_at_once_with_least_witness(uni2):
     rep = check_independent(full)
     first = int(np.flatnonzero(uni2.adjacent_mask(0))[0])
     assert rep.checks[0].witness == {"adjacent_pair": [0, first]}
-    # the plane-factored test stops at its first conflicting row; filling
-    # all 11811 rows over 177165 members takes about 9 s on 2 cores
+    # solid 0 is the least solid of a conflicting pair, so the blocks stop
+    # at the first one, where a scan of every pair of the 177165 members
+    # would not finish in the bound
     assert rep.checks[0].ms < 3000
 
 
@@ -144,6 +145,41 @@ def test_conflict_across_a_block_boundary(uni2, flag_bits, mi_classes):
     assert step < len(solids)
     rep = _assert_matches_scan(uni2, flag_bits, ords)
     assert not rep.passed and x in rep.checks[0].witness["adjacent_pair"]
+
+
+def test_least_conflict_found_in_a_later_block(uni2, flag_bits, mi_classes):
+    """An mi class and two flags: x conflicts with members inside the
+    first block of check_independent, and y, whose solid lies in a later
+    block, with a member on the second member solid, less than the solids
+    of x's pairs.  The least pair is y's, so a test that stopped at the
+    first block with a conflict would name a pair of x."""
+    cls = mi_classes[0]
+    pps = uni2.planes_per_solid
+    ords = cls.ordinals()
+    solids = np.unique(ords // pps)
+    step = _solids_per_block(len(solids), pps)
+
+    def conflicts(f):  # the solids of the members adjacent to f
+        return ords[uni2.adjacent_mask(f)[ords]] // pps
+
+    # x and y lie on no member solid of the first block, so each moves
+    # the block boundaries by at most one solid
+    x = next(f for f in range((solids[1] + 1) * pps, solids[step - 2] * pps)
+             if f // pps not in solids and conflicts(f).size
+             and conflicts(f).min() > solids[1]
+             and conflicts(f).min() < solids[step - 2])
+    y = next(f for f in range((solids[step] + 1) * pps, uni2.flag_count)
+             if f not in cls and conflicts(f).size
+             and conflicts(f).min() == solids[1])
+    ords = np.union1d(ords, [x, y])
+    solids = np.unique(ords // pps)
+    step = _solids_per_block(len(solids), pps)
+    block = np.searchsorted(solids, ords // pps) // step
+    assert block[np.searchsorted(ords, x)] == 0
+    assert block[np.searchsorted(ords, y)] > 0
+    rep = _assert_matches_scan(uni2, flag_bits, ords)
+    first, second = rep.checks[0].witness["adjacent_pair"]
+    assert first // pps == solids[1] and second == y
 
 
 def test_independence_memory_is_bounded(lam_pl):
@@ -335,6 +371,9 @@ def test_xi_bound(uni2, lam_pl):
     assert rep.passed
     w = rep.checks[0].witness
     assert w["xi"] == 15 and w["count"] <= w["bound"]
+    # the flag as FlagSet.ordinals() gives it, a numpy integer
+    assert (check_disjoint_plane_meeting_solid(lam_pl, lam_pl.ordinals()[0])
+            .to_json() == rep.to_json())
     nonmember = int(np.flatnonzero(~lam_pl.mask)[0])
     with pytest.raises(PreconditionError, match="not a member"):
         check_disjoint_plane_meeting_solid(lam_pl, nonmember)
