@@ -1,15 +1,20 @@
 """Command line front end: reproducible batch runs with JSON reports.
 
-Every run writes a manifest (<output>.manifest.json, or
-<command>.manifest.json when the run has no file output) recording command,
-parameters, seed, tool version and the wall time from the start of main();
-reports are byte-stable for fixed (command, parameters, seed, version).
+Every run ends in main().  It writes the manifest, --manifest or by
+default <out>.manifest.json, recording the command, q, seed, tool version,
+outputs, the wall time from the start of main(), and as `parameters` every
+other parsed option but the output paths (--out, --report, --manifest).  A
+default that a subcommand resolves (count's formula list, verify's checks
+and the q of its flag file) is written back to the options, so the
+manifest records the resolved value.  Reports are byte-stable for fixed
+(command, parameters, seed, version).
 Exit code is 0 iff every check in the run passed, 1 when a check failed,
-and 2 on usage, configuration or precondition errors: main() turns every
-ValueError into one line on stderr and exit code 2.  An output path that
-cannot be written (a directory, a missing parent directory, or no write
-permission) is refused the same way before any work, and an OSError from
-reading or writing a file also exits 2 with one line.
+and 2 on usage, configuration or precondition errors.  Every refusal
+raises ValueError, and main() alone turns it into one `error:` line on
+stderr and exit code 2 (argparse's usage errors aside).  An output path
+that cannot be written (a directory, a missing parent directory, or no
+write permission) is refused the same way before any work, and an OSError
+from reading or writing a file also exits 2 with one line.
 """
 
 from __future__ import annotations
@@ -38,10 +43,15 @@ from . import verify as verify_mod
 ORACLE_NAMES = ("skew-count", "solids-three-planes", "planes-two-solids",
                 "line-meeting-family", "complement-count")
 
+# options a manifest keeps out of its parameters: the output paths, the
+# parser's bookkeeping, and q and seed, which are keys of their own
+_NOT_PARAMETERS = frozenset(("out", "report", "manifest", "command", "fn",
+                             "q", "seed"))
+
 
 class _Run:
     """One command run: its clock starts when main() starts, it collects
-    the outputs, and finish() writes the manifest."""
+    the outputs, and finish() writes the manifest of its options."""
 
     def __init__(self):
         self.started = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -53,27 +63,26 @@ class _Run:
             fh.write(payload)
         self.outputs.append(path)
 
-    def finish(self, command: str, q: int | None, parameters: dict,
-               seed: int | None, manifest_path: str | None) -> None:
+    def finish(self, args, path: str) -> None:
+        parameters = {k: v for k, v in vars(args).items()
+                      if k not in _NOT_PARAMETERS}
         manifest = {
-            "command": command, "q": q, "parameters": parameters, "seed": seed,
+            "command": args.command, "q": getattr(args, "q", None),
+            "parameters": parameters, "seed": getattr(args, "seed", None),
             "tool_version": __version__, "started": self.started,
             "elapsed_s": round(time.perf_counter() - self._t0, 3),
             "outputs": self.outputs,
         }
-        path = manifest_path or \
-            (self.outputs[0] if self.outputs else command) + ".manifest.json"
         with open(path, "w") as fh:
             fh.write(_json_dumps(manifest))
 
 
-def _check_outputs(args) -> None:
+def _check_outputs(args, manifest: str) -> None:
     """Refuse, before any work, an output path that is a directory, whose
     parent directory is missing, or that may not be written, and two of
-    the outputs and verify's input that are one file; the manifest
-    defaults to <out>.manifest.json."""
+    the outputs and verify's input that are one file."""
     paths = {"--out": args.out, "--report": getattr(args, "report", None),
-             "--manifest": args.manifest or args.out + ".manifest.json"}
+             "--manifest": manifest}
     for path in filter(None, paths.values()):
         parent = os.path.dirname(path) or "."
         if os.path.isdir(path):
@@ -109,19 +118,12 @@ def _parse_subspace(text: str, n: int, q: int, what: str) -> Subspace:
 
 
 def cmd_count(args, run: _Run) -> int:
-    names = args.names or sorted(
+    args.names = args.names or sorted(
         name for name, entry in REGISTRY.items() if not entry.params)
-    try:
-        values = formulas_report(args.q, names)
-    except KeyError as exc:
-        print("unknown formula %s" % exc, file=sys.stderr)
-        print("available formulas: %s" % ", ".join(sorted(REGISTRY)),
-              file=sys.stderr)
-        return 2
-    for name in names:
+    values = formulas_report(args.q, args.names)
+    for name in args.names:
         print("%s = %s" % (name, values[name]["value"]))
     run.emit(args.out, _json_dumps({"q": args.q, "values": values}))
-    run.finish("count", args.q, {"names": names}, None, args.manifest)
     return 0
 
 
@@ -178,13 +180,10 @@ def cmd_construct(args, run: _Run) -> int:
     family = {"H_E": "ekr", "P_S": "solid_family"}.get(spec.kind)
     if family:
         report[family] = getattr(args, family)
-    params = {"kind": args.kind, "canonical": args.canonical,
-              "ekr": args.ekr, "solid_family": args.solid_family}
     save_flagset(fset, args.out)
     run.outputs.append(args.out)
     if args.report:
         run.emit(args.report, _json_dumps(report))
-    run.finish("construct", q, params, None, args.manifest)
     print("%s at q=%d: %d flags (expected %d) -> %s"
           % (spec.kind, q, fset.cardinality, expected, args.out))
     return 0 if report["match"] else 1
@@ -196,23 +195,19 @@ def cmd_construct(args, run: _Run) -> int:
 
 def cmd_verify(args, run: _Run) -> int:
     fset = load_flagset(args.flagset)
-    q = fset.universe.q
+    args.q = q = fset.universe.q
     subject = os.path.basename(args.flagset)
-    checks = []
-    wanted = {
-        "independent": args.independent,
-        "maximal": args.maximal,
-        "saturation": args.saturation,
-    }
-    if args.all or not any([*wanted.values(), args.trace_hyperplane,
-                            args.trace_point, args.xi_bound]):
-        wanted = {k: True for k in wanted}
+    if args.all or not any([args.independent, args.maximal, args.saturation,
+                            args.trace_hyperplane, args.trace_point,
+                            args.xi_bound]):
+        args.independent = args.maximal = args.saturation = True
 
-    if wanted["independent"]:
+    checks = []
+    if args.independent:
         checks.extend(verify_mod.check_independent(fset, subject).checks)
-    if wanted["maximal"]:
+    if args.maximal:
         checks.extend(verify_mod.check_maximal(fset, subject).checks)
-    if wanted["saturation"]:
+    if args.saturation:
         checks.extend(verify_mod.check_saturation(fset, subject).checks)
     if args.trace_hyperplane:
         h = _parse_subspace(args.trace_hyperplane, 6, q, "trace hyperplane")
@@ -223,20 +218,16 @@ def cmd_verify(args, run: _Run) -> int:
         checks.extend(
             verify_mod.check_point_trace_ekr(fset, p, subject).checks)
     if args.xi_bound:
-        ordinal = args.flag
-        if ordinal is None:
+        if args.flag is None:
             if not fset.cardinality:
                 raise ValueError("--xi-bound needs --flag on an empty flag set")
-            ordinal = int(fset.ordinals()[0])
+            args.flag = int(fset.ordinals()[0])
         checks.extend(verify_mod.check_disjoint_plane_meeting_solid(
-            fset, ordinal, xi=args.xi, subject=subject).checks)
+            fset, args.flag, xi=args.xi, subject=subject).checks)
 
     report = verify_mod.VerificationReport(
         subject=subject, q=q, cardinality=fset.cardinality, checks=checks)
     run.emit(args.out, report.to_json(include_timing=args.timing) + "\n")
-    run.finish("verify", q, {"flagset": args.flagset,
-                             "checks": [c.name for c in checks]},
-               None, args.manifest)
     for c in checks:
         line = "%-45s %s" % (c.name, "pass" if c.passed else "FAIL")
         if not c.passed and c.witness is not None:
@@ -282,7 +273,6 @@ def cmd_color(args, run: _Run) -> int:
         report["note"] = ("classes are reported structurally; full cover "
                           "verification runs at q=2 only")
     run.emit(args.out, _json_dumps(report))
-    run.finish("color", q, {"scheme": args.scheme}, None, args.manifest)
     print("%s scheme at q=%d: %d classes" % (args.scheme, q, len(specs)))
     if report["all_independent"] is not None:
         print("all classes independent: %s" % report["all_independent"])
@@ -355,8 +345,8 @@ def cmd_oracle(args, run: _Run) -> int:
         for kind in kinds:
             results.append(oracle_mod.line_meeting_family_check(q, kind=kind))
     elif args.oracle == "complement-count":
-        n = args.n if args.n is not None else 6
-        d = args.d if args.d is not None else 3
+        n = args.n = 6 if args.n is None else args.n
+        d = args.d = 3 if args.d is None else args.d
         results.append(oracle_mod.complement_count_check(n, q, d))
         for _ in range(args.sweeps):
             results.append(oracle_mod.complement_count_check(
@@ -371,11 +361,6 @@ def cmd_oracle(args, run: _Run) -> int:
         "all_passed": all_passed,
     }
     run.emit(args.out, _json_dumps(payload))
-    run.finish("oracle", q,
-               {"oracle": args.oracle, "sweeps": args.sweeps, "u": args.u,
-                "grid": args.grid, "family": args.family, "n": args.n,
-                "d": args.d, "k": args.k, "l": args.l},
-               args.seed, args.manifest)
     for r in results[:10]:
         print("%s: count=%d %s %d  %s"
               % (r.name, r.count, r.relation, r.expected,
@@ -393,27 +378,22 @@ def cmd_oracle(args, run: _Run) -> int:
 def cmd_export(args, run: _Run) -> int:
     q = args.q
     if args.format != "dimacs":
-        print("unsupported format %r" % args.format, file=sys.stderr)
-        return 2
+        raise ValueError("unsupported format %r" % args.format)
     if q != 2:
-        print("refusing: only the q=2 graph has materialized adjacency "
-              "arrays; larger q would need tens of gigabytes", file=sys.stderr)
-        return 2
+        raise ValueError("only the q=2 graph has materialized adjacency "
+                         "arrays; larger q would need tens of gigabytes")
     if args.max_vertices is not None and args.max_vertices < 1:
         raise ValueError("need at least one vertex")
     if args.max_vertices is None and not args.confirm_size:
         # every flag has q^15 neighbours
         nv = universe_size_formula(q)
-        print("refusing full export without --confirm-size: %d vertices, "
-              "%d edges (tens of gigabytes); use --max-vertices for an "
-              "induced subgraph" % (nv, nv * q ** 15 // 2), file=sys.stderr)
-        return 2
+        raise ValueError("refusing full export without --confirm-size: %d "
+                         "vertices, %d edges (tens of gigabytes); use "
+                         "--max-vertices for an induced subgraph"
+                         % (nv, nv * q ** 15 // 2))
     universe = build_universe(q)
     summary = export_dimacs(universe, args.out, max_vertices=args.max_vertices)
     run.outputs.append(args.out)
-    run.finish("export", q,
-               {"format": args.format, "max_vertices": args.max_vertices},
-               None, args.manifest)
     print("wrote %s: %d vertices, %d edges"
           % (args.out, summary["vertices"], summary["edges"]))
     return 0
@@ -524,9 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     run = _Run()
     args = build_parser().parse_args(argv)
+    manifest = args.manifest or args.out + ".manifest.json"
     try:
-        _check_outputs(args)
-        return args.fn(args, run)
+        _check_outputs(args, manifest)
+        code = args.fn(args, run)
+        run.finish(args, manifest)
+        return code
     except ValueError as exc:
         label = ("precondition failed"
                  if isinstance(exc, verify_mod.PreconditionError) else "error")

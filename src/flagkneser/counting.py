@@ -100,6 +100,8 @@ def independence_number_expanded(q: int) -> int:
 
 def lambda_family_size(m: int, q: int) -> int:
     """Size of a hyperplane family with m extra planes: s(3,5) s(3) + m q^3."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     return s(3, 5, q=q) * s(3, q=q) + m * q ** 3
 
 
@@ -280,11 +282,19 @@ def evaluate(name: str, q: int, *params: int) -> int:
 
 def formulas_report(q: int, names: list[str]) -> dict:
     """JSON-ready {name: {params, value, anchor}} for parameter-free names
-    and for parametric names written as 'name:p1,p2'."""
+    and for parametric names written as 'name:p1,p2'; an unknown name or
+    a parameter that is no integer raises ValueError naming the entry."""
     out = {}
     for raw in names:
         name, _, tail = raw.partition(":")
-        params = tuple(int(x) for x in tail.split(",")) if tail else ()
+        if name not in REGISTRY:
+            raise ValueError("unknown formula %r; available formulas: %s"
+                             % (name, ", ".join(sorted(REGISTRY))))
+        try:
+            params = tuple(int(x) for x in tail.split(",")) if tail else ()
+        except ValueError:
+            raise ValueError("%s: parameters must be integers, got %r"
+                             % (raw, tail)) from None
         entry = REGISTRY[name]
         out[raw] = {
             "params": dict(zip(entry.params, params)),

@@ -348,8 +348,11 @@ def line_meeting_family_check(q: int, planes: Sequence[Subspace] | None = None,
                               kind: str = "line_star") -> OracleResult:
     """Check a family of planes of PG(5,q) pairwise meeting in lines: its
     size against the extremal value s(3), and maximality by sweeping every
-    plane of the space as a candidate extension."""
+    plane of the space as a candidate extension.  The sweep is refused
+    before the family is built, and it keeps the candidates meeting each
+    member in a line, one member at a time."""
     n = 5
+    bits = _all_d_space_bits(n, q, 2)
     if planes is None:
         planes = build_line_meeting_plane_family(kind, n=n, q=q)
     planes = list(planes)
@@ -362,11 +365,12 @@ def line_meeting_family_check(q: int, planes: Sequence[Subspace] | None = None,
     pair_ok = least_pair(member,
                          lambda a, b: meet_count(a, b) != line_size) is None
 
-    bits = _all_d_space_bits(n, q, 2)
-    cuts = meet_count(bits[:, :, None], member[:, None, :])
-    extends = (cuts == line_size).all(axis=1)
+    cand = bits
+    for j in range(member.shape[1]):
+        cand = cand.compress(
+            meet_count(cand, member[:, j:j + 1]) == line_size, axis=1)
     # a member meets itself in q^2+q+1 points, so no member extends
-    extensions = int(np.count_nonzero(extends))
+    extensions = cand.shape[1]
 
     common = planes[0]
     hull = planes[0]

@@ -1,4 +1,5 @@
 """End-to-end CLI runs, driven in-process through main(argv)."""
+import argparse
 import json
 import os
 import subprocess
@@ -40,6 +41,23 @@ def test_count_unknown_formula_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "no_such_formula" in err and "independence_number" in err
+
+
+def test_count_names_an_unparsable_entry(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert run(["count", "--q", "2", "gaussian:7,x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: gaussian:7,x: parameters must be integers, got '7,x'\n")
+    assert not out.exists()
+
+
+def test_count_refuses_a_negative_plane_count(tmp_path, capsys):
+    # s(3,5) s(3) - 5 q^3 is no family size
+    out = tmp_path / "f.json"
+    assert run(["count", "--q", "2", "lambda_family_size:-5",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: m must be nonnegative\n"
+    assert not out.exists()
 
 
 def test_count_unsupported_q_exits_2(tmp_path, capsys):
@@ -317,6 +335,85 @@ def test_manifest_written_and_reproducible(tmp_path):
     assert man["tool_version"] == "0.1.0" and "started" in man
 
 
+# options a manifest keeps out of its parameters: the output paths, and q
+# and seed, which are keys of their own
+NOT_PARAMETERS = {"out", "report", "manifest", "q", "seed"}
+MANIFEST_KEYS = {"command", "q", "seed", "parameters", "outputs",
+                 "tool_version", "started", "elapsed_s"}
+
+
+def _option_dests(command: str) -> set[str]:
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions
+            if a.dest != "help"} - NOT_PARAMETERS
+
+
+def test_manifest_records_every_option(tmp_path, capsys):
+    """Every subcommand's manifest holds each of its options but the
+    output paths, q and seed, with the value the run used."""
+    frame = canonical_frame(2)
+    point, line = (subspace_to_text(frame[k]) for k in ("point", "line"))
+    flags = str(tmp_path / "pl.flags")
+    construct = ["construct", "--kind", "P_l", "--q", "2",
+                 "--point", point, "--line", line, "--out", flags]
+    assert run(construct) == 0
+    first = int(cli.load_flagset(flags).ordinals()[0])
+    runs = {
+        "count": ["count", "--q", "2"],
+        "construct": construct,
+        "verify": ["verify", flags, "--trace-point", point, "--xi-bound",
+                   "--xi", "15", "--flag", str(first)],
+        "color": ["color", "--scheme", "mi", "--q", "3"],
+        "oracle": ["oracle", "complement-count", "--q", "2", "--n", "4",
+                   "--d", "1", "--seed", "3"],
+        "export": ["export", "--q", "2", "--max-vertices", "10"],
+    }
+    manifests = {}
+    for command, argv in runs.items():
+        if "--out" not in argv:
+            argv = argv + ["--out", str(tmp_path / (command + ".out"))]
+        assert run(argv) == 0, command
+        out = argv[argv.index("--out") + 1]
+        man = json.loads(open(out + ".manifest.json").read())
+        assert set(man) == MANIFEST_KEYS, command
+        assert set(man["parameters"]) == _option_dests(command), command
+        assert man["command"] == command and man["outputs"][0] == out
+        manifests[command] = man
+    capsys.readouterr()
+
+    params = {c: m["parameters"] for c, m in manifests.items()}
+    assert params["construct"]["point"] == point
+    assert params["construct"]["line"] == line
+    assert not params["construct"]["canonical"]
+    assert params["verify"]["trace_point"] == point
+    assert params["verify"]["xi_bound"] and params["verify"]["xi"] == 15
+    assert params["verify"]["flag"] == first
+    # no check named but the traces, so the default three do not run
+    assert not params["verify"]["independent"]
+    assert manifests["verify"]["q"] == 2
+    assert manifests["oracle"]["seed"] == 3
+    assert (params["oracle"]["n"], params["oracle"]["d"]) == (4, 1)
+    assert params["export"]["max_vertices"] == 10
+    # count's default formula list is recorded as resolved
+    assert "independence_number" in params["count"]["names"]
+    assert "gaussian" not in params["count"]["names"]
+
+
+def test_manifest_records_resolved_verify_checks(tmp_path, capsys):
+    flags = str(tmp_path / "last.flags")
+    with open(flags, "w") as fh:
+        fh.write("# flagkneser flag set\nq 2\ncount 1\n177164\n")
+    out = str(tmp_path / "v.json")
+    # one flag is no maximal set: a failed check still writes its manifest
+    assert run(["verify", flags, "--out", out]) == 1
+    man = json.loads(open(out + ".manifest.json").read())
+    assert man["q"] == 2
+    assert all(man["parameters"][c]
+               for c in ("independent", "maximal", "saturation"))
+    capsys.readouterr()
+
+
 def test_manifest_elapsed_covers_the_work(tmp_path, monkeypatch):
     real = cli.formulas_report
 
@@ -430,6 +527,9 @@ BAD_INPUTS = [
     ["construct", "--kind", "P_l", "--q", "2", "--point", "0;x"],
     ["construct", "--kind", "H_E", "--q", "2", "--canonical"],
     ["count", "--q", "6"],
+    # an unknown formula and a parameter that is no integer
+    ["count", "--q", "2", "no_such_formula"],
+    ["count", "--q", "2", "gaussian:7,x"],
     ["oracle", "skew-count", "--q", "6"],
     ["oracle", "complement-count", "--q", "2", "--n", "3", "--d", "7"],
     # option values no oracle runs on, and --n or --d alone, which would
@@ -445,6 +545,10 @@ BAD_INPUTS = [
     ["oracle", "planes-two-solids", "--q", "7"],
     ["oracle", "solids-three-planes", "--q", "7"],
     ["export", "--q", "2", "--format", "graphml"],
+    ["export", "--q", "3", "--max-vertices", "10"],
+    ["export", "--q", "2"],
+    # the 73605001745 planes of PG(5,16): refused before the family is built
+    ["oracle", "line-meeting-family", "--q", "16"],
     ["verify", "missing.flags"],
     ["verify", "empty.flags", "--xi-bound"],
     ["verify", "last.flags", "--xi-bound", "--flag", "999999"],

@@ -26,8 +26,8 @@ from flagkneser.oracle import (OracleResult, ThreePlanesConfig,
                                sample_two_solids_config, skew_count_grid,
                                skew_count_tuples)
 from flagkneser.projective import (MAX_ENUMERATED, Subspace, basis_bitsets,
-                                   intersect_trivially, meet, point_words, span,
-                                   subspace_array)
+                                   intersect_trivially, meet, point_bitsets,
+                                   point_words, span, subspace_array)
 
 
 def test_skew_count_canonical_cases():
@@ -264,6 +264,21 @@ def test_line_meeting_family_minus_k_planes_has_k_extensions(q, kind, k):
     assert r.details["pairwise_meet_in_lines"]
     assert r.details["extensions_found"] == k
     assert not r.details["maximal"] and not r.passed
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("kind", ["line_star", "solid_full"])
+@pytest.mark.parametrize("keep", [slice(0, 2), slice(None, None, 3)])
+def test_line_meeting_extensions_match_a_direct_count(q, kind, keep):
+    """The member-by-member sweep finds as many extensions of a family with
+    members dropped as a table of every plane against every member."""
+    family = build_line_meeting_plane_family(kind, n=5, q=q)[keep]
+    bits = basis_bitsets(subspace_array(5, q, 2), 5, q)
+    member = point_bitsets(family, 5, q)
+    cuts = meet_count(bits[:, :, None], member[:, None, :])
+    direct = int(np.count_nonzero((cuts == q + 1).all(axis=1)))
+    r = line_meeting_family_check(q, planes=family, kind=kind)
+    assert r.details["extensions_found"] == direct > len(family)
 
 
 def test_line_meeting_family_rejects_broken_input():
