@@ -299,11 +299,11 @@ def _sweep(fn, configs, threads: int):
 
 def _check_oracle_args(args) -> None:
     """Refuse option values that no oracle can run on."""
-    for flag, least in (("k", -1), ("l", -1), ("sweeps", 0), ("threads", 1),
-                        ("seed", 0)):
-        if getattr(args, flag) < least:
-            raise ValueError("--%s must be at least %d, got %d"
-                             % (flag, least, getattr(args, flag)))
+    for flag, least in (("n", 0), ("k", -1), ("l", -1), ("sweeps", 0),
+                        ("threads", 1), ("seed", 0)):
+        value = getattr(args, flag)
+        if value is not None and value < least:  # --n defaults to None
+            raise ValueError("--%s must be at least %d, got %d" % (flag, least, value))
     if args.oracle == "skew-count" and (args.n is None) != (args.d is None):
         raise ValueError("skew-count takes --n and --d together (one "
                          "configuration) or neither (the grid)")

@@ -34,9 +34,9 @@ import numpy as np
 from .counting import lambda_family_size, s_count
 from .flags import N_AMBIENT, FlagSet, FlagUniverse
 from .linalg import point_bits, subset
-from .projective import (Subspace, basis_point_ids, dualize, enumerate_subspaces,
-                         pattern_point_table, point_bitsets, point_indexer,
-                         point_words, span, subspace_array)
+from .projective import (PatternCodec, Subspace, basis_point_ids, dualize,
+                         enumerate_subspaces, pattern_point_table, point_bitsets,
+                         point_indexer, point_words, span, subspace_array)
 
 # kind -> (side, family).  The family is None when empty, the name of a
 # given tuple, or a (contains, within) pair of anchor names: every member
@@ -272,8 +272,8 @@ def count_lambda(spec: LambdaSpec, q: int) -> int:
         members = subspace_array(n, q, d, contains=contains, within=within)
     else:
         members = np.array([x.rows for x in given], dtype=np.int64).reshape(-1, d + 1, n + 1)
-    # the solids through a plane are the points of the quotient PG(3,q)
-    total = len(subspace_array(n, q, 2, contains=point)) * len(subspace_array(3, q, 0))
+    # a line of PG(6,q)/P per plane through P, a point of PG(6,q)/E per solid on E
+    total = PatternCodec(n, 2, q).total * PatternCodec(4, 1, q).total
     # the planes of each member: those of PG(3,q), read off its points
     plane_ids = basis_point_ids(members, n, q)[:, pattern_point_table(4, 3, q)]
     on_point = (plane_ids == point_indexer(n, q).index_of(point.rows[0])).any(-1)

@@ -48,9 +48,8 @@ from .counting import universe_size_formula
 from .galois import build_field
 from .linalg import disjoint, scatter_point_ids
 from .projective import (PatternCodec, Subspace, basis_point_ids, dualize,
-                         local_coords, pattern_point_table, perp_bitsets,
-                         point_bitset, point_indexer, subspace_array,
-                         subspace_from_text, subspace_to_text)
+                         local_coords, pattern_point_table, perp_bitsets, point_bitset,
+                         point_indexer, subspace_from_text, subspace_to_text)
 
 N_AMBIENT = 6
 MATERIALIZABLE_Q = (2, 3)
@@ -188,7 +187,7 @@ class FlagUniverse:
         planes are never multiplied out; their per-flag bitsets feed only
         the plane-id pass."""
         n, q, pps = self.n, self.q, self.planes_per_solid
-        solids = subspace_array(n, q, 3)
+        solids = self.solid_codec.array()
         # row t: the positions of the points of local pattern t among the
         # points of a solid
         local = pattern_point_table(4, 3, q)

@@ -2,11 +2,11 @@
 
 Everything here counts by enumeration and bitset filtering, never through
 the closed-form layer, so the two routes stay independent: the formulas in
-`counting` are the claims, the functions here are the checks.  Enumerations
-come from projective.subspace_array as integer basis arrays and are turned
-into numpy bitset arrays in bounded batches, which keeps even the
-30k-subspace sweeps at q=3 well under a second.  Every enumeration is of all
-d-spaces of some PG(n,q), cached in _all_d_space_bits: the two oracles
+`counting` are the claims, the functions here are the checks.  Every
+enumeration is of all d-spaces of some PG(n,q): _all_d_space_bits reads
+them as the int8 patterns of projective.PatternCodec, turns them into numpy
+bitset arrays in bounded batches, which keeps even the 30k-subspace sweeps
+at q=3 well under a second, and caches the bitsets.  The two oracles
 anchored at a point P of PG(6,q) count the subspaces through P as the
 subspaces of PG(5,q) they project to from P (see _project), so they share
 the planes and lines of PG(5,q) with the skew-count grid.
@@ -28,9 +28,9 @@ from .constructions import build_line_meeting_plane_family
 from .galois import build_field
 from .linalg import (disjoint, least_pair, mat_from_combo, meet_count, rref,
                      subset)
-from .projective import (Subspace, basis_bitsets, check_subspace_bitsets,
-                         intersect_trivially, meet, point_bitsets, point_words,
-                         span, subspace_array, subspace_to_text)
+from .projective import (PatternCodec, Subspace, basis_bitsets,
+                         check_subspace_bitsets, intersect_trivially, meet,
+                         point_bitsets, point_words, span, subspace_to_text)
 
 @dataclass
 class OracleResult:
@@ -62,10 +62,10 @@ def _result(name: str, q: int, parameters: dict, count: int, expected: int,
 @functools.lru_cache(maxsize=64)
 def _all_d_space_bits(n: int, q: int, d: int) -> np.ndarray:
     """Word-major point bitsets of every d-space of PG(n,q), in the
-    subspace_array order, refused from the Gaussian coefficient before
+    PatternCodec order, refused from the Gaussian coefficient before
     anything is enumerated."""
     check_subspace_bitsets(n, q, d)
-    return basis_bitsets(subspace_array(n, q, d), n, q)
+    return basis_bitsets(PatternCodec(n + 1, d + 1, q).array(), n, q)
 
 
 def _project(sub: Subspace, point: Subspace) -> Subspace:

@@ -15,15 +15,16 @@ pattern_point_table() says where the points of each local pattern sit
 among a basis's points, so the points of every plane of a solid are
 gathered from the solid's ids.
 
-Subspaces under constraints have one enumeration route and one order,
-the pattern order of PatternCodec: subspace_array() returns the bases of
-the d-spaces through K inside W as one integer array, which is what the
-counting, oracle and universe layers work on, and refuses an enumeration
-above MAX_ENUMERATED before it starts; enumerate_subspaces() streams the
-same subspaces as Subspace objects, for the member lists of a Lambda
-family or a coloring scheme.  check_subspace_bitsets() makes the
-enumeration refusal and basis_bitsets()'s byte refusal for all the
-d-spaces of PG(n,q) from the Gaussian coefficient, before either runs.
+Subspaces have one enumeration order, the pattern order of PatternCodec:
+PatternCodec(n+1, d+1, q).array() holds the int8 bases of all d-spaces of
+PG(n,q), which the universe build and the oracles read.  subspace_array()
+returns the bases of the d-spaces through K inside W as one int64 array,
+for count_lambda's members, and refuses more than MAX_ENUMERATED before it
+starts; enumerate_subspaces() streams them as Subspace objects, for the
+member lists of a Lambda family or a coloring scheme.
+check_subspace_bitsets() makes the enumeration refusal and
+basis_bitsets()'s byte refusal for all the d-spaces of PG(n,q) from the
+Gaussian coefficient, before either runs.
 """
 
 from __future__ import annotations
@@ -201,8 +202,8 @@ def _check_bitset_bytes(count: int, n: int, q: int) -> None:
 
 
 def check_subspace_bitsets(n: int, q: int, d: int) -> None:
-    """Refuse basis_bitsets(subspace_array(n, q, d), n, q), the point
-    bitsets of every d-space of PG(n,q), from the Gaussian coefficient
+    """Refuse basis_bitsets(PatternCodec(n+1, d+1, q).array(), n, q), the
+    point bitsets of every d-space of PG(n,q), from the Gaussian coefficient
     alone: with subspace_array's message above the enumeration cutoff,
     else with basis_bitsets's above the byte cutoff."""
     count = gaussian(n + 1, d + 1, q)

@@ -226,20 +226,21 @@ def test_threaded_sweep_enumerates_once(tmp_path, monkeypatch):
     find the shared enumeration cached instead of each building it on a
     cold cache."""
     calls = []
-    subspace_array = oracle_mod.subspace_array
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        time.sleep(0.2)  # a slow build, so workers on a cold cache overlap
-        return subspace_array(*args, **kwargs)
+    class Counted(oracle_mod.PatternCodec):
+        def array(self):
+            calls.append((self.m, self.r, self.q))
+            time.sleep(0.2)  # a slow build, so workers on a cold cache overlap
+            return super().array()
 
     oracle_mod._all_d_space_bits.cache_clear()
-    monkeypatch.setattr(oracle_mod, "subspace_array", counted)
+    monkeypatch.setattr(oracle_mod, "PatternCodec", Counted)
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     args = ["oracle", "solids-three-planes", "--q", "2", "--sweeps", "3"]
     assert run(args + ["--out", str(out2), "--threads", "2"]) == 0
-    assert calls == [(5, 2, 2)]
+    # the planes of PG(5,2): rank-3 patterns with 6 columns, listed once
+    assert calls == [(6, 3, 2)]
     assert run(args + ["--out", str(out1), "--threads", "1"]) == 0
     assert out1.read_text() == out2.read_text()
 
@@ -276,6 +277,15 @@ def test_negative_seed_is_refused_by_name(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
 
 
+@pytest.mark.parametrize("oracle,d", [("complement-count", "-1"),
+                                      ("skew-count", "0")])
+def test_negative_n_is_refused_by_name(tmp_path, capsys, oracle, d):
+    assert run(["oracle", oracle, "--q", "2", "--n", "-1", "--d", d,
+                "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == "error: --n must be at least 0, got -1\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_complement_count_refuses_bitsets_before_enumerating(tmp_path,
                                                              monkeypatch,
                                                              capsys):
@@ -285,7 +295,7 @@ def test_complement_count_refuses_bitsets_before_enumerating(tmp_path,
     def no_enumeration(*args, **kwargs):
         raise AssertionError("d-spaces enumerated for refused bitsets")
 
-    monkeypatch.setattr(oracle_mod, "subspace_array", no_enumeration)
+    monkeypatch.setattr(oracle_mod, "PatternCodec", no_enumeration)
     assert run(["oracle", "complement-count", "--q", "16", "--n", "5",
                 "--d", "4", "--out", str(tmp_path / "c.json")]) == 2
     assert capsys.readouterr().err == (

@@ -5,12 +5,14 @@ with the closed forms is a genuine cross-check, not a tautology.
 """
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from flagkneser import projective
-from flagkneser.constructions import build_line_meeting_plane_family, unit_span
+from flagkneser import constructions, flags, oracle, projective
+from flagkneser.constructions import (LambdaSpec, build_line_meeting_plane_family,
+                                      canonical_frame, count_lambda, unit_span)
 from flagkneser.counting import (planes_meeting_two_solids_bound,
                                  planes_meeting_two_solids_exact, s, s_count,
                                  solids_meeting_three_planes_bound)
@@ -357,6 +359,51 @@ def test_sampled_configs_are_pinned(q, digest):
             h.update(json.dumps(cfg.to_params(), sort_keys=True).encode())
         h.update(str(int(rng.integers(1 << 62))).encode())
     assert h.hexdigest() == digest
+
+
+def test_whole_space_enumerations_read_the_codec(monkeypatch):
+    """subspace_array lists only constrained enumerations: the q=2
+    universe and the oracles' d-spaces of a whole PG(n,q) are read from
+    PatternCodec, and count_lambda enumerates its members alone."""
+    calls = []
+
+    def patch_subspace_array(fn):
+        for mod in (projective, flags, oracle, constructions):
+            if hasattr(mod, "subspace_array"):
+                monkeypatch.setattr(mod, "subspace_array", fn)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("subspace_array called for a whole space")
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return subspace_array(*args, **kwargs)
+
+    patch_subspace_array(refused)
+    assert flags.FlagUniverse(2).solid_words.shape == (2, 11811)
+    oracle._all_d_space_bits.cache_clear()
+    assert oracle._all_d_space_bits(5, 3, 2).shape == (6, 33880)
+    patch_subspace_array(counted)
+    fr = canonical_frame(3)
+    spec = LambdaSpec(kind="H_U", hyperplane=fr["hyperplane"],
+                      four_space=fr["four_space"])
+    assert count_lambda(spec, 3) == 473110
+    # one call, for the member solids of the dual P_l family
+    assert [(args, sorted(kwargs)) for args, kwargs in calls] == [
+        ((6, 3, 3), ["contains", "within"])]
+
+
+def test_all_d_space_bits_memory_is_bounded():
+    # the planes of PG(5,3): 33880 int8 patterns (0.6 MB) and their 1.6 MB
+    # of bitsets, where an int64 copy of the patterns alone takes 4.9 MB
+    oracle._all_d_space_bits.cache_clear()
+    tracemalloc.start()
+    try:
+        oracle._all_d_space_bits(5, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20  # 5 MiB; it measures 3.6 MiB
 
 
 def test_enumeration_cutoff(monkeypatch):
