@@ -311,12 +311,6 @@ class ColoringScheme:
     exactly q^4 + q^3 + q^2 + 1 entries.
     """
 
-    q: int
-    point: Subspace
-    line: Subspace
-    plane: Subspace
-    four_space: Subspace
-    second_point: Subspace
     classes: tuple[LambdaSpec, ...]
     cover_sets: tuple[tuple[int, ...], ...]  # point indices of M_1..M_q
 
@@ -378,9 +372,7 @@ def build_coloring_scheme(point: Subspace, line: Subspace, plane: Subspace,
                 continue
             seen.add(key)
             classes.append(LambdaSpec(kind="P_l", point=x, line=cls_line))
-    return ColoringScheme(q=q, point=point, line=line, plane=plane,
-                          four_space=four_space, second_point=second_point,
-                          classes=tuple(classes), cover_sets=tuple(m_sets))
+    return ColoringScheme(classes=tuple(classes), cover_sets=tuple(m_sets))
 
 
 def trivial_coloring_scheme(four_space: Subspace) -> tuple[LambdaSpec, ...]:

@@ -3,8 +3,9 @@
 Field elements are integer codes 0..q-1.  For q = p^e a code is the base-p
 digit vector of the polynomial representative, least significant digit first
 (constant term), so code 0 is the additive identity and code 1 the
-multiplicative identity for every supported order.  All arithmetic is done
-through dense lookup tables; nothing here is floating point.
+multiplicative identity for every supported order.  Products in GF(p^e) go
+through the powers of x, which is primitive under the pinned modulus.  All
+arithmetic is done through dense lookup tables; nothing here is floating point.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
-# Pinned irreducible modulus per (p, e): Conway polynomial coefficients,
-# constant term first.  Pinning the modulus keeps element codes stable
-# across runs and implementations.
+# Pinned modulus per (p, e): Conway polynomial coefficients, constant term
+# first.  Conway polynomials are primitive, and pinning them keeps element
+# codes stable across runs and implementations.
 _MODULUS = {
     (2, 1): (1, 1),
     (2, 2): (1, 1, 1),        # x^2 + x + 1
@@ -86,26 +87,6 @@ def _encode(digits: list[int], p: int) -> int:
     return code
 
 
-def _poly_mul_mod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    e = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce modulo the pinned monic irreducible
-    for deg in range(len(prod) - 1, e - 1, -1):
-        c = prod[deg]
-        if c == 0:
-            continue
-        prod[deg] = 0
-        for k in range(e + 1):
-            prod[deg - e + k] = (prod[deg - e + k] - c * modulus[k]) % p
-    prod = prod[:e] + [0] * max(0, e - len(prod))
-    return prod[:e]
-
-
 @functools.lru_cache(maxsize=None)
 def build_field(q: int) -> FieldTable:
     """Build (and cache) the arithmetic tables for GF(q).
@@ -131,8 +112,14 @@ def build_field(q: int) -> FieldTable:
             tuple(_encode([(x + y) % p for x, y in zip(vec[a], vec[b])], p) for b in range(q))
             for a in range(q)
         )
+        # exp[k] = x^k: shift the digits up, less the top one times the modulus
+        exp, digits = [], [1] + [0] * (e - 1)
+        for _ in range(q - 1):
+            exp.append(_encode(digits, p))
+            digits = [(d - digits[-1] * m) % p for d, m in zip([0] + digits[:-1], modulus)]
+        log = {code: k for k, code in enumerate(exp)}
         mul = tuple(
-            tuple(_encode(_poly_mul_mod(vec[a], vec[b], modulus, p), p) for b in range(q))
+            tuple(exp[(log[a] + log[b]) % (q - 1)] if a and b else 0 for b in range(q))
             for a in range(q)
         )
 

@@ -97,15 +97,16 @@ def _member_arrays(fset: FlagSet):
     return (uni, ords, *_flag_words(uni, ords))
 
 
-# member solids per block of check_independent times planes per solid and
-# words per packed row: bounds a block's gathered uint64 rows at 512 KB
-_SOLID_BLOCK = 1 << 16
+# uint64 words of scratch per block, 512 KB: a block of check_independent
+# holds member solids times planes per solid times words per packed row,
+# a step of check_maximal holds members times candidate columns
+_BLOCK_WORDS = 1 << 16
 
 
 def _solids_per_block(k: int, pps: int) -> int:
     """Member solids per block of check_independent over k member solids,
     a multiple of 64 so that a block's columns start on a packed word."""
-    return max(64, (_SOLID_BLOCK // (pps * ((k + 63) // 64 or 1))) & -64)
+    return max(64, (_BLOCK_WORDS // (pps * ((k + 63) // 64 or 1))) & -64)
 
 
 def _least_conflicting_solid(uni: FlagUniverse, ords: np.ndarray) -> int | None:
@@ -191,11 +192,6 @@ def check_independent(fset: FlagSet, subject: str = "flag set") -> VerificationR
     return report
 
 
-# members per step of check_maximal times candidate columns: bounds the
-# step's (members, columns) scratch arrays at 512 KB of uint64 words
-_SCAN_BLOCK = 1 << 16
-
-
 def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationReport:
     """No flag outside the set is non-adjacent to every member.
 
@@ -206,7 +202,7 @@ def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationRepor
     stride coprime to their number, because consecutive members in ordinal
     order share a solid and cover nearly the same flags.  A block is one
     member while the candidates are many and grows as they thin out,
-    keeping members times columns under _SCAN_BLOCK; the candidates'
+    keeping members times columns under _BLOCK_WORDS; the candidates'
     columns are gathered by id, again once half of them are dead.  A step
     that drops no candidate tests the least live one against all members:
     if no member covers it, every smaller candidate is covered and it is
@@ -229,7 +225,7 @@ def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationRepor
         alive = np.ones(cand.size, dtype=bool)
         left, start = cand.size, 0
         while start < len(order) and left:
-            block = order[start:start + max(1, _SCAN_BLOCK // cand.size)]
+            block = order[start:start + max(1, _BLOCK_WORDS // cand.size)]
             start += len(block)
             alive &= ~adjacent_bits(member_planes[:, block, None],
                                     member_solids[:, block, None],
@@ -274,7 +270,6 @@ def max_flags_per_solid(fset: FlagSet) -> int:
 @dataclass
 class PlaneEntry:
     flag_ordinal: int       # the least member flag on the plane
-    hull_dim: int           # dimension of the span of the member solids on it
     members: int
     is_quotient_subspace: bool
     saturated: bool         # every solid on the plane occurs
@@ -289,7 +284,6 @@ class PlaneEntry:
 @dataclass
 class SolidEntry:
     ordinal: int            # solid ordinal in the universe's canonical order
-    base_dim: int           # dimension of the meet of the member planes in it
     members: int
     is_pencil: bool
     saturated: bool         # every plane of the solid occurs
@@ -304,7 +298,6 @@ class SolidEntry:
 
 @dataclass
 class SaturationProfile:
-    q: int
     plane_entries: list[PlaneEntry]
     solid_entries: list[SolidEntry]
 
@@ -332,11 +325,11 @@ def _group_reduce(ufunc, bits: np.ndarray, keys: np.ndarray):
 
 
 def _group_size_test(bits: np.ndarray, sizes: np.ndarray, q: int):
-    """Dimension d of each subspace in bits (from its point count), and
-    whether its group has (q^(3-d) - 1)/(q - 1) members."""
+    """Whether the group of each subspace in bits, of dimension d (from its
+    point count), has (q^(3-d) - 1)/(q - 1) members."""
     point_counts = [(q ** k - 1) // (q - 1) for k in range(8)]
     dims = np.searchsorted(point_counts, popcount(bits)) - 1
-    return dims, sizes == (q ** (3 - dims) - 1) // (q - 1)
+    return sizes == (q ** (3 - dims) - 1) // (q - 1)
 
 
 def saturation_profile(fset: FlagSet) -> SaturationProfile:
@@ -354,26 +347,23 @@ def saturation_profile(fset: FlagSet) -> SaturationProfile:
     q, pps = uni.q, uni.planes_per_solid
 
     firsts, s_sizes, bases = _group_reduce(np.bitwise_and, planes, ords // pps)
-    base_dims, pencils = _group_size_test(bases, s_sizes, q)
+    pencils = _group_size_test(bases, s_sizes, q)
     solid_entries = [
-        SolidEntry(ordinal=s_ord, base_dim=d, members=size, is_pencil=ok,
+        SolidEntry(ordinal=s_ord, members=size, is_pencil=ok,
                    saturated=size == pps, universe=uni)
-        for s_ord, d, size, ok in zip((ords[firsts] // pps).tolist(),
-                                      base_dims.tolist(), s_sizes.tolist(),
-                                      pencils.tolist())]
+        for s_ord, size, ok in zip((ords[firsts] // pps).tolist(),
+                                   s_sizes.tolist(), pencils.tolist())]
 
     firsts, p_sizes, hulls = _group_reduce(np.bitwise_or, solids,
                                            uni.plane_gid[ords])
-    perp_dims, quotients = _group_size_test(perp_bitsets(hulls, uni.n, q),
-                                             p_sizes, q)
+    quotients = _group_size_test(perp_bitsets(hulls, uni.n, q), p_sizes, q)
     solids_on_plane = s(2, 3, 6, q=q)
     plane_entries = [
-        PlaneEntry(flag_ordinal=o, hull_dim=uni.n - 1 - d, members=size,
-                   is_quotient_subspace=ok, saturated=size == solids_on_plane,
-                   universe=uni)
-        for o, d, size, ok in zip(ords[firsts].tolist(), perp_dims.tolist(),
-                                  p_sizes.tolist(), quotients.tolist())]
-    return SaturationProfile(q=q, plane_entries=plane_entries,
+        PlaneEntry(flag_ordinal=o, members=size, is_quotient_subspace=ok,
+                   saturated=size == solids_on_plane, universe=uni)
+        for o, size, ok in zip(ords[firsts].tolist(), p_sizes.tolist(),
+                               quotients.tolist())]
+    return SaturationProfile(plane_entries=plane_entries,
                              solid_entries=solid_entries)
 
 

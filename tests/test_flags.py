@@ -388,6 +388,40 @@ def test_from_ordinals_names_the_first_ordinal_out_of_range(uni2):
     assert FlagSet.from_ordinals(uni2, np.array([7, 2])).ordinals().tolist() == [2, 7]
 
 
+def _ordinal_of_a_q3_flag(uni2, tmp_path):
+    uni2.ordinal_of(build_universe(3).flag(0))
+
+
+def _union_across_universes(uni2, tmp_path):
+    FlagSet.from_ordinals(uni2, [0]).union(
+        FlagSet.from_ordinals(build_universe(3), [0]))
+
+
+def _load_into_a_universe_of_another_q(uni2, tmp_path):
+    save_flagset(FlagSet.from_ordinals(uni2, [5]), str(tmp_path / "two.flags"))
+    load_flagset(str(tmp_path / "two.flags"), build_universe(3))
+
+
+def _export_no_vertex(uni2, tmp_path):
+    export_dimacs(uni2, str(tmp_path / "g.dimacs"), max_vertices=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (_ordinal_of_a_q3_flag, "flag belongs to PG(6,3), universe is PG(6,2)"),
+    (_union_across_universes, "flag sets over different universes"),
+    (_load_into_a_universe_of_another_q,
+     "{tmp}/two.flags declares q=2 but universe has q=3"),
+    (_export_no_vertex, "need at least one vertex"),
+])
+def test_library_refusals(uni2, tmp_path, call, message):
+    """Refusals that the CLI never reaches: it checks first or never
+    passes such arguments."""
+    with pytest.raises(ValueError) as err:
+        call(uni2, tmp_path)
+    assert str(err.value) == message.format(tmp=tmp_path)
+    assert not (tmp_path / "g.dimacs").exists()
+
+
 def _edge_lines(data: bytes, step: int, block: int = 1 << 20):
     """The number of lines of data that start with "e ", and every
     step-th of them, in one pass over blocks of whole lines; only a block

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -52,6 +53,20 @@ def test_extension_field_pinned_entries():
     # drift: x*x in GF(4) and GF(9) under the stored moduli
     assert build_field(4).mul[2][2] == 3
     assert build_field(9).mul[3][3] == 4
+
+
+# sha256 over q, add, mul, neg and inv of every supported order, one byte
+# per entry, frozen from the long-hand polynomial product so the tables
+# cannot drift when the construction changes
+_FIELD_TABLES_SHA256 = "67351d89e4ba54d692401c20ff6c614f17fe007e39c1b46cbd731c0e44f21f76"
+
+
+def test_field_tables_are_pinned():
+    h = hashlib.sha256()
+    for q in SUPPORTED_ORDERS:
+        fld = build_field(q)
+        h.update(bytes(itertools.chain([q], *fld.add, *fld.mul, fld.neg, fld.inv)))
+    assert h.hexdigest() == _FIELD_TABLES_SHA256
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)

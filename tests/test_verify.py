@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flagkneser import verify
 from flagkneser.constructions import (LambdaSpec, build_coloring_scheme,
                                       build_lambda, realize_coloring,
                                       trivial_coloring_scheme)
@@ -256,6 +257,20 @@ def test_proper_subset_of_maximal_set_is_not_maximal(uni2, lam_pl, pl_cover):
     assert not rep.passed
     want = _least_uncovered(uni2, ords[:-10], pl_cover, base=ords)
     assert rep.checks[0].witness == {"extending_flag": want}
+
+
+def test_stalled_step_drops_a_covered_candidate(uni2, lam_pl, pl_cover,
+                                                monkeypatch):
+    """With 4096 words a step, Λ(P,l)'s scans stall while candidates are
+    left, so a stalled step finds its least live candidate covered by some
+    member and drops it; the verdicts and the least witness still hold."""
+    monkeypatch.setattr(verify, "_BLOCK_WORDS", 4096)
+    ords = lam_pl.ordinals()
+    assert check_maximal(lam_pl).passed
+    rep = check_maximal(FlagSet.from_ordinals(uni2, ords[:-10]))
+    want = _least_uncovered(uni2, ords[:-10], pl_cover, base=ords)
+    assert rep.checks[0].witness == {"extending_flag": want} == {
+        "extending_flag": 167063}
 
 
 @pytest.mark.parametrize("shape", ["small", "minus", "plus_adjacent"])
