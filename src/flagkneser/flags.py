@@ -19,19 +19,19 @@ Flag ordinals run through solids in canonical order and, inside each solid,
 through its planes in canonical local order.  At q = 2 the universe keeps
 planes and solids by id only: plane_words and solid_words hold each
 distinct one once as word-major point bitsets (see linalg: (2, 11811)
-uint64, column g for id g, row k holding points 64k..64k+63); a flag's
-plane id is plane_gid[ordinal], numbered in order of first occurrence,
-and its solid id its solid ordinal, ordinal // planes_per_solid.  The
-build takes the point ids of each solid, one batch_point_ids call per
-chunk of solids: a plane of a solid is a set of the solid's points, so
-its ids are gathered from the solid's through
-projective.pattern_point_table and no plane is multiplied out.
-The duality (E, S) -> (S^perp, E^perp) is one int32 permutation of the
-ordinals, built on first use from the orthogonal complements of the
-solid columns alone: perp maps the flags of a solid onto the flags on its
-dual plane, matched by rank.  Full materialization is limited to q in
-{2, 3}; at q = 3 per-flag data, the dual included, is produced on demand
-instead of being held in memory.
+uint64, column g for id g); a flag's plane id is plane_gid[ordinal],
+numbered in order of first occurrence, and its solid id ordinal //
+planes_per_solid.  The build gathers the point ids of each plane from its
+solid's (one batch_point_ids call per chunk of solids, then
+projective.pattern_point_table) and names the plane by its q+2 least
+point ids packed in one int64: a line holds only q+1 points, so they span
+the plane.  One sort of the keys numbers the planes.  The duality
+(E, S) -> (S^perp, E^perp) is one int32 permutation of the ordinals,
+built on first use from the orthogonal complements of the solid columns
+alone, found among the planes by key: perp maps the flags of a solid onto
+the flags on its dual plane, matched by rank.  Full materialization is
+limited to q in {2, 3}; at q = 3 per-flag data, the dual included, is
+produced on demand instead of being held in memory.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 from . import linalg
 from .counting import universe_size_formula
 from .galois import build_field
-from .linalg import disjoint, scatter_point_ids
+from .linalg import disjoint, point_ids, scatter_point_ids
 from .projective import (PatternCodec, Subspace, basis_point_ids, dualize,
                          local_coords, pattern_point_table, perp_bitsets, point_bitset,
                          point_indexer, subspace_from_text, subspace_to_text)
@@ -184,47 +184,51 @@ class FlagUniverse:
         A plane of a solid is a set of the solid's points: the point ids of
         each chunk of solids come from one batch_point_ids call, and those of
         its planes are gathered from them through pattern_point_table, so
-        planes are never multiplied out; their per-flag bitsets feed only
-        the plane-id pass."""
+        planes are never multiplied out.  _first_occurrence_ids numbers the
+        planes by their _plane_keys, and only the first flag on each plane
+        is scattered into plane_words."""
         n, q, pps = self.n, self.q, self.planes_per_solid
         solids = self.solid_codec.array()
         # row t: the positions of the points of local pattern t among the
         # points of a solid
         local = pattern_point_table(4, 3, q)
-        nwords = (point_indexer(n, q).count + 63) // 64
-        plane_bits = np.zeros((nwords, self.flag_count), dtype=np.uint64)
-        solid_words = np.zeros((nwords, self.n_solids), dtype=np.uint64)
+        count = point_indexer(n, q).count
+        self.solid_words = np.zeros(((count + 63) // 64, self.n_solids), dtype=np.uint64)
+        solid_ids = np.empty((self.n_solids, local.max() + 1), np.min_scalar_type(count))
+        keys = np.empty((self.n_solids, pps), dtype=np.int64)
         for a in range(0, self.n_solids, _SOLID_CHUNK):
-            ids = basis_point_ids(solids[a:a + _SOLID_CHUNK], n, q)
-            scatter_point_ids(solid_words, ids, a)
-            # the plane with local pattern t in solid s is column s * pps + t
-            scatter_point_ids(plane_bits, ids[:, local].reshape(-1, local.shape[1]),
-                              a * pps)
-        del solids, ids  # freed before the id pass, which peaks
-        self.plane_gid, firsts = _first_occurrence_ids(plane_bits)
-        self.plane_words = plane_bits.take(firsts, axis=1)
-        self.solid_words = solid_words
+            chunk = slice(a, a + _SOLID_CHUNK)
+            solid_ids[chunk] = ids = basis_point_ids(solids[chunk], n, q)
+            scatter_point_ids(self.solid_words, ids, a)
+            # the plane with local pattern t in solid s is flag s * pps + t
+            keys[chunk] = _plane_keys(np.sort(solid_ids[chunk, local]), n, q)
+        self.plane_gid, firsts = _first_occurrence_ids(keys.reshape(-1))
+        s, t = np.divmod(firsts, pps)
+        self.plane_words = np.zeros((len(self.solid_words), len(firsts)), dtype=np.uint64)
+        scatter_point_ids(self.plane_words, solid_ids[s[:, None], local[t]].astype(np.int64))
 
     @functools.cached_property
     def dual_permutation(self) -> np.ndarray:
         """int32 array: the dual ordinal of every flag, built on first use.
 
-        The dual of (E, S) is (S^perp, E^perp).  One perp_bitsets pass
-        gives dual_plane, the plane id of S^perp for each solid S; perp maps
-        solids one to one onto planes, so its inverse gives the solid
-        E^perp of each plane E.  The flags of S go to the planes_per_solid
-        flags on S^perp: ranked by dual solid, the r-th flag of S to the
-        r-th on S^perp in ordinal order.
+        The dual of (E, S) is (S^perp, E^perp).  One perp_bitsets pass and
+        the plane keys give dual_plane, the plane id of S^perp for each
+        solid S; perp maps solids one to one onto planes, so its inverse
+        gives the solid E^perp of each plane E.  The flags of S go to the
+        planes_per_solid flags on S^perp: ranked by dual solid, the r-th
+        flag of S to the r-th on S^perp in ordinal order.
         """
         self._need_masks()
         # allocated before the scratch arrays, so that freeing them can
         # return the top of the heap
         perm = np.empty((self.n_solids, self.planes_per_solid), dtype=np.int32)
-        # plane_words' columns are distinct, so column g has id g
-        ids = _first_occurrence_ids(np.concatenate(
-            [self.plane_words, perp_bitsets(self.solid_words, self.n, self.q)],
-            axis=1))[0]
-        dual_plane = ids[self.plane_words.shape[1]:]
+        n, q = self.n, self.q
+        keys, perp_keys = (_plane_keys(point_ids(words, q * q + q + 1), n, q) for words in (
+            self.plane_words, perp_bitsets(self.solid_words, n, q)))
+        by_key, by_perp = np.argsort(keys), np.argsort(perp_keys)
+        if not np.array_equal(keys[by_key], perp_keys[by_perp]):
+            raise AssertionError("the perps of the solids are not the planes")
+        dual_plane = by_key[np.argsort(by_perp)]
         dual_solid = np.argsort(dual_plane).astype(np.int32)
         # row g: the flags on plane g, in ordinal order
         on_plane = np.argsort(self.plane_gid, kind="stable").astype(np.int32)
@@ -257,20 +261,38 @@ class FlagUniverse:
         return int(np.count_nonzero(self.adjacent_mask(ordinal)))
 
 
-def _first_occurrence_ids(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int32 id per column of a word-major bitset array, and the column
-    where each id first occurs: equal columns share an id, and ids count
-    distinct columns in order of first occurrence."""
-    order = np.lexsort(bits)  # stable, so equal columns keep their order
-    new = np.zeros(bits.shape[1], dtype=bool)
-    new[0] = True
-    for row in bits:
-        srt = row.take(order)
-        new[1:] |= srt[1:] != srt[:-1]
-    first = order[new]  # the first column of each run of equal columns
+def _plane_keys(ids: np.ndarray, n: int, q: int) -> np.ndarray:
+    """int64 key of each plane of PG(n,q) from its point ids, ascending
+    along the last axis: its q+2 least ids packed, the least one highest.
+    A line holds q+1 points, so q+2 points of a plane span it: two planes
+    share a key exactly when they are equal."""
+    width = point_indexer(n, q).count.bit_length()
+    key = np.zeros(ids.shape[:-1], dtype=np.int64)
+    for j in range(q + 2):
+        key = key << width | ids[..., j]
+    return key
+
+
+def _first_occurrence_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int32 id per entry of a 1-D array of int64 keys, and the entry where
+    each id first occurs: equal keys share an id, and ids count distinct
+    keys in order of first occurrence.  The keys must leave the bits of a
+    position free: below 2^(63 - b), b = len(keys).bit_length().  keys is
+    the sort's scratch, and is overwritten."""
+    ids = np.empty(len(keys), dtype=np.int32)  # before the scratch, as in dual_permutation
+    shift = len(keys).bit_length()
+    # one sort of key * 2^shift + position orders equal keys by position
+    keys <<= shift
+    keys |= np.arange(len(keys))
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    first = order[new]  # the first entry of each run of equal keys
     by_first = np.argsort(first)
-    ids = np.empty(bits.shape[1], dtype=np.int32)
-    ids[order] = np.argsort(by_first)[np.cumsum(new) - 1]
+    np.cumsum(new, out=keys)
+    keys -= 1
+    ids[order] = np.argsort(by_first).astype(np.int32)[keys]
     return ids, first[by_first]
 
 

@@ -10,15 +10,15 @@ uint64 array of shape (W, N), word-major, whose row k holds points
 column.  batch_point_ids lists the point indices of each matrix of an
 integer basis array over any supported field, scatter_point_ids sets them
 as bits in such an array, point_bits reads the bits back as a bool row
-per subspace, and batch_point_bitsets does the first two a chunk at a
-time; a caller that needs the points of the subspaces of each row space
-as well (the planes of a solid) gathers them from the same ids.  The
-kernels disjoint and subset take two arrays that broadcast over their
-trailing axes, compare them word by word and AND the results.  Against a
-single (W,) constraint column (ndim 1; for subset, its first argument)
-they read only the words where that column is nonzero, since no test can
-fail on the others: a point or a line of PG(5,3) fills 1-4 of its 6
-words.  Other calls read every word, through the same loop.  popcount
+per subspace and point_ids as its ascending point indices, and
+batch_point_bitsets does the first two a chunk at a time; a caller that
+needs the points of the subspaces of each row space as well (the planes
+of a solid) gathers them from the same ids.  The kernels disjoint and
+subset take two arrays that broadcast over their trailing axes, compare
+them word by word and AND the results.  Against a single (W,) constraint
+column (ndim 1; for subset, its first argument) they read only the words
+where that column is nonzero, since no test can fail on the others: a
+point or a line of PG(5,3) fills 1-4 of its 6 words.  Other calls read every word, through the same loop.  popcount
 counts the points of each set and meet_count, a word row at a time, the
 points two sets share; least_pair scans the column pairs of one array for
 the least one a kernel flags.
@@ -305,6 +305,13 @@ def point_bits(words: np.ndarray) -> np.ndarray:
     cols = np.ascontiguousarray(words.reshape(len(words), -1).T, dtype="<u8")
     return np.unpackbits(cols.view(np.uint8), axis=1,
                          bitorder="little").view(bool)
+
+
+def point_ids(words: np.ndarray, k: int) -> np.ndarray:
+    """The points of each set of a (W, N) word-major array of sets of k
+    points: an int64 (N, k) array, ascending along each row."""
+    bits = point_bits(words)
+    return (np.flatnonzero(bits) % bits.shape[1]).reshape(-1, k)
 
 
 def batch_point_bitsets(mats: np.ndarray, q: int, point_codes: np.ndarray,

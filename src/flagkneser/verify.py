@@ -26,8 +26,8 @@ from .counting import (chromatic_lower_poly, independence_number_formula,
                        plane_disjoint_solid_meeting_bound, s,
                        universe_size_formula)
 from .flags import Flag, FlagSet, FlagUniverse, adjacency_scan, adjacent_bits
-from .linalg import (disjoint, least_pair, meet_count, point_bits, popcount,
-                     subset)
+from .linalg import (disjoint, least_pair, meet_count, point_bits, point_ids,
+                     popcount, subset)
 from .projective import Subspace, perp_bitsets, point_words, subspace_to_text
 
 
@@ -127,9 +127,7 @@ def _least_conflicting_solid(uni: FlagUniverse, ords: np.ndarray) -> int | None:
     gids = uni.plane_gid[ords]
     seen = np.zeros(uni.plane_words.shape[1], dtype=bool)
     seen[gids] = True
-    bits = point_bits(uni.plane_words[:, seen])
-    points = (np.flatnonzero(bits) % bits.shape[1]).reshape(
-        -1, uni.q * uni.q + uni.q + 1)
+    points = point_ids(uni.plane_words[:, seen], uni.q * uni.q + uni.q + 1)
     meets = inc[points[:, 0]]
     for col in points[:, 1:].T:
         meets |= inc[col]

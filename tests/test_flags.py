@@ -12,8 +12,10 @@ from flagkneser.counting import gaussian, universe_size_formula
 from flagkneser.flags import (Flag, FlagSet, FlagUniverse, adjacency_scan,
                               adjacent, adjacent_bits, build_universe,
                               dualize_flag, export_dimacs, general_position,
-                              load_flagset, save_flagset)
-from flagkneser.projective import Subspace, dualize, meet, span
+                              load_flagset, save_flagset, _plane_keys)
+from flagkneser.linalg import scatter_point_ids
+from flagkneser.projective import (Subspace, basis_point_ids, dualize, meet,
+                                   pattern_point_table, span)
 
 
 def _unit(n, q, idxs):
@@ -122,6 +124,47 @@ def test_universe_keeps_planes_and_solids_by_id_only():
     held = sum(v.nbytes for v in vars(uni).values()
                if isinstance(v, np.ndarray))
     assert held < 1.5e6, held
+
+
+def test_universe_build_memory_is_bounded():
+    """A fresh q=2 universe builds from plane keys: no per-flag plane
+    bitsets (2.8 MB) and no lexsort over them.  It peaked at 9.44 MiB
+    with them."""
+    tracemalloc.start()
+    try:
+        FlagUniverse(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2 ** 20, peak
+
+
+def test_plane_keys_name_the_q3_planes():
+    """At q=3 a plane has 13 points and its key packs the 5 least of
+    them, 11 bits each (55 bits).  On the 12000 planes of a seeded run of
+    300 solids, two planes share a key exactly when they share their
+    point set.  The planes of one solid meet two by two in lines of
+    q+1 = 4 points, so every solid's 40 keys must differ."""
+    uni = build_universe(3)
+    start = int(np.random.default_rng(28).integers(0, uni.n_solids - 300))
+    solids = np.array([uni.solid_codec.unrank(s) for s in range(start, start + 300)])
+    ids = basis_point_ids(solids, 6, 3)[:, pattern_point_table(4, 3, 3)]
+    keys = _plane_keys(np.sort(ids), 6, 3)
+    assert keys.shape == (300, 40) and int(keys.max()).bit_length() <= 55
+    assert all(len(set(row)) == 40 for row in keys.tolist())
+    words = np.zeros((18, 12000), dtype=np.uint64)
+    scatter_point_ids(words, ids.reshape(-1, 13))
+    _, by_key = np.unique(keys.reshape(-1), return_inverse=True)
+    _, by_set = np.unique(words, axis=1, return_inverse=True)
+    pairs = np.unique(np.stack([by_key, by_set]), axis=1).shape[1]
+    assert pairs == by_key.max() + 1 == by_set.max() + 1 < 12000
+
+
+def test_dual_permutation_refuses_planes_that_are_not_the_perps():
+    uni = FlagUniverse(2)
+    uni.plane_words[:, 0] = uni.plane_words[:, 1]
+    with pytest.raises(AssertionError, match="perps of the solids"):
+        uni.dual_permutation
 
 
 def test_dualize_flag_is_involution(uni2):
