@@ -7,13 +7,18 @@ equivalent to the two disjointness conditions
 
     plane(f) `meets` solid(g) == empty  and  plane(g) `meets` solid(f) == empty,
 
-which adjacent_bits() states once for point bitsets and the checkers'
-scans use; general_position() itself follows the four-pair definition.
-adjacent_mask and the DIMACS export factor the same conditions through
-the distinct planes and solids: D[p, s] says that plane p misses solid s,
-and flags i, j are adjacent iff D[pid_i, sid_j] and D[pid_j, sid_i].  The
-export fills D with _disjointness_table, counts its edges in closed form
-over pairs of solids and writes them a solid at a time, as bytes.
+which adjacent_bits() states once for point bitsets: it is the one
+predicate, and general_position() follows the four-pair definition.  The
+DIMACS export factors it through the distinct planes and solids: D[p, s]
+says that plane p misses solid s, and flags i, j are adjacent iff
+D[pid_i, sid_j] and D[pid_j, sid_i]; it fills D with _disjointness_table,
+counts its edges in closed form over pairs of solids and writes them a
+solid at a time, as bytes.  adjacent_mask factors it through solid meets:
+if the plane E of (E, S) misses a solid S', S meets S' in one point p (in
+vector dimensions at least 4 + 4 - 7 = 1, at most dim S - dim E = 1), so
+(E', S') is adjacent iff E misses S' and p is off E'.  At q = 2 the rank
+of p among the points of S' says which planes of S' hold p, in every
+solid alike.
 
 Flag ordinals run through solids in canonical order and, inside each solid,
 through its planes in canonical local order.  At q = 2 the universe keeps
@@ -206,6 +211,14 @@ class FlagUniverse:
         s, t = np.divmod(firsts, pps)
         self.plane_words = np.zeros((len(self.solid_words), len(firsts)), dtype=np.uint64)
         scatter_point_ids(self.plane_words, solid_ids[s[:, None], local[t]].astype(np.int64))
+        # by id, the points c @ basis of a solid come in the binary order of
+        # their coefficient vectors c, c_0 highest (q = 2 and the basis is in
+        # RREF: the rows past row k are 0 up to pivot k, and only row k is
+        # nonzero there).  off_plane[r, t]: the r-th least point of any solid
+        # is off its local plane t; the last row, all False, is no point
+        rank = linalg.coefficient_reps(4, q) @ (1 << np.arange(3, -1, -1)) - 1
+        self.off_plane = np.ones((pps + 1, pps), dtype=bool)
+        self.off_plane[rank[local], np.arange(pps)[:, None]] = self.off_plane[-1] = False
 
     @functools.cached_property
     def dual_permutation(self) -> np.ndarray:
@@ -246,16 +259,23 @@ class FlagUniverse:
                 "q=%d keeps per-flag data on demand" % self.q)
 
     def adjacent_mask(self, ordinal: int) -> np.ndarray:
-        """Boolean mask over all flags: adjacency to the given flag.
-
-        Read by id: the flag's plane against every distinct solid, repeated
-        over the planes of each solid, and every distinct plane against the
-        flag's solid, gathered by plane id."""
+        """Boolean mask over all flags: adjacency to the given flag (E, S),
+        read through the point p that S shares with each solid S' that E
+        misses (see above): p's rank among the points of S' picks the row
+        of off_plane, whose all-False last row stands where E meets S'."""
         self._need_masks()
+        pps = self.planes_per_solid
         plane = self.plane_words[:, self.plane_gid[ordinal]]
-        solid = self.solid_words[:, ordinal // self.planes_per_solid]
-        return (np.repeat(disjoint(plane, self.solid_words), self.planes_per_solid)
-                & disjoint(self.plane_words, solid).take(self.plane_gid))
+        solid = self.solid_words[:, ordinal // pps]
+        # points of S' below p: in meet - 1 on p's word, all before it, none after
+        rank, before_p = 0, np.ones(self.n_solids, dtype=bool)
+        for words, w in zip(self.solid_words, solid):
+            meet = words & w
+            rank = rank + np.bitwise_count(words & (meet - 1)) * before_p
+            before_p &= meet == 0
+        # where E meets S', the last row (no rank is above pps)
+        np.maximum(rank, ~disjoint(plane, self.solid_words) * np.uint8(pps), out=rank)
+        return self.off_plane.take(rank, axis=0).reshape(-1)
 
     def degree(self, ordinal: int) -> int:
         return int(np.count_nonzero(self.adjacent_mask(ordinal)))

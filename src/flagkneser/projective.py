@@ -20,8 +20,8 @@ PatternCodec(n+1, d+1, q).array() holds the int8 bases of all d-spaces of
 PG(n,q), which the universe build and the oracles read.  subspace_array()
 returns the bases of the d-spaces through K inside W as one int64 array,
 for count_lambda's members, and refuses more than MAX_ENUMERATED before it
-starts; enumerate_subspaces() streams them as Subspace objects, for the
-member lists of a Lambda family or a coloring scheme.
+starts; enumerate_subspaces() lists the same subspaces as Subspace objects,
+for the member lists of a Lambda family or a coloring scheme.
 check_subspace_bitsets() makes the enumeration refusal and
 basis_bitsets()'s byte refusal for all the d-spaces of PG(n,q) from the
 Gaussian coefficient, before either runs.
@@ -397,9 +397,9 @@ def subspace_array(n: int, q: int, d: int, *,
 def enumerate_subspaces(n: int, q: int, d: int, *,
                         contains: Subspace | None = None,
                         within: Subspace | None = None) -> Iterator[Subspace]:
-    """Stream the d-subspaces of PG(n,q) through `contains` and inside
-    `within`: the Subspace of each basis of subspace_array, in its order.
-    Contradictory constraints yield an empty stream, not an error."""
+    """List the d-subspaces of PG(n,q) through `contains` and inside
+    `within`, from every basis of subspace_array, built first, in its order.
+    Contradictory constraints yield none, not an error."""
     fld = build_field(q)
     for basis in subspace_array(n, q, d, contains=contains, within=within).tolist():
         yield Subspace(n, q, linalg.rref(basis, fld))

@@ -13,7 +13,8 @@ from flagkneser.flags import (Flag, FlagSet, FlagUniverse, adjacency_scan,
                               adjacent, adjacent_bits, build_universe,
                               dualize_flag, export_dimacs, general_position,
                               load_flagset, save_flagset, _plane_keys)
-from flagkneser.linalg import scatter_point_ids
+from flagkneser.linalg import (coefficient_reps, disjoint, meet_count, point_bits,
+                               point_ids, scatter_point_ids)
 from flagkneser.projective import (Subspace, basis_point_ids, dualize, meet,
                                    pattern_point_table, span)
 
@@ -231,7 +232,7 @@ def test_adjacency_is_never_within_a_shared_subspace(uni2):
 def test_degree_is_q_to_the_15(uni2):
     rng = np.random.default_rng(11)
     samples = {0, uni2.flag_count - 1}
-    samples.update(map(int, rng.integers(0, uni2.flag_count, 6)))
+    samples.update(map(int, rng.integers(0, uni2.flag_count, 200)))
     for t in samples:
         assert uni2.degree(t) == 2 ** 15
 
@@ -250,14 +251,54 @@ def test_adjacent_mask_by_id_matches_per_flag_bitsets(uni2, flag_bits):
     """adjacent_mask reads the distinct plane and solid tables by id; it
     must equal adjacent_bits over the per-flag reference bitsets."""
     rng = np.random.default_rng(14)
-    samples = [0, 1, 14, 15, uni2.flag_count - 1] + rng.integers(
-        0, uni2.flag_count, 40).tolist()
+    last = uni2.flag_count - uni2.planes_per_solid
+    samples = (list(range(16)) + list(range(last, uni2.flag_count))
+               + rng.integers(0, uni2.flag_count, 40).tolist())
     planes, solids = flag_bits
     for t in samples:
         want = adjacent_bits(planes[:, t], solids[:, t], planes, solids)
         got = uni2.adjacent_mask(t)
         assert got.dtype == bool and got.shape == (uni2.flag_count,)
         assert np.array_equal(got, want), t
+
+
+def test_solids_missing_a_plane_meet_its_solid_in_one_point(uni2):
+    """adjacent_mask rests on this: if the plane E of (E, S) misses a
+    solid S', then S and S' share exactly one point."""
+    rng = np.random.default_rng(29)
+    for t in [0, uni2.flag_count - 1] + rng.integers(0, uni2.flag_count, 30).tolist():
+        plane = uni2.plane_words[:, uni2.plane_gid[t]]
+        solid = uni2.solid_words[:, t // uni2.planes_per_solid]
+        missing = uni2.solid_words[:, disjoint(plane, uni2.solid_words)]
+        # q^12 solids, each with 8 planes off the meet point: degree 2^15
+        assert missing.shape[1] == 2 ** 12
+        assert np.all(meet_count(missing, solid[:, None]) == 1), t
+
+
+def test_every_solid_ranks_its_points_alike(uni2):
+    """adjacent_mask reads a point's rank among the points of a solid as
+    one position in coefficient_reps order, the same for every solid: at
+    q=2, with the solid's basis in RREF, the points by id come in the
+    lexicographic order of their coefficient vectors.  All 11811 solids."""
+    ids = basis_point_ids(uni2.solid_codec.array(), uni2.n, uni2.q)
+    by_rank = np.argsort(ids, axis=1)
+    assert np.array_equal(np.take_along_axis(ids, by_rank, axis=1),
+                          point_ids(uni2.solid_words, 15))
+    reps = coefficient_reps(4, 2)
+    assert (by_rank == np.lexsort(reps.T[::-1])).all()
+
+
+def test_off_plane_reads_the_planes_of_a_solid_by_rank(uni2):
+    """off_plane[r, t]: the r-th least point of a solid is off its local
+    plane t, checked on the point bitsets of seeded solids; the last row
+    is all False."""
+    off = uni2.off_plane
+    assert off.dtype == bool and off.shape == (16, 15) and not off[15].any()
+    rng = np.random.default_rng(29)
+    for s in [0, uni2.n_solids - 1] + rng.integers(0, uni2.n_solids, 30).tolist():
+        planes = uni2.plane_words[:, uni2.plane_gid[s * 15 + np.arange(15)]]
+        pts = point_ids(uni2.solid_words[:, [s]], 15)[0]
+        assert np.array_equal(off[:15], ~point_bits(planes)[:, pts].T), s
 
 
 def test_flagset_ops(uni2):
