@@ -22,8 +22,9 @@ from .counting import (REGISTRY, chromatic_lower_poly, chromatic_upper_poly,
                        type3_independence, type3_second_largest,
                        universe_size_formula)
 from .flags import (Flag, FlagSet, FlagUniverse, adjacency_scan, adjacent,
-                    build_universe, dualize_flag, export_dimacs,
-                    general_position, load_flagset, save_flagset)
+                    adjacent_bits, build_universe, dualize_flag,
+                    export_dimacs, general_position, load_flagset,
+                    save_flagset)
 from .constructions import (GIVEN_FAMILIES, LAMBDA_KINDS, ColoringScheme,
                             LambdaSpec, build_coloring_scheme, build_lambda,
                             build_line_meeting_plane_family, canonical_frame,

@@ -7,10 +7,11 @@ equivalent to the two disjointness conditions
 
     plane(f) `meets` solid(g) == empty  and  plane(g) `meets` solid(f) == empty,
 
-which adjacent_bits() states once for point bitsets: it is the one
-predicate, and general_position() follows the four-pair definition.  The
-DIMACS export factors it through the distinct planes and solids: D[p, s]
-says that plane p misses solid s, and flags i, j are adjacent iff
+which adjacent_bits() states once for point bitsets: it is the reference
+predicate that the tests hold the faster routes below to, and
+general_position() follows the four-pair definition.  The DIMACS export
+factors it through the distinct planes and solids: D[p, s] says that
+plane p misses solid s, and flags i, j are adjacent iff
 D[pid_i, sid_j] and D[pid_j, sid_i]; it fills D with _disjointness_table,
 counts its edges in closed form over pairs of solids and writes them a
 solid at a time, as bytes.  adjacent_mask factors it through solid meets:

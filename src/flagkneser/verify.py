@@ -25,7 +25,7 @@ import numpy as np
 from .counting import (chromatic_lower_poly, independence_number_formula,
                        plane_disjoint_solid_meeting_bound, s,
                        universe_size_formula)
-from .flags import Flag, FlagSet, FlagUniverse, adjacency_scan, adjacent_bits
+from .flags import Flag, FlagSet, FlagUniverse, adjacency_scan
 from .linalg import (disjoint, least_pair, meet_count, point_bits, point_ids,
                      popcount, subset)
 from .projective import Subspace, perp_bitsets, point_words, subspace_to_text
@@ -79,23 +79,17 @@ def _timed(name: str, check) -> CheckResult:
                        (time.perf_counter() - t0) * 1000.0)
 
 
-def _flag_words(uni: FlagUniverse, ords: np.ndarray):
-    """The word-major plane and solid bitsets of the flags ords, by id."""
-    return (uni.plane_words.take(uni.plane_gid[ords], axis=1),
-            uni.solid_words.take(ords // uni.planes_per_solid, axis=1))
-
-
 def _member_arrays(fset: FlagSet):
     """The universe, the member ordinals, and their plane and solid words."""
     uni = fset.universe
     uni._need_masks()
     ords = fset.ordinals()
-    return (uni, ords, *_flag_words(uni, ords))
+    return (uni, ords, uni.plane_words.take(uni.plane_gid[ords], axis=1),
+            uni.solid_words.take(ords // uni.planes_per_solid, axis=1))
 
 
 # uint64 words of scratch per block, 512 KB: a block of check_independent
-# holds member solids times planes per solid times words per packed row,
-# a step of check_maximal holds members times candidate columns
+# holds member solids times planes per solid times words per packed row
 _BLOCK_WORDS = 1 << 16
 
 
@@ -190,22 +184,22 @@ def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationRepor
     """No flag outside the set is non-adjacent to every member.
 
     Fail witness: the least ordinal that could be added.  The candidates
-    start as the non-members; each step drops those adjacent to a block of
-    members, and the scan stops as soon as none is left, so a maximal
-    family is settled in about twenty steps.  Members are visited with a
-    stride coprime to their number, because consecutive members in ordinal
-    order share a solid and cover nearly the same flags.  A block is one
-    member while the candidates are many and grows as they thin out,
-    keeping members times columns under _BLOCK_WORDS; the candidates'
-    columns are gathered by id, again once half of them are dead.  A step
-    that drops no candidate tests the least live one against all members:
-    if no member covers it, every smaller candidate is covered and it is
-    the witness; else it is dropped.  So a set that is not maximal settles in
-    a few steps.  What is left at the end, the non-members adjacent to no
-    member, does not depend on the visit order, and neither do the
-    verdict and the least witness.
+    start as the non-members; each step drops those adjacent to one member
+    (its adjacent_mask), and the scan stops as soon as none is left, so
+    Lambda(P,l) at q = 2 is settled in 44 steps and 3 scans.  Members are
+    visited with a stride coprime to their number, because consecutive
+    members in ordinal order share a solid and cover nearly the same
+    flags.  A step that drops no candidate, or the end of the members,
+    settles the least live candidate c with adjacency_scan: if no member
+    covers it, every smaller candidate is covered and c is the witness;
+    else its least adjacent member takes the next step, which drops c.  So
+    a set that is not maximal settles in a few steps.  What is left at the
+    end, the non-members adjacent to no member, does not depend on the
+    visit order, and neither do the verdict and the least witness.
     """
-    uni, ords, member_planes, member_solids = _member_arrays(fset)
+    uni = fset.universe
+    uni._need_masks()
+    ords = fset.ordinals()
 
     def run():
         m = len(ords)
@@ -213,33 +207,22 @@ def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationRepor
         stride = max(1, round(m * 0.618))
         while math.gcd(stride, m) != 1:
             stride += 1
-        order = np.arange(m) * stride % m
-        cand = np.flatnonzero(~fset.mask)  # members never extend the set
-        planes, solids = _flag_words(uni, cand)
-        alive = np.ones(cand.size, dtype=bool)
-        left, start = cand.size, 0
-        while start < len(order) and left:
-            block = order[start:start + max(1, _BLOCK_WORDS // cand.size)]
-            start += len(block)
-            alive &= ~adjacent_bits(member_planes[:, block, None],
-                                    member_solids[:, block, None],
-                                    planes[:, None],
-                                    solids[:, None]).any(axis=0)
-            now = np.count_nonzero(alive)
-            if now == left:  # a stalled step: settle the least candidate
+        visits = (int(ords[k * stride % m]) for k in range(m))
+        alive = ~fset.mask  # members never extend the set
+        left, member = np.count_nonzero(alive), next(visits, None)
+        while left:
+            now = left
+            if member is not None:
+                alive &= ~uni.adjacent_mask(member)
+                now = np.count_nonzero(alive)
+            if now == left:  # stalled or out of members: settle the least one
                 c = int(np.argmax(alive))
-                if not adjacent_bits(member_planes, member_solids,
-                                     planes[:, c], solids[:, c]).any():
-                    return False, {"extending_flag": int(cand[c])}
-                alive[c] = False
-                now -= 1
+                covering, member = adjacency_scan(fset, c)
+                if not covering:
+                    return False, {"extending_flag": c}
+            else:
+                member = next(visits, None)
             left = now
-            if 2 * left <= cand.size:  # compact once half the columns died
-                cand = cand[alive]
-                planes, solids = _flag_words(uni, cand)
-                alive = np.ones(left, dtype=bool)
-        if left:  # cand stays ascending
-            return False, {"extending_flag": int(cand[alive][0])}
         return True, None
 
     report = VerificationReport(subject=subject, q=uni.q,

@@ -8,7 +8,7 @@ from flagkneser import verify
 from flagkneser.constructions import (LambdaSpec, build_coloring_scheme,
                                       build_lambda, realize_coloring,
                                       trivial_coloring_scheme)
-from flagkneser.flags import FlagSet, adjacent_bits
+from flagkneser.flags import FlagSet, adjacency_scan, adjacent_bits
 from flagkneser.linalg import disjoint, least_pair
 from flagkneser.projective import Subspace, enumerate_subspaces
 from flagkneser.verify import (PreconditionError, _solids_per_block,
@@ -197,6 +197,19 @@ def test_independence_memory_is_bounded(lam_pl):
     assert peak <= 2.5 * 2 ** 20
 
 
+def test_maximality_memory_is_bounded(lam_pl):
+    # a bool mask of the candidates and one adjacent_mask at a time: no
+    # gathered plane and solid columns of the candidates (8.99 MB before)
+    check_maximal(lam_pl)
+    tracemalloc.start()
+    try:
+        assert check_maximal(lam_pl).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20
+
+
 def test_dependent_random_set_matches_least_pair_scan(uni2, flag_bits):
     rng = np.random.default_rng(20000)
     ords = rng.choice(uni2.flag_count, 20000, replace=False)
@@ -261,16 +274,49 @@ def test_proper_subset_of_maximal_set_is_not_maximal(uni2, lam_pl, pl_cover):
 
 def test_stalled_step_drops_a_covered_candidate(uni2, lam_pl, pl_cover,
                                                 monkeypatch):
-    """With 4096 words a step, Λ(P,l)'s scans stall while candidates are
-    left, so a stalled step finds its least live candidate covered by some
-    member and drops it; the verdicts and the least witness still hold."""
-    monkeypatch.setattr(verify, "_BLOCK_WORDS", 4096)
+    """Λ(P,l)'s scan stalls while candidates are left: a step drops none,
+    adjacency_scan finds the least live candidate covered by some member,
+    and that member's step drops it; the verdicts and the least witness
+    still hold."""
+    covers = []
+
+    def scan(fset, c):
+        count, member = adjacency_scan(fset, c)
+        covers.append(count)
+        return count, member
+
+    monkeypatch.setattr(verify, "adjacency_scan", scan)
     ords = lam_pl.ordinals()
     assert check_maximal(lam_pl).passed
+    assert covers and all(covers)
+    covers.clear()
     rep = check_maximal(FlagSet.from_ordinals(uni2, ords[:-10]))
     want = _least_uncovered(uni2, ords[:-10], pl_cover, base=ords)
     assert rep.checks[0].witness == {"extending_flag": want} == {
         "extending_flag": 167063}
+    # settled by a scan that finds no cover, after stalls that found one
+    assert len(covers) > 1 and all(covers[:-1]) and covers[-1] == 0
+
+
+def test_greedy_maximal_set_is_maximal(uni2):
+    """A maximal independent set that is no Λ family: flags taken in a
+    seeded random order whenever no member taken so far is adjacent."""
+    blocked = np.zeros(uni2.flag_count, dtype=bool)
+    members = []
+    for o in np.random.default_rng(30).permutation(uni2.flag_count).tolist():
+        if not blocked[o]:
+            members.append(o)
+            blocked |= uni2.adjacent_mask(o)
+            blocked[o] = True
+    members.sort()
+    fam = FlagSet.from_ordinals(uni2, members)
+    assert check_independent(fam).passed
+    assert check_maximal(fam).passed
+    assert _least_uncovered(uni2, members) is None
+    # without one member, that member at least extends it
+    smaller = members[:len(members) // 2] + members[len(members) // 2 + 1:]
+    assert not check_maximal(FlagSet.from_ordinals(uni2, smaller)).passed
+    _assert_maximal_matches_cover(uni2, smaller)
 
 
 @pytest.mark.parametrize("shape", ["small", "minus", "plus_adjacent"])
