@@ -380,8 +380,8 @@ def cmd_export(args, run: _Run) -> int:
     if args.format != "dimacs":
         raise ValueError("unsupported format %r" % args.format)
     if q != 2:
-        raise ValueError("only the q=2 graph has materialized adjacency "
-                         "arrays; larger q would need tens of gigabytes")
+        raise ValueError("export runs at q=2 only: at q=%d even an induced subgraph "
+                         "would first build the arrays of every flag" % q)
     if args.max_vertices is not None and args.max_vertices < 1:
         raise ValueError("need at least one vertex")
     if args.max_vertices is None and not args.confirm_size:

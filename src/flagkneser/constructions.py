@@ -17,7 +17,7 @@ The polarity (E, S) -> (S^perp, E^perp) maps each side onto the other:
 LambdaSpec.dual() is the spec of the image family, with H_empty, H_E, H_P
 and H_U swapped for P_empty, P_S, P_H and P_l.
 
-Families are materialized against the q=2 universe as boolean masks;
+Families are materialized against the q=2 or q=3 universe as boolean masks;
 count_lambda() counts the same sets for q in {2,3} by direct constrained
 enumeration on subspace basis arrays without touching the universe, which
 is what the formula cross-checks use.  It enumerates side P only and
@@ -216,14 +216,13 @@ class LambdaSpec:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized construction over the q=2 universe
+# Vectorized construction over the universe
 
 
 def build_lambda(spec: LambdaSpec, universe: FlagUniverse) -> FlagSet:
-    """Materialize the family as a flag set of the q=2 universe: both
+    """Materialize the family as a flag set of the universe: both
     predicates run over the distinct planes and solids, spread by id."""
     spec.validate(universe.q)
-    universe._need_masks()
     shape = spec._shape()
     planes, solids = universe.plane_words, universe.solid_words
     if shape.on_h:

@@ -17,27 +17,28 @@ counts its edges in closed form over pairs of solids and writes them a
 solid at a time, as bytes.  adjacent_mask factors it through solid meets:
 if the plane E of (E, S) misses a solid S', S meets S' in one point p (in
 vector dimensions at least 4 + 4 - 7 = 1, at most dim S - dim E = 1), so
-(E', S') is adjacent iff E misses S' and p is off E'.  At q = 2 the rank
-of p among the points of S' says which planes of S' hold p, in every
-solid alike.
+(E', S') is adjacent iff E misses S' and p is off E'.  p's rank among
+the points of S' and the order in which S' lists its points pick the row
+of off_plane that says which planes of S' miss p.
 
 Flag ordinals run through solids in canonical order and, inside each solid,
-through its planes in canonical local order.  At q = 2 the universe keeps
-planes and solids by id only: plane_words and solid_words hold each
+through its planes in canonical local order.  The universe, q in {2, 3},
+keeps planes and solids by id only: plane_words and solid_words hold each
 distinct one once as word-major point bitsets (see linalg: (2, 11811)
-uint64, column g for id g); a flag's plane id is plane_gid[ordinal],
-numbered in order of first occurrence, and its solid id ordinal //
-planes_per_solid.  The build gathers the point ids of each plane from its
-solid's (one batch_point_ids call per chunk of solids, then
-projective.pattern_point_table) and names the plane by its q+2 least
-point ids packed in one int64: a line holds only q+1 points, so they span
-the plane.  One sort of the keys numbers the planes.  The duality
+uint64 at q = 2, (18, 925771) at q = 3, column g for id g); a flag's
+plane id is plane_gid[ordinal], numbered in order of first occurrence,
+and its solid id ordinal // planes_per_solid.  They are built together on
+first graph-scale use, so flag, ordinal_of and dual_ordinal do without
+them.  The build gathers the point ids of each plane from its solid's
+(batch_point_ids per chunk of solids, then pattern_point_table) and names
+the plane by its q+2 least point ids packed in one int64: a line holds
+only q+1 points, so they span the plane.  At q = 2 the duality
 (E, S) -> (S^perp, E^perp) is one int32 permutation of the ordinals,
 built on first use from the orthogonal complements of the solid columns
 alone, found among the planes by key: perp maps the flags of a solid onto
-the flags on its dual plane, matched by rank.  Full materialization is
-limited to q in {2, 3}; at q = 3 per-flag data, the dual included, is
-produced on demand instead of being held in memory.
+the flags on its dual plane, matched by rank.  At q = 3, where it would
+take 148 MB that no check reads, dual_ordinal dualizes one flag through
+the codecs.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ from .projective import (PatternCodec, Subspace, basis_point_ids, dualize,
 
 N_AMBIENT = 6
 MATERIALIZABLE_Q = (2, 3)
-# solids per point-id chunk in the q=2 build (bounds its scratch)
-_SOLID_CHUNK = 128
+# solids per chunk of the by-id build (bounds its scratch)
+_SOLID_CHUNK = 1024
 # rows per chunk of the disjointness table fill and of the export's edge
 # count (bounds their scratch)
 _ROW_CHUNK = 64
@@ -140,9 +141,14 @@ class FlagUniverse:
         self.planes_per_solid = self.local_plane_codec.total
         self.flag_count = self.n_solids * self.planes_per_solid
         self._local_patterns = self.local_plane_codec.array().tolist()
-        self.has_masks = q == 2
-        if self.has_masks:
-            self._build_q2_arrays()
+        # row t: the local indices of the points of local plane t in a solid
+        self._local = pattern_point_table(4, 3, q)
+
+    def __getattr__(self, name: str):
+        if name not in ("solid_words", "plane_words", "plane_gid", "off_plane", "order_row"):
+            raise AttributeError(name)
+        self._build_arrays()
+        return getattr(self, name)
 
     # -- generic single-flag interface ------------------------------------
 
@@ -175,51 +181,47 @@ class FlagUniverse:
                 + self.local_plane_codec.rank(coords))
 
     def dual_ordinal(self, ordinal: int) -> int:
-        """Ordinal of the dual flag (S^perp, E^perp) of flag (E, S)."""
-        if not self.has_masks:
+        """Ordinal of the dual flag (S^perp, E^perp) of flag (E, S) (see above)."""
+        if self.q == 3:
             return self.ordinal_of(dualize_flag(self.flag(ordinal)))
         self._check_ordinal(ordinal)  # the array lookup would wrap -1
         return int(self.dual_permutation[ordinal])
 
-    # -- q = 2 materialized arrays -----------------------------------------
+    # -- by-id arrays, built on first use ------------------------------------
 
-    def _build_q2_arrays(self) -> None:
-        """The distinct planes and solids as word-major point bitsets, by
-        id, and the plane id of every flag in order of first occurrence.
-
-        A plane of a solid is a set of the solid's points: the point ids of
-        each chunk of solids come from one batch_point_ids call, and those of
-        its planes are gathered from them through pattern_point_table, so
-        planes are never multiplied out.  _first_occurrence_ids numbers the
-        planes by their _plane_keys, and only the first flag on each plane
-        is scattered into plane_words."""
+    def _build_arrays(self) -> None:
+        """The by-id arrays (see above), a chunk of solids at a time.  seen
+        holds the plane keys met so far, sorted, beside their ids; its last
+        entry, above every key, ends each search.  A chunk's new keys take
+        the next ids in order of first occurrence, their planes go into
+        plane_words (as many as solids, by duality), and they join seen."""
         n, q, pps = self.n, self.q, self.planes_per_solid
         solids = self.solid_codec.array()
-        # row t: the positions of the points of local pattern t among the
-        # points of a solid
-        local = pattern_point_table(4, 3, q)
         count = point_indexer(n, q).count
-        self.solid_words = np.zeros(((count + 63) // 64, self.n_solids), dtype=np.uint64)
-        solid_ids = np.empty((self.n_solids, local.max() + 1), np.min_scalar_type(count))
-        keys = np.empty((self.n_solids, pps), dtype=np.int64)
+        solid_words = np.zeros(((count + 63) // 64, self.n_solids), dtype=np.uint64)
+        plane_words = np.zeros_like(solid_words)
+        plane_gid = np.empty(self.flag_count, dtype=np.int32)
+        ranked = np.empty((self.n_solids, self._local.max() + 1), dtype=np.uint8)
+        seen, seen_ids = np.array([np.iinfo(np.int64).max]), np.array([-1], dtype=np.int32)
         for a in range(0, self.n_solids, _SOLID_CHUNK):
-            chunk = slice(a, a + _SOLID_CHUNK)
-            solid_ids[chunk] = ids = basis_point_ids(solids[chunk], n, q)
-            scatter_point_ids(self.solid_words, ids, a)
+            ids, ranked[a:a + _SOLID_CHUNK] = _solid_points(solids[a:a + _SOLID_CHUNK], n, q)
+            scatter_point_ids(solid_words, ids, a)
+            # the point ids of each plane, sorted in the least dtype of an id
+            points = np.sort(ids.astype(np.min_scalar_type(count))[:, self._local])
             # the plane with local pattern t in solid s is flag s * pps + t
-            keys[chunk] = _plane_keys(np.sort(solid_ids[chunk, local]), n, q)
-        self.plane_gid, firsts = _first_occurrence_ids(keys.reshape(-1))
-        s, t = np.divmod(firsts, pps)
-        self.plane_words = np.zeros((len(self.solid_words), len(firsts)), dtype=np.uint64)
-        scatter_point_ids(self.plane_words, solid_ids[s[:, None], local[t]].astype(np.int64))
-        # by id, the points c @ basis of a solid come in the binary order of
-        # their coefficient vectors c, c_0 highest (q = 2 and the basis is in
-        # RREF: the rows past row k are 0 up to pivot k, and only row k is
-        # nonzero there).  off_plane[r, t]: the r-th least point of any solid
-        # is off its local plane t; the last row, all False, is no point
-        rank = linalg.coefficient_reps(4, q) @ (1 << np.arange(3, -1, -1)) - 1
-        self.off_plane = np.ones((pps + 1, pps), dtype=bool)
-        self.off_plane[rank[local], np.arange(pps)[:, None]] = self.off_plane[-1] = False
+            keys, first, inv = np.unique(_plane_keys(points, n, q).reshape(-1),
+                                         return_index=True, return_inverse=True)
+            at, known = np.searchsorted(seen, keys), len(seen) - 1
+            gid, new = seen_ids[at], np.flatnonzero(seen[at] != keys)
+            by_first = new[np.argsort(first[new])]
+            gid[by_first] = np.arange(known, known + len(new))
+            plane_gid[a * pps:a * pps + len(inv)] = gid[inv]
+            s, t = np.divmod(first[by_first], pps)
+            scatter_point_ids(plane_words, ids[s[:, None], self._local[t]], known)
+            seen = np.insert(seen, at[new], keys[new])
+            seen_ids = np.insert(seen_ids, at[new], gid[new])
+        self.solid_words, self.plane_words, self.plane_gid = solid_words, plane_words, plane_gid
+        self.off_plane, self.order_row = _rank_table(ranked, self._local)
 
     @functools.cached_property
     def dual_permutation(self) -> np.ndarray:
@@ -232,7 +234,6 @@ class FlagUniverse:
         planes_per_solid flags on S^perp: ranked by dual solid, the r-th
         flag of S to the r-th on S^perp in ordinal order.
         """
-        self._need_masks()
         # allocated before the scratch arrays, so that freeing them can
         # return the top of the heap
         perm = np.empty((self.n_solids, self.planes_per_solid), dtype=np.int32)
@@ -253,33 +254,60 @@ class FlagUniverse:
                           axis=1)
         return perm.reshape(-1)
 
-    def _need_masks(self) -> None:
-        if not self.has_masks:
-            raise ValueError(
-                "graph-scale scans need the materialized q=2 arrays; "
-                "q=%d keeps per-flag data on demand" % self.q)
-
     def adjacent_mask(self, ordinal: int) -> np.ndarray:
-        """Boolean mask over all flags: adjacency to the given flag (E, S),
-        read through the point p that S shares with each solid S' that E
-        misses (see above): p's rank among the points of S' picks the row
-        of off_plane, whose all-False last row stands where E meets S'."""
-        self._need_masks()
-        pps = self.planes_per_solid
-        plane = self.plane_words[:, self.plane_gid[ordinal]]
-        solid = self.solid_words[:, ordinal // pps]
-        # points of S' below p: in meet - 1 on p's word, all before it, none after
-        rank, before_p = 0, np.ones(self.n_solids, dtype=bool)
-        for words, w in zip(self.solid_words, solid):
-            meet = words & w
-            rank = rank + np.bitwise_count(words & (meet - 1)) * before_p
-            before_p &= meet == 0
-        # where E meets S', the last row (no rank is above pps)
-        np.maximum(rank, ~disjoint(plane, self.solid_words) * np.uint8(pps), out=rank)
-        return self.off_plane.take(rank, axis=0).reshape(-1)
+        """Boolean mask over all flags: adjacency to the given flag, read
+        through the point its solid shares with each solid that its plane
+        misses (_adjacent_rows)."""
+        return _adjacent_rows(self.plane_words[:, self.plane_gid[ordinal]],
+                              self.solid_words[:, ordinal // self.planes_per_solid],
+                              self.solid_words, self.off_plane, self.order_row).reshape(-1)
 
     def degree(self, ordinal: int) -> int:
         return int(np.count_nonzero(self.adjacent_mask(ordinal)))
+
+
+def _solid_points(bases: np.ndarray, n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The build's step on a chunk of solid bases: the point ids of each
+    solid, in coefficient_reps order, and its point order, uint8: row s
+    lists the local indices of its points from the least id up."""
+    ids = basis_point_ids(bases, n, q)
+    return ids, np.argsort(ids, axis=1).astype(np.uint8)
+
+
+def _rank_table(ranked: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """off_plane and order_row from the point orders of the solids (the
+    C-contiguous rows of ranked, see _solid_points).  With R points to a
+    solid, row k R + r of off_plane says which local planes miss the r-th
+    least point of a solid in order k (one order at q = 2, 18763 at
+    q = 3); its last row, all False, is for a solid that the flag's plane
+    meets.  order_row[s], in the least dtype that holds every row, is k R
+    for the order k of solid s."""
+    size, pps = ranked.shape[1], len(local)
+    off = np.ones((size, pps), dtype=bool)  # local point j is off local plane t
+    off[local, np.arange(pps)[:, None]] = False
+    orders, order = np.unique(ranked.view(np.dtype((np.void, size))), return_inverse=True)
+    table = np.append(off[orders.view(np.uint8).reshape(-1, size)].reshape(-1, pps),
+                      np.zeros((1, pps), dtype=bool), axis=0)
+    return table, (order.reshape(-1) * size).astype(np.min_scalar_type(len(table)))
+
+
+def _adjacent_rows(plane: np.ndarray, solid: np.ndarray, solid_words: np.ndarray,
+                   off_plane: np.ndarray, order_row: np.ndarray) -> np.ndarray:
+    """Adjacency of the flag (E, S), given by the (W,) point sets plane
+    and solid, to the flags of the solids S' of solid_words: a bool
+    (N, planes per solid) array, row s for the local planes of solid s.
+    p's rank among the points of S' (see above) is counted on every word:
+    the points of S' below p count on the words where S has none too."""
+    rank, before_p = 0, np.ones(solid_words.shape[1], dtype=bool)
+    for words, w in zip(solid_words, solid):
+        meet = words & w
+        # points of S' below p: in meet - 1 on p's word, all before it, none after
+        rank = rank + np.bitwise_count(words & (meet - 1)) * before_p
+        before_p &= meet == 0
+    row = order_row + rank
+    # where E meets S', the last row of off_plane, all False
+    np.maximum(row, ~disjoint(plane, solid_words) * row.dtype.type(len(off_plane) - 1), out=row)
+    return off_plane.take(row, axis=0)
 
 
 def _plane_keys(ids: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -292,29 +320,6 @@ def _plane_keys(ids: np.ndarray, n: int, q: int) -> np.ndarray:
     for j in range(q + 2):
         key = key << width | ids[..., j]
     return key
-
-
-def _first_occurrence_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int32 id per entry of a 1-D array of int64 keys, and the entry where
-    each id first occurs: equal keys share an id, and ids count distinct
-    keys in order of first occurrence.  The keys must leave the bits of a
-    position free: below 2^(63 - b), b = len(keys).bit_length().  keys is
-    the sort's scratch, and is overwritten."""
-    ids = np.empty(len(keys), dtype=np.int32)  # before the scratch, as in dual_permutation
-    shift = len(keys).bit_length()
-    # one sort of key * 2^shift + position orders equal keys by position
-    keys <<= shift
-    keys |= np.arange(len(keys))
-    keys.sort()
-    order = keys & ((1 << shift) - 1)
-    keys >>= shift
-    new = np.concatenate(([True], keys[1:] != keys[:-1]))
-    first = order[new]  # the first entry of each run of equal keys
-    by_first = np.argsort(first)
-    np.cumsum(new, out=keys)
-    keys -= 1
-    ids[order] = np.argsort(by_first).astype(np.int32)[keys]
-    return ids, first[by_first]
 
 
 @functools.lru_cache(maxsize=None)
@@ -497,7 +502,6 @@ def export_dimacs(universe: FlagUniverse, path: str, *,
     an independent route.  Returns a summary dict with vertices, edges and
     path.
     """
-    universe._need_masks()
     n_all = universe.flag_count
     nv = n_all if max_vertices is None else min(max_vertices, n_all)
     if nv < 1:

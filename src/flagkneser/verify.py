@@ -82,7 +82,6 @@ def _timed(name: str, check) -> CheckResult:
 def _member_arrays(fset: FlagSet):
     """The universe, the member ordinals, and their plane and solid words."""
     uni = fset.universe
-    uni._need_masks()
     ords = fset.ordinals()
     return (uni, ords, uni.plane_words.take(uni.plane_gid[ords], axis=1),
             uni.solid_words.take(ords // uni.planes_per_solid, axis=1))
@@ -113,7 +112,7 @@ def _least_conflicting_solid(uni: FlagUniverse, ords: np.ndarray) -> int | None:
     inc = np.packbits(inc, axis=1, bitorder="little").view(np.uint64)
     starts = np.append(starts, len(ords))
     # meets[a]: the member solids that the a-th distinct member plane meets
-    # (at most 11811 rows, as many as Z can have); row: each member's a
+    # (at most n_solids rows, as many as Z can have); row: each member's a
     gids = uni.plane_gid[ords]
     seen = np.zeros(uni.plane_words.shape[1], dtype=bool)
     seen[gids] = True
@@ -162,7 +161,6 @@ def check_independent(fset: FlagSet, subject: str = "flag set") -> VerificationR
     an adjacent member, and its least adjacent member, greater than i.
     """
     uni = fset.universe
-    uni._need_masks()
     ords = fset.ordinals()
 
     def run():
@@ -198,7 +196,6 @@ def check_maximal(fset: FlagSet, subject: str = "flag set") -> VerificationRepor
     visit order, and neither do the verdict and the least witness.
     """
     uni = fset.universe
-    uni._need_masks()
     ords = fset.ordinals()
 
     def run():

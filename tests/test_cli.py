@@ -531,7 +531,6 @@ FLAG_FILES = {
 OUT_DIR = "outdir"
 
 BAD_INPUTS = [
-    ["construct", "--kind", "P_l", "--q", "3", "--canonical"],
     ["export", "--q", "2", "--max-vertices", "0"],
     ["color", "--scheme", "mi", "--q", "6"],
     ["construct", "--kind", "P_l", "--q", "2", "--point", "0;x"],

@@ -7,16 +7,19 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from flagkneser import cli
+from flagkneser import cli, flags
 from flagkneser.counting import gaussian, universe_size_formula
 from flagkneser.flags import (Flag, FlagSet, FlagUniverse, adjacency_scan,
                               adjacent, adjacent_bits, build_universe,
                               dualize_flag, export_dimacs, general_position,
-                              load_flagset, save_flagset, _plane_keys)
-from flagkneser.linalg import (coefficient_reps, disjoint, meet_count, point_bits,
-                               point_ids, scatter_point_ids)
-from flagkneser.projective import (Subspace, basis_point_ids, dualize, meet,
-                                   pattern_point_table, span)
+                              load_flagset, save_flagset, _adjacent_rows,
+                              _plane_keys, _rank_table, _solid_points)
+from flagkneser.linalg import (coefficient_reps, disjoint, field_matmul,
+                               meet_count, point_bits, point_ids,
+                               scatter_point_ids)
+from flagkneser.projective import (PatternCodec, Subspace, basis_bitsets,
+                                   basis_point_ids, dualize, meet,
+                                   pattern_point_table, point_words, span)
 
 
 def _unit(n, q, idxs):
@@ -44,15 +47,16 @@ def test_universe_counts(uni2):
 
 
 def test_universe_q3_spine_without_materialization():
+    """build_universe(3) serves flag, ordinal_of and dual_ordinal through
+    the codecs; the by-id arrays wait for the first graph-scale use."""
     uni = build_universe(3)
     assert uni.flag_count == 37030840
-    assert not uni.has_masks
     f = uni.flag(12345678)
     assert uni.ordinal_of(f) == 12345678
     g = uni.flag(uni.dual_ordinal(12345678))
     assert g.plane == dualize(f.solid) and g.solid == dualize(f.plane)
-    with pytest.raises(ValueError, match="materialized q=2 arrays"):
-        uni._need_masks()
+    assert not {"solid_words", "plane_words", "plane_gid", "off_plane",
+                "order_row", "dual_permutation"} & vars(uni).keys()
 
 
 def test_universe_rejects_large_q():
@@ -118,10 +122,13 @@ def test_universe_bitsets_match_the_per_plane_route(uni2, flag_bits):
 
 
 def test_universe_keeps_planes_and_solids_by_id_only():
-    """A fresh q=2 universe, before its dual_permutation is built, holds
-    about 1.1 MB of arrays: the plane id of every flag and the distinct
-    planes and solids.  One per-flag bitset array would add 2.8 MB."""
+    """A fresh q=2 universe builds its arrays on first use.  Built, and
+    before its dual_permutation is, it holds about 1.1 MB of them: the
+    plane id of every flag and the distinct planes and solids.  One
+    per-flag bitset array would add 2.8 MB."""
     uni = FlagUniverse(2)
+    assert "plane_gid" not in vars(uni)
+    uni.plane_gid
     held = sum(v.nbytes for v in vars(uni).values()
                if isinstance(v, np.ndarray))
     assert held < 1.5e6, held
@@ -133,11 +140,31 @@ def test_universe_build_memory_is_bounded():
     with them."""
     tracemalloc.start()
     try:
-        FlagUniverse(2)
+        FlagUniverse(2).plane_gid
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 9 * 2 ** 20, peak
+
+
+def test_universe_builds_its_arrays_together_on_first_use():
+    uni = FlagUniverse(2)
+    names = {"solid_words", "plane_words", "plane_gid", "off_plane", "order_row"}
+    assert not names & vars(uni).keys()
+    uni.order_row
+    assert names <= vars(uni).keys()
+    with pytest.raises(AttributeError):
+        uni.no_such_array
+
+
+def test_plane_numbering_does_not_depend_on_the_chunk(uni2, monkeypatch):
+    """The build numbers the planes a chunk of solids at a time, merging
+    the new keys of each chunk into the sorted keys seen so far; chunks of
+    13 solids (909 merges) give the arrays of the default chunk."""
+    monkeypatch.setattr(flags, "_SOLID_CHUNK", 13)
+    small = FlagUniverse(2)
+    for name in ("solid_words", "plane_words", "plane_gid", "off_plane", "order_row"):
+        assert np.array_equal(getattr(small, name), getattr(uni2, name)), name
 
 
 def test_plane_keys_name_the_q3_planes():
@@ -276,29 +303,65 @@ def test_solids_missing_a_plane_meet_its_solid_in_one_point(uni2):
 
 
 def test_every_solid_ranks_its_points_alike(uni2):
-    """adjacent_mask reads a point's rank among the points of a solid as
-    one position in coefficient_reps order, the same for every solid: at
-    q=2, with the solid's basis in RREF, the points by id come in the
-    lexicographic order of their coefficient vectors.  All 11811 solids."""
+    """At q=2 every solid lists its points in one order, so off_plane has
+    one block of rows: with the solid's basis in RREF, the points by id
+    come in the lexicographic order of their coefficient vectors.  All
+    11811 solids."""
     ids = basis_point_ids(uni2.solid_codec.array(), uni2.n, uni2.q)
     by_rank = np.argsort(ids, axis=1)
     assert np.array_equal(np.take_along_axis(ids, by_rank, axis=1),
                           point_ids(uni2.solid_words, 15))
     reps = coefficient_reps(4, 2)
     assert (by_rank == np.lexsort(reps.T[::-1])).all()
+    assert not uni2.order_row.any()
 
 
 def test_off_plane_reads_the_planes_of_a_solid_by_rank(uni2):
-    """off_plane[r, t]: the r-th least point of a solid is off its local
-    plane t, checked on the point bitsets of seeded solids; the last row
-    is all False."""
-    off = uni2.off_plane
+    """off_plane[order_row[s] + r, t]: the r-th least point of solid s is
+    off its local plane t, checked on the point bitsets of seeded solids;
+    the row after its 15 is all False."""
+    off, rows = uni2.off_plane, uni2.order_row
     assert off.dtype == bool and off.shape == (16, 15) and not off[15].any()
     rng = np.random.default_rng(29)
     for s in [0, uni2.n_solids - 1] + rng.integers(0, uni2.n_solids, 30).tolist():
         planes = uni2.plane_words[:, uni2.plane_gid[s * 15 + np.arange(15)]]
         pts = point_ids(uni2.solid_words[:, [s]], 15)[0]
-        assert np.array_equal(off[:15], ~point_bits(planes)[:, pts].T), s
+        assert np.array_equal(off[rows[s] + np.arange(15)],
+                              ~point_bits(planes)[:, pts].T), s
+
+
+def test_adjacent_rows_match_adjacent_bits_on_a_q3_slice():
+    """The kernel of adjacent_mask at q=3, where solids list their points
+    in many orders, without the whole-universe build: the build's steps,
+    _solid_points and _rank_table, on a seeded slice of 300 solids, and
+    _adjacent_rows on it for 16 anchor flags, against adjacent_bits over
+    the slice's flags by the per-plane route.  The rank of the meet point
+    p counts the points of S' on every word, also where the anchor's solid
+    has none; skipping those words gives wrong ranks, which still give
+    every flag degree q^15."""
+    uni = build_universe(3)
+    rng = np.random.default_rng(31)
+    bases = np.array([uni.solid_codec.unrank(int(s))
+                      for s in rng.choice(uni.n_solids, 300, replace=False)])
+    ids, ranked = _solid_points(bases, 6, 3)
+    off_plane, order_row = _rank_table(ranked, uni._local)
+    assert len(off_plane) > 200 * 41  # over 200 point orders in 300 solids
+    words = np.zeros((18, 300), dtype=np.uint64)
+    scatter_point_ids(words, ids)
+    assert (words == 0).any(axis=0).mean() > 0.5  # most solids have an empty word
+    patterns = PatternCodec(4, 3, 3).array().astype(np.int64)
+    planes = basis_bitsets(field_matmul(patterns, bases[:, None], 3).reshape(-1, 3, 7), 6, 3)
+    solids = np.repeat(basis_bitsets(bases, 6, 3), 40, axis=1)
+    gaps = 0  # empty words of an anchor solid below its last point
+    for anchor in rng.integers(0, uni.flag_count, 16).tolist():
+        f = uni.flag(anchor)
+        plane, solid = point_words(f.plane), point_words(f.solid)
+        gaps += np.count_nonzero(solid[:solid.nonzero()[0][-1]] == 0)
+        got = _adjacent_rows(plane, solid, words, off_plane, order_row)
+        want = adjacent_bits(plane[:, None], solid[:, None], planes, solids)
+        assert 0 < np.count_nonzero(got) < got.size
+        assert np.array_equal(got.reshape(-1), want), anchor
+    assert gaps
 
 
 def test_flagset_ops(uni2):
@@ -580,7 +643,7 @@ def test_export_dimacs_full_graph_of_a_small_universe(tmp_path, uni2,
     small = types.SimpleNamespace(
         q=2, flag_count=64, planes_per_solid=1, plane_gid=pid,
         plane_words=uni2.plane_words[:, gids],
-        solid_words=flag_bits[1][:, cols], _need_masks=lambda: None)
+        solid_words=flag_bits[1][:, cols])
     path = tmp_path / "small.dimacs"
     summary = export_dimacs(small, str(path))
     lines, edges = _dimacs_edges(path)
